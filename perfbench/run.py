@@ -10,7 +10,8 @@ input files), then repeats whole rounds of the workload's operations until
 before and after it. ``--trace 0`` reports the end-to-end metrics, with every
 time rescaled by the kernel to a fixed reference speed so that contention on a
 shared host cancels out; ``--trace 1`` alternates untraced and traced rounds
-and reports the per-layer metrics in plain wall time. Every operation's output
+and reports the per-layer metrics in plain wall time, all but the tracing
+overhead, which is at reference speed. Every operation's output
 is checked; the last stdout line is the result.
 """
 from __future__ import annotations
@@ -104,7 +105,7 @@ def parse_args(argv=None):
 
 
 def run(args, workdir: Path) -> dict:
-    from spans import Tracer, layer_metrics, unit
+    from spans import Tracer, layer_metrics
     from workloads import WORKLOADS
 
     tracer = Tracer() if args.trace else None
@@ -157,31 +158,36 @@ def run(args, workdir: Path) -> dict:
     if tracer:
         tracer.uninstall()
 
-    result = {"correct": True, "attempted": attempted, "failed": failed}
     if tracer is None:
         n_ops = len(setup.ops)
         adjusted = [at_reference_speed(t, k) for _, t, k in rounds]
-        result["metrics"] = {
-            "setup_s": (statistics.median(setup_times), "s"),
-            "ops_per_s": (statistics.median(n_ops / sum(a) for a in adjusted), "1/s"),
-            "op_p50_s": (statistics.median(
+        values = {
+            "setup_s": statistics.median(setup_times),
+            "ops_per_s": statistics.median(n_ops / sum(a) for a in adjusted),
+            "op_p50_s": statistics.median(
                 statistics.median(a[i] for a in adjusted) for i in range(n_ops)
-            ), "s"),
-            "work_ref": (statistics.median(sum(a) for a in adjusted) / KERNEL_NOMINAL_S, "ref"),
-            "peak_rss_mb": (peak_rss_mb, "MB"),
+            ),
+            "work_ref": statistics.median(sum(a) for a in adjusted) / KERNEL_NOMINAL_S,
+            "peak_rss_mb": peak_rss_mb,
         }
     else:
+        # at reference speed, unlike the layer times: in wall time, contention on
+        # the host moves a round by more than the wrappers cost
         plain = [sum(at_reference_speed(t, k)) for traced, t, k in rounds if not traced]
         with_trace = [sum(at_reference_speed(t, k)) for traced, t, k in rounds if traced]
         weights = {"setup": 1 / SETUP_REPS, "round": 1 / len(with_trace)}
         overhead = statistics.median(with_trace) - statistics.median(plain)
-        metrics = layer_metrics(tracer.spans, weights, {"check": 1.0}, overhead)
-        result["metrics"] = {name: (value, unit(name)) for name, value in metrics.items()}
+        values = layer_metrics(tracer.spans, weights, {"check": 1.0}, overhead)
         tracer.dump(OUT / f"trace-{args.workload}-{args.seed}.json")
-    result["metrics"] = {
-        name: {"value": value, "unit": u} for name, (value, u) in result["metrics"].items()
+    # names and units as BENCHMARK.json lists them; a metric missing here is an error
+    listed = json.loads((ROOT / "BENCHMARK.json").read_text())
+    listed = listed["per_layer" if tracer else "end_to_end"]
+    return {
+        "correct": True,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in listed},
     }
-    return result
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ from time import perf_counter
 
 # layer -> public functions of that module whose calls are timed
 TRACED = {
-    "graph": ("parse_graph", "build_graph", "components_after_removal", "edges_between"),
+    "graph": ("parse_graph", "build_graph", "components_after_removal"),
     "matching": ("max_matching",),
     "solver": ("find_parity_factor", "build_parity_gadget", "verify_factor", "brute_force_factor"),
     "lovasz": ("decide_by_enumeration", "deficiency", "verify_witness", "serialize_witness"),
@@ -89,16 +89,6 @@ class Tracer:
         keys = ("name", "start", "end", "parent", "group", "count")
         with open(path, "w") as fh:
             json.dump([dict(zip(keys, span)) for span in self.spans], fh)
-
-
-def unit(name: str) -> str:
-    if name.endswith("_s"):
-        return "s"
-    if ".us_per_" in name:
-        return "us"
-    if ".ns_per_" in name:
-        return "ns"
-    return "count"
 
 
 def totals(spans, weights) -> dict[str, dict[str, float]]:

@@ -5,13 +5,14 @@
     python3 perfbench/steady.py run --runs 10 --seed0 101 --out .perfbench_out/b.json
     python3 perfbench/steady.py compare .perfbench_out/a.json .perfbench_out/b.json
 
-``run`` starts ``run.py`` once per (workload, seed), one process at a time,
-and prints each end-to-end metric's median, quartiles and spread (quartile
-distance as a share of the median) next to its bound in BENCHMARK.json.
-``--trace 1`` makes the traced runs and prints the per-layer medians instead.
-``compare`` says whether two sets agree: every spread but set-up time within
-its bound, no median of the second set worse than the first's by more than
-the bound, and the same share of failed operations. It exits 1 if not.
+``run`` starts ``run.py`` once per (workload, seed), for every workload in
+BENCHMARK.json and for its ``run_seconds``, one process at a time. It prints
+each end-to-end metric's median, quartiles and spread (quartile distance as a
+share of the median) next to its bound in BENCHMARK.json. ``--trace 1`` makes
+the traced runs and prints the per-layer medians instead. ``compare`` says
+whether two sets agree: every spread within its bound, no median of the second
+set worse than the first's by more than the bound, and the same share of
+failed operations. It exits 1 if not.
 """
 from __future__ import annotations
 
@@ -43,14 +44,12 @@ def spread(values) -> float:
 
 def run_set(args) -> int:
     bench = load_benchmark()
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
     results = {}
-    for name in names:
+    for name in (w["name"] for w in bench["workloads"]):
         results[name] = []
         for seed in range(args.seed0, args.seed0 + args.runs):
             cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", str(args.trace)]
+                   "--seconds", str(bench["run_seconds"]), "--trace", str(args.trace)]
             start = time.perf_counter()
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=180)
             wall = time.perf_counter() - start
@@ -107,7 +106,7 @@ def compare(args) -> int:
             worse = (mb - ma) / ma if metric["better"] == "lower" else (ma - mb) / ma
             spreads = (spread(a), spread(b))
             verdict = []
-            if key != "setup_s" and max(spreads) > bound:
+            if max(spreads) > bound:
                 verdict.append("spread over bound")
             if worse > bound:
                 verdict.append("second median worse than bound")
@@ -124,8 +123,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="run each workload --runs times and summarise")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=1, help="first seed; runs use seed0, seed0+1, ...")
-    p.add_argument("--workloads", default=None, help="comma-separated; default all")
-    p.add_argument("--seconds", type=int, default=None, help="default: run_seconds")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", default=None, help="write the raw results here as JSON")
     p = sub.add_parser("compare", help="check that two result sets agree within the bounds")
