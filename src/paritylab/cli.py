@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success / feasible, 1 infeasible or failed verification,
-2 usage error, 3 enumeration / edge cap exceeded.
+2 usage error, 3 enumeration / edge cap exceeded, 4 internal error (a
+self-check failed or an unexpected exception; the traceback goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -15,6 +17,7 @@ from .connectivity import edge_connectivity
 from .errors import (
     GraphTooLargeForEnumeration,
     ParityLabError,
+    SelfCheckFailed,
     TooManyEdges,
 )
 from .experiment import parse_config, run_verification_experiment
@@ -44,6 +47,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -315,12 +319,20 @@ def main(argv=None) -> int:
     except (GraphTooLargeForEnumeration, TooManyEdges) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except SelfCheckFailed as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ParityLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a fault in paritylab itself: keep exit 1 for "infeasible"
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import TooSmall
+from .errors import SelfCheckFailed, TooSmall
 from .graph import Graph, VertexSet, edges_between
 
 __all__ = ["CutCertificate", "edge_connectivity", "is_k_edge_connected"]
@@ -105,7 +105,9 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
     side = VertexSet.of(net.reachable(0))
     cert = CutCertificate(side, best)
     # certificate self-consistency is cheap; keep it as a hard guarantee
-    assert edges_between(g, side, VertexSet.of(set(range(g.n)) - side._as_set)) == best
+    crossing = edges_between(g, side, VertexSet.of(set(range(g.n)) - side._as_set))
+    if crossing != best:
+        raise SelfCheckFailed(f"cut side has {crossing} boundary edges, max-flow found {best}")
     return best, cert
 
 

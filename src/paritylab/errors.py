@@ -92,3 +92,10 @@ class CounterexampleError(ParityLabError):
     def __init__(self, message: str, instance_text: str):
         super().__init__(message + "\n--- instance for replay ---\n" + instance_text)
         self.instance_text = instance_text
+
+
+# self-checks
+
+class SelfCheckFailed(ParityLabError):
+    """A result the library computed failed its own independent check: a
+    fault in the library, not in the input."""

@@ -176,6 +176,7 @@ def parse_graph(text: str) -> Graph:
     n = None
     m = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -194,16 +195,13 @@ def parse_graph(text: str) -> Graph:
             continue
         if not a < b:
             raise GraphSyntaxError(f"line {lineno}: edge endpoints must satisfy u < v")
-        try:
-            # validate this single edge against what we have so far
-            if not (0 <= a < n) or not (0 <= b < n):
-                raise VertexOutOfRange(
-                    f"line {lineno}: edge ({a},{b}) has endpoint outside 0..{n - 1}"
-                )
-            if (a, b) in set(edges):
-                raise DuplicateEdge(f"line {lineno}: edge ({a},{b}) given twice")
-        except (VertexOutOfRange, DuplicateEdge):
-            raise
+        if not (0 <= a < n) or not (0 <= b < n):
+            raise VertexOutOfRange(
+                f"line {lineno}: edge ({a},{b}) has endpoint outside 0..{n - 1}"
+            )
+        if (a, b) in seen:
+            raise DuplicateEdge(f"line {lineno}: edge ({a},{b}) given twice")
+        seen.add((a, b))
         edges.append((a, b))
     if n is None:
         raise GraphSyntaxError("empty input: missing 'n m' header line")

@@ -1,13 +1,32 @@
-"""Maximum cardinality matching in general graphs (blossom contraction).
+"""Maximum cardinality matching in general graphs (Edmonds' blossom algorithm).
 
-Classic augmenting-path search with blossom bases kept in a ``base`` array;
-a greedy matching seeds the search so only a few augmentations remain on the
-dense gadget graphs the factor solver produces. Deterministic: vertices are
-scanned in ascending id and adjacency lists are sorted.
+A greedy matching seeds the search, so only a few augmentations remain on the
+dense gadget graphs the factor solver produces. Every vertex still exposed
+then roots one breadth-first search for an augmenting path (Edmonds 1965).
+Blossoms are contracted implicitly: ``base[v]`` is the base of the outermost
+blossom that holds v, and each base of a contracted blossom keeps the list of
+the vertices it stands for.
+
+What a contraction touches. An edge between two even vertices closes an odd
+cycle. The bases on the two tree paths up to their common base are marked,
+their member lists are merged into the common base's list, and only those
+members are relabelled. A contraction so costs the size of the blossom, not
+of the graph, in the spirit of Gabow's O(V^3) implementation (Gabow 1976).
+The ``parent``, ``base`` and ``in_queue`` arrays are allocated once per
+``max_matching`` call. A search resets only the entries it set: those of the
+vertices it queued or labelled odd.
+
+Why the enqueue order is kept. A contraction queues the vertices it makes
+even in ascending id, the order a scan over all vertices would find them in.
+The search order, and with it the matching returned, therefore depends only
+on the graph: vertices are scanned in ascending id and adjacency lists are
+sorted.
+
+Cost per call: O(n + m) to allocate and seed, then, for each exposed root, the
+edges its search scans plus the sizes of its blossoms; O(n^3) at worst.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -42,9 +61,12 @@ def max_matching(g: Graph) -> Matching:
                     match[v] = u
                     match[u] = v
                     break
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
     for v in range(n):
         if match[v] < 0:
-            _try_augment(n, adj, match, v)
+            _try_augment(adj, match, parent, base, in_queue, v)
     pairs = tuple((v, match[v]) for v in range(n) if 0 <= v < match[v])
     return Matching(pairs)
 
@@ -53,44 +75,64 @@ def has_perfect_matching(g: Graph) -> bool:
     return 2 * len(max_matching(g)) == g.n
 
 
-def _try_augment(n, adj, match, root) -> bool:
-    """Search for an augmenting path from an exposed root; apply it if found."""
-    parent = [-1] * n
-    base = list(range(n))
-    in_queue = [False] * n
+def _try_augment(adj, match, parent, base, in_queue, root) -> bool:
+    """Search for an augmenting path from an exposed root; apply it if found.
+
+    ``parent``, ``base`` and ``in_queue`` must hold their initial values (-1,
+    the identity, False) on entry, and are left holding them on return."""
+    queue = [root]  # every vertex ever queued, in order
+    odd = []  # vertices given a parent when first reached
+    members: dict[int, list[int]] = {}  # base -> its vertices, once it heads a blossom
     in_queue[root] = True
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] >= 0 and parent[match[to]] >= 0):
-                # edge closes an odd cycle: contract the blossom
-                cur_base = _lca(match, base, parent, v, to)
-                in_blossom = [False] * n
-                _mark_path(match, base, parent, in_blossom, v, cur_base, to)
-                _mark_path(match, base, parent, in_blossom, to, cur_base, v)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = cur_base
-                        if not in_queue[i]:
-                            in_queue[i] = True
-                            q.append(i)
-            elif parent[to] < 0:
-                parent[to] = v
-                if match[to] < 0:
-                    # augment along the alternating path back to the root
-                    while to >= 0:
-                        pv = match[parent[to]]
-                        match[to] = parent[to]
-                        match[parent[to]] = to
-                        to = pv
-                    return True
-                nxt = match[to]
-                in_queue[nxt] = True
-                q.append(nxt)
-    return False
+    head = 0
+    try:
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] >= 0 and parent[match[to]] >= 0):
+                    # edge closes an odd cycle: contract the blossom
+                    cur_base = _lca(match, base, parent, v, to)
+                    blossom: set[int] = set()
+                    _mark_path(match, base, parent, blossom, v, cur_base, to)
+                    _mark_path(match, base, parent, blossom, to, cur_base, v)
+                    blossom.discard(cur_base)
+                    merged = members.setdefault(cur_base, [cur_base])
+                    newly_even = []
+                    for b in blossom:
+                        for i in members.pop(b, (b,)):
+                            base[i] = cur_base
+                            merged.append(i)
+                            if not in_queue[i]:
+                                in_queue[i] = True
+                                newly_even.append(i)
+                    newly_even.sort()
+                    queue.extend(newly_even)
+                elif parent[to] < 0:
+                    parent[to] = v
+                    odd.append(to)
+                    if match[to] < 0:
+                        # augment along the alternating path back to the root
+                        while to >= 0:
+                            pv = match[parent[to]]
+                            match[to] = parent[to]
+                            match[parent[to]] = to
+                            to = pv
+                        return True
+                    nxt = match[to]
+                    in_queue[nxt] = True
+                    queue.append(nxt)
+        return False
+    finally:
+        # a relabelled or re-parented vertex is always queued by then
+        for v in queue:
+            parent[v] = -1
+            base[v] = v
+            in_queue[v] = False
+        for v in odd:
+            parent[v] = -1
 
 
 def _lca(match, base, parent, a, b) -> int:
@@ -110,10 +152,10 @@ def _lca(match, base, parent, a, b) -> int:
         v = parent[match[v]]
 
 
-def _mark_path(match, base, parent, in_blossom, v, stop, child) -> None:
+def _mark_path(match, base, parent, blossom, v, stop, child) -> None:
     while base[v] != stop:
-        in_blossom[base[v]] = True
-        in_blossom[base[match[v]]] = True
+        blossom.add(base[v])
+        blossom.add(base[match[v]])
         parent[v] = child
         child = match[v]
         v = parent[match[v]]

@@ -16,12 +16,12 @@ from typing import Optional
 
 from .errors import (
     GraphSyntaxError,
-    InvalidParitySpec,
     LowerBoundExceedsDegree,
+    SelfCheckFailed,
     TooManyEdges,
 )
 from .graph import Graph, build_graph
-from .lovasz import ParitySpec
+from .lovasz import ParitySpec, _check_spec
 from .matching import max_matching
 
 DEFAULT_EDGE_CAP = 22
@@ -104,7 +104,11 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
 
 
 def find_parity_factor(g: Graph, spec: ParitySpec) -> Optional[Factor]:
-    """Polynomial-time construction; None means no parity factor exists."""
+    """Polynomial-time construction; None means no parity factor exists.
+
+    The recovered factor is checked by ``verify_factor`` before it is
+    returned; ``SelfCheckFailed`` is raised if the check rejects it."""
+    _check_spec(g, spec)
     for v in range(g.n):
         if spec.g[v] > g.degree(v):
             return None
@@ -118,7 +122,11 @@ def find_parity_factor(g: Graph, spec: ParitySpec) -> Optional[Factor]:
         for idx, (a, b) in enumerate(gm.edge_nodes)
         if match[a] == b
     ]
-    return Factor(g.n, tuple(sorted(chosen)))
+    factor = Factor(g.n, tuple(sorted(chosen)))
+    ok, reason = verify_factor(g, spec, factor)
+    if not ok:
+        raise SelfCheckFailed(f"recovered factor fails verification: {reason}")
+    return factor
 
 
 def brute_force_factor(
@@ -129,8 +137,7 @@ def brute_force_factor(
     m = g.edge_count
     if m > edge_cap:
         raise TooManyEdges(f"|E| = {m} exceeds brute-force cap {edge_cap}")
-    if spec.n != g.n:
-        raise InvalidParitySpec(f"spec covers {spec.n} vertices, graph has {g.n}")
+    _check_spec(g, spec)
     # parity shortcut: sum of factor degrees is even, so f(V) odd kills all subsets
     if spec.f_total % 2 == 1:
         return None
@@ -158,6 +165,7 @@ def brute_force_factor(
 
 def verify_factor(g: Graph, spec: ParitySpec, factor: Factor) -> tuple[bool, str]:
     """Independent check of edge membership, degree bounds, and parity."""
+    _check_spec(g, spec)
     if factor.n != g.n:
         return False, f"factor is on {factor.n} vertices, graph has {g.n}"
     edge_set = set(g.edges)

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from paritylab import cli
+from paritylab.errors import SelfCheckFailed
+
 CLI = [sys.executable, "-m", "paritylab.cli"]
 
 PETERSEN = (
@@ -123,6 +126,30 @@ def test_spec_file(tmp_path):
     result = run_cli(["solve", str(graph_file), "--spec-file", str(spec_file)])
     assert result.returncode == 0
     assert result.stdout == "factor 1\n0 1\n"
+
+
+def test_spec_file_of_wrong_length_is_a_usage_error(tmp_path):
+    graph_file = tmp_path / "p.g"
+    graph_file.write_text(PETERSEN)
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("1 1\n1 1\n")
+    result = run_cli(["solve", str(graph_file), "--spec-file", str(spec_file)])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: spec covers 2 vertices, graph has 10\n"
+
+
+@pytest.mark.parametrize("fault", [IndexError("planted"), SelfCheckFailed("planted")])
+def test_internal_fault_is_not_reported_as_infeasible(tmp_path, monkeypatch, capsys, fault):
+    def broken(g, spec):
+        raise fault
+
+    monkeypatch.setattr(cli, "find_parity_factor", broken)
+    graph_file = tmp_path / "p.g"
+    graph_file.write_text(PETERSEN)
+    assert cli.main(["solve", str(graph_file), "--a", "1", "--b", "1"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("internal error:") and "planted" in err
 
 
 def test_experiment_subcommand(tmp_path):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,7 +18,7 @@ from paritylab import (
     is_k_edge_connected,
     petersen,
 )
-from paritylab.errors import TooSmall
+from paritylab.errors import SelfCheckFailed, TooSmall
 
 from conftest import brute_edge_connectivity, graphs
 
@@ -69,3 +72,31 @@ def test_matches_exhaustive_oracle(g):
     other = VertexSet.of(set(range(g.n)) - set(cert.cut_side))
     assert 0 < len(cert.cut_side) < g.n
     assert edges_between(g, cert.cut_side, other) == cert.cut_size == lam
+
+
+def test_cut_certificate_check_raises(monkeypatch):
+    import paritylab.connectivity as connectivity
+
+    monkeypatch.setattr(connectivity, "edges_between", lambda g, s, t: -1)
+    with pytest.raises(SelfCheckFailed, match="boundary edges"):
+        edge_connectivity(petersen())
+
+
+def test_cut_certificate_check_survives_optimize_flag():
+    # `python -O` strips assert statements; the check must not be one
+    script = (
+        "import paritylab.connectivity as c\n"
+        "from paritylab import petersen\n"
+        "from paritylab.errors import SelfCheckFailed\n"
+        "assert False, 'asserts are live'\n"
+        "c.edges_between = lambda g, s, t: -1\n"
+        "try:\n"
+        "    c.edge_connectivity(petersen())\n"
+        "except SelfCheckFailed:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised\n"

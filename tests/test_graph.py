@@ -144,6 +144,8 @@ def test_parse_reports_line_numbers():
         parse_graph("3 2\n0 1\n")
     with pytest.raises(GraphSyntaxError, match="u < v"):
         parse_graph("3 1\n1 0\n")
+    with pytest.raises(DuplicateEdge, match=r"line 5: edge \(0,1\) given twice"):
+        parse_graph("3 3\n0 1\n1 2\n\n0 1\n")
 
 
 @given(graphs())

@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 
 from paritylab import (
+    ExtremalParams,
+    ParitySpec,
     build_graph,
+    build_parity_gadget,
     complete_graph,
     cycle,
+    extremal_construction,
     has_perfect_matching,
     max_matching,
     petersen,
+    random_regular,
 )
 
 from conftest import brute_max_matching_size, graphs
+from reference_matching import max_matching as reference_max_matching
 
 
 def test_k4_perfect():
@@ -75,3 +84,77 @@ def test_no_short_augmenting_path_remains(g):
             assert not any(
                 x in exposed and x != v for x in g.adjacency[partner]
             )
+
+
+# Differential gate: the matcher must return exactly the pairs of the
+# full-scan reference it replaced, so every factor and CLI output stays the same.
+
+CONSTANT_SPECS = [(1, 1), (1, 3), (2, 2), (2, 4), (0, 2), (1, 5)]
+
+
+def random_regular_gadgets(r):
+    """Parity gadgets of seeded random r-regular graphs with n <= 60, under
+    constant specs and one seeded per-vertex spec per graph."""
+    rng = random.Random(f"gadgets/{r}")
+    for n in range(r + 1, 61, 7):
+        if n * r % 2:
+            n += 1
+        g = random_regular(n, r, seed=n)
+        specs = [ParitySpec.constant(a, b, n) for a, b in CONSTANT_SPECS if b <= r]
+        low = [rng.randint(0, r) for _ in range(n)]
+        specs.append(ParitySpec(tuple(low), tuple(x + 2 * rng.randint(0, 2) for x in low)))
+        for spec in specs:
+            yield build_parity_gadget(g, spec).h
+
+
+def extremal_gadgets(max_r):
+    """Parity gadgets of the sharpness family: the infeasible (a,b) specs with
+    odd a <= b and b*m < r, plus the feasible (2,2)."""
+    for r in range(4, max_r + 1, 2):
+        for m in range(2, r - 1, 2):
+            g, _ = extremal_construction(ExtremalParams(r, m))
+            abs_ = [(a, b) for a in range(1, r, 2) for b in range(a, r, 2) if b * m < r]
+            for a, b in abs_ + [(2, 2)]:
+                yield build_parity_gadget(g, ParitySpec.constant(a, b, g.n)).h
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=300, deadline=None)
+def test_pairs_match_reference_on_small_graphs(g):
+    assert max_matching(g).pairs == reference_max_matching(g).pairs
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_pairs_match_reference_on_random_regular_gadgets(r):
+    for h in random_regular_gadgets(r):
+        assert max_matching(h).pairs == reference_max_matching(h).pairs
+
+
+def test_pairs_match_reference_on_extremal_gadgets():
+    count = 0
+    for h in extremal_gadgets(max_r=8):
+        m = max_matching(h)
+        assert m.pairs == reference_max_matching(h).pairs
+        count += 1
+    assert count == 14
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=100, deadline=None)
+def test_size_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    assert len(max_matching(g)) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+def test_size_matches_networkx_on_gadgets():
+    nx = pytest.importorskip("networkx")
+    for g in [*random_regular_gadgets(3), *extremal_gadgets(max_r=6)]:
+        if g.n > 400:
+            continue
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        assert len(max_matching(g)) == len(nx.max_weight_matching(h, maxcardinality=True))

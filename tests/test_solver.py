@@ -18,7 +18,12 @@ from paritylab import (
     petersen,
     verify_factor,
 )
-from paritylab.errors import LowerBoundExceedsDegree, TooManyEdges
+from paritylab.errors import (
+    InvalidParitySpec,
+    LowerBoundExceedsDegree,
+    SelfCheckFailed,
+    TooManyEdges,
+)
 from paritylab.solver import normalized_upper, parse_factor, serialize_factor
 
 from conftest import graph_with_spec, graphs
@@ -101,6 +106,24 @@ def test_verify_factor_catches_parity():
 def test_verify_factor_catches_foreign_edge():
     ok, reason = verify_factor(cycle(4), ParitySpec.constant(1, 1, 4), Factor(4, ((0, 2),)))
     assert not ok and "not in the graph" in reason
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_spec_length_must_match_graph(n):
+    spec = ParitySpec.constant(1, 1, n)
+    with pytest.raises(InvalidParitySpec, match="spec covers"):
+        find_parity_factor(petersen(), spec)
+    factor = find_parity_factor(petersen(), ParitySpec.constant(1, 1, 10))
+    with pytest.raises(InvalidParitySpec, match="spec covers"):
+        verify_factor(petersen(), spec, factor)
+
+
+def test_find_verifies_the_recovered_factor(monkeypatch):
+    import paritylab.solver as solver
+
+    monkeypatch.setattr(solver, "verify_factor", lambda g, spec, f: (False, "planted"))
+    with pytest.raises(SelfCheckFailed, match="planted"):
+        find_parity_factor(petersen(), ParitySpec.constant(1, 1, 10))
 
 
 def test_factor_serialization_round_trip():
