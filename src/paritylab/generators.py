@@ -64,7 +64,7 @@ def random_regular(
     for _ in range(max_retries):
         edges = _pairing_attempt(n, r, rng)
         if edges is not None:
-            return build_graph(n, sorted(edges))
+            return build_graph(n, edges)
     raise RetriesExhausted(f"no simple {r}-regular graph found in {max_retries} attempts")
 
 

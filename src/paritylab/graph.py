@@ -4,7 +4,8 @@ Graphs are immutable after construction; every function here is pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -46,7 +47,7 @@ class Graph:
             u, v = v, u
         return (u, v) in self._edge_set
 
-    @property
+    @cached_property
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -74,7 +75,7 @@ class VertexSet:
     def __contains__(self, v: int) -> bool:
         return v in self._as_set
 
-    @property
+    @cached_property
     def _as_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
@@ -84,42 +85,33 @@ class VertexSet:
                 raise VertexOutOfRange(f"vertex {v} not in 0..{n - 1}")
 
 
-@dataclass(frozen=True)
-class Component:
-    """A connected component as an induced subgraph plus the map back to the
-    original vertex ids: local vertex i is original_ids[i]."""
-
-    graph: Graph
-    original_ids: tuple[int, ...]
-
-    @property
-    def vertex_set(self) -> VertexSet:
-        return VertexSet(self.original_ids)
-
-
 def build_graph(n: int, edge_pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Validate and canonicalize an edge list into a Graph."""
+    """Validate and canonicalize an edge list into a Graph.
+
+    Loops and out-of-range endpoints are reported in input order, duplicates
+    after the one sort: a repeated pair meets its twin as the last neighbor
+    appended. Filling adjacency from the sorted pairs leaves every list
+    ascending, since v gets its smaller neighbors from the pairs (u, v) in
+    ascending u before its larger ones from the pairs (v, w) in ascending w.
+    """
     if n < 0:
         raise VertexOutOfRange(f"vertex count must be nonnegative, got {n}")
-    seen: set[Edge] = set()
     canonical: list[Edge] = []
     for u, v in edge_pairs:
         if u == v:
             raise LoopEdge(f"loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise VertexOutOfRange(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise DuplicateEdge(f"edge ({u},{v}) given twice")
-        seen.add((u, v))
-        canonical.append((u, v))
+        canonical.append((u, v) if u < v else (v, u))
     canonical.sort()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in canonical:
-        adj[u].append(v)
+        nbrs = adj[u]
+        if nbrs and nbrs[-1] == v:
+            raise DuplicateEdge(f"edge ({u},{v}) given twice")
+        nbrs.append(v)
         adj[v].append(u)
-    return Graph(n, tuple(canonical), tuple(tuple(sorted(a)) for a in adj))
+    return Graph(n, tuple(canonical), tuple(map(tuple, adj)))
 
 
 def require_disjoint(s: VertexSet, t: VertexSet) -> None:
@@ -137,18 +129,16 @@ def edges_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
     return sum(1 for u in s for w in g.adjacency[u] if w in t_set)
 
 
-def components_after_removal(g: Graph, removed: VertexSet) -> list[Component]:
-    """Connected components of g minus the removed vertices.
-
-    Components are ordered by ascending minimum original id; within a component
-    vertices are relabeled in ascending original-id order.
-    """
+def components_after_removal(g: Graph, removed: VertexSet) -> list[VertexSet]:
+    """Vertex sets of the connected components of g minus the removed
+    vertices, ordered by ascending minimum vertex id."""
     removed.check_bounds(g.n)
-    gone = removed._as_set
     seen = [False] * g.n
-    out: list[Component] = []
+    for v in removed:
+        seen[v] = True
+    out: list[VertexSet] = []
     for start in range(g.n):
-        if seen[start] or start in gone:
+        if seen[start]:
             continue
         stack = [start]
         seen[start] = True
@@ -157,17 +147,11 @@ def components_after_removal(g: Graph, removed: VertexSet) -> list[Component]:
             v = stack.pop()
             members.append(v)
             for w in g.adjacency[v]:
-                if not seen[w] and w not in gone:
+                if not seen[w]:
                     seen[w] = True
                     stack.append(w)
         members.sort()
-        index = {old: new for new, old in enumerate(members)}
-        sub_edges = [
-            (index[u], index[v])
-            for u, v in g.edges
-            if u in index and v in index
-        ]
-        out.append(Component(build_graph(len(members), sub_edges), tuple(members)))
+        out.append(VertexSet(tuple(members)))
     return out
 
 

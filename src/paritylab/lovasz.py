@@ -15,6 +15,7 @@ from .errors import (
     GraphSyntaxError,
     GraphTooLargeForEnumeration,
     InvalidParitySpec,
+    SelfCheckFailed,
 )
 from .graph import (
     Graph,
@@ -98,8 +99,7 @@ def f_odd_components(
     require_disjoint(s, t)
     removed = VertexSet.of(list(s) + list(t))
     odd = []
-    for comp in components_after_removal(g, removed):
-        cvs = comp.vertex_set
+    for cvs in components_after_removal(g, removed):
         if (edges_between(g, cvs, t) + spec.f_sum(cvs)) % 2 == 1:
             odd.append(cvs)
     return len(odd), odd
@@ -138,7 +138,6 @@ def decide_by_enumeration(
     deg = g.degrees
     full = (1 << n) - 1
     best_delta = None
-    best_code = None
     for code in range(3 ** n):
         s_mask = 0
         t_mask = 0
@@ -152,21 +151,19 @@ def decide_by_enumeration(
                 t_mask |= 1 << v
         d_val = _delta_masks(n, adj_mask, deg, spec, s_mask, t_mask, full)
         if best_delta is None or d_val < best_delta:
-            best_delta = d_val
-            best_code = code
-    assert best_delta is not None and best_code is not None
+            best_delta, best_s, best_t = d_val, s_mask, t_mask
     if best_delta >= 0:
         return Decision(True, None)
-    s_ids, t_ids = [], []
-    c = best_code
-    for v in range(n):
-        d = c % 3
-        c //= 3
-        if d == 1:
-            s_ids.append(v)
-        elif d == 2:
-            t_ids.append(v)
-    witness = deficiency(g, spec, VertexSet.of(s_ids), VertexSet.of(t_ids))
+    witness = deficiency(
+        g,
+        spec,
+        VertexSet.of(v for v in range(n) if best_s >> v & 1),
+        VertexSet.of(v for v in range(n) if best_t >> v & 1),
+    )
+    if witness.delta != best_delta:
+        raise SelfCheckFailed(
+            f"mask sweep found delta {best_delta}, deficiency recomputes {witness.delta}"
+        )
     return Decision(False, witness)
 
 

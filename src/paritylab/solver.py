@@ -63,10 +63,6 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
     """Build the matching gadget H; node numbering is deterministic (vertices
     ascending, outer nodes before core nodes, incident edges ascending)."""
     n = g.n
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(g.edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
     outer: list[tuple[int, ...]] = []
     core: list[tuple[int, ...]] = []
     slack: list[tuple[tuple[int, int], ...]] = []
@@ -88,10 +84,14 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
             for c in core[v]:
                 h_edges.append((o, c))
         h_edges.extend(slack[v])
+    # the k-th edge at v, in edge order, takes v's k-th outer node
+    used = [0] * n
     edge_nodes = []
-    for idx, (u, v) in enumerate(g.edges):
-        ou = outer[u][incident[u].index(idx)]
-        ov = outer[v][incident[v].index(idx)]
+    for u, v in g.edges:
+        ou = outer[u][used[u]]
+        ov = outer[v][used[v]]
+        used[u] += 1
+        used[v] += 1
         h_edges.append((ou, ov))
         edge_nodes.append((ou, ov))
     return GadgetMap(

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation, NotRegular
 from .graph import Graph, VertexSet, components_after_removal, edges_between, require_disjoint
-from .lovasz import ParitySpec
+from .lovasz import ParitySpec, f_odd_components
 
 MAIN_CASES = ("Main-i", "Main-ii", "Main-iii")
 GALLAI_CASES = ("Gallai-i", "Gallai-ii", "Gallai-iii")
@@ -109,7 +109,7 @@ class ComponentReport:
     is_a_odd: bool
     value: Fraction           # theta2 * e(S,C) + (1 - theta1) * e(T,C)
     crossing_bound_holds: bool  # value >= 1, meaningful for a-odd components
-    parity_identity_holds: bool  # a|C| + e(T,C) odd, definitional for a-odd C
+    parity_identity_holds: bool  # a-odd iff f_odd_components lists C
     regularity_identity_holds: bool  # r|C| = e(S+T, C) (mod 2)
 
 
@@ -130,9 +130,10 @@ def component_inequality_check(
     require_disjoint(s, t)
     theta1, theta2 = Fraction(a, r), Fraction(b, r)
     st = VertexSet.of(list(s) + list(t))
+    _, odd = f_odd_components(g, spec, s, t)
+    lovasz_odd = set(odd)
     reports = []
-    for comp in components_after_removal(g, st):
-        cvs = comp.vertex_set
+    for cvs in components_after_removal(g, st):
         e_s = edges_between(g, cvs, s)
         e_t = edges_between(g, cvs, t)
         a_odd = (a * len(cvs) + e_t) % 2 == 1
@@ -145,7 +146,7 @@ def component_inequality_check(
                 is_a_odd=a_odd,
                 value=value,
                 crossing_bound_holds=value >= 1,
-                parity_identity_holds=(a * len(cvs) + e_t) % 2 == 1 if a_odd else True,
+                parity_identity_holds=a_odd == (cvs in lovasz_odd),
                 regularity_identity_holds=(r * len(cvs) - (e_s + e_t)) % 2 == 0,
             )
         )

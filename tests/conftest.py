@@ -10,7 +10,17 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from paritylab import Graph, ParitySpec, VertexSet, build_graph, components_after_removal
+from paritylab import (
+    ExtremalParams,
+    Graph,
+    ParitySpec,
+    VertexSet,
+    build_graph,
+    components_after_removal,
+    extremal_construction,
+    random_regular,
+)
+from paritylab.errors import ParityLabError
 
 
 @st.composite
@@ -23,7 +33,7 @@ def graphs(draw, min_n=1, max_n=8, connected=False):
         # stitch components together along their minimum vertices
         comps = components_after_removal(g, VertexSet.empty())
         extra = [
-            (comps[i].original_ids[0], comps[i + 1].original_ids[0])
+            (comps[i].members[0], comps[i + 1].members[0])
             for i in range(len(comps) - 1)
         ]
         g = build_graph(n, list(g.edges) + extra)
@@ -50,6 +60,19 @@ def graph_with_spec(draw, max_n=7):
         g_vals.append(gv)
         f_vals.append(fv)
     return g, ParitySpec(tuple(g_vals), tuple(f_vals))
+
+
+def outcome(build, *args):
+    """What build returns on args, or the class of the ParityLabError it raises."""
+    try:
+        return build(*args)
+    except ParityLabError as exc:
+        return type(exc)
+
+
+def internal_edge_count(g: Graph, vs: VertexSet) -> int:
+    """Edges of g with both endpoints in vs: the size of the induced subgraph."""
+    return sum(1 for u, v in g.edges if u in vs and v in vs)
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -108,3 +131,32 @@ def small_connected_corpus():
                 if len(out) >= 500:
                     return out
     return out
+
+
+CONSTANT_SPECS = [(1, 1), (1, 3), (2, 2), (2, 4), (0, 2), (1, 5)]
+
+
+def random_regular_instances(r):
+    """Seeded random r-regular graphs with n <= 60, each under the constant
+    specs and one seeded per-vertex spec."""
+    rng = random.Random(f"gadgets/{r}")
+    for n in range(r + 1, 61, 7):
+        if n * r % 2:
+            n += 1
+        g = random_regular(n, r, seed=n)
+        specs = [ParitySpec.constant(a, b, n) for a, b in CONSTANT_SPECS if b <= r]
+        low = [rng.randint(0, r) for _ in range(n)]
+        specs.append(ParitySpec(tuple(low), tuple(x + 2 * rng.randint(0, 2) for x in low)))
+        for spec in specs:
+            yield g, spec
+
+
+def extremal_instances(max_r):
+    """The sharpness family up to degree max_r under the infeasible (a,b)
+    specs with odd a <= b and b*m < r, plus the feasible (2,2)."""
+    for r in range(4, max_r + 1, 2):
+        for m in range(2, r - 1, 2):
+            g, _ = extremal_construction(ExtremalParams(r, m))
+            abs_ = [(a, b) for a in range(1, r, 2) for b in range(a, r, 2) if b * m < r]
+            for a, b in abs_ + [(2, 2)]:
+                yield g, ParitySpec.constant(a, b, g.n)

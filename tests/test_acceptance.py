@@ -141,8 +141,7 @@ def test_criterion_5_regularity_congruence():
         s = VertexSet.of(v for v in range(n) if labels[v] == 1)
         t = VertexSet.of(v for v in range(n) if labels[v] == 2)
         st = VertexSet.of(list(s) + list(t))
-        for comp in components_after_removal(g, st):
-            cvs = comp.vertex_set
+        for cvs in components_after_removal(g, st):
             boundary = edges_between(g, cvs, s) + edges_between(g, cvs, t)
             assert (r * len(cvs) - boundary) % 2 == 0
             trials += 1

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from paritylab.errors import GraphSyntaxError
+from paritylab import experiment
+from paritylab.errors import CounterexampleError, GraphSyntaxError
 from paritylab.experiment import (
     ExperimentConfig,
     parse_config,
@@ -62,3 +63,10 @@ def test_odd_nr_products_are_skipped():
     cfg = ExperimentConfig(seed=1, n_values=(9,), r_values=(3,), trials=2, specs=((1, 1),))
     report = run_verification_experiment(cfg)
     assert report.rows == ()
+
+
+def test_satisfied_case_without_factor_is_a_counterexample(monkeypatch):
+    monkeypatch.setattr(experiment, "find_parity_factor", lambda g, spec: None)
+    cfg = ExperimentConfig(seed=7, n_values=(10,), r_values=(3,), trials=1, specs=((1, 1),))
+    with pytest.raises(CounterexampleError, match="satisfied cases"):
+        run_verification_experiment(cfg)

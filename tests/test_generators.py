@@ -113,9 +113,9 @@ def test_extremal_hub_wiring():
     blocks = components_after_removal(g, hubs)
     assert len(blocks) == 4
     for block in blocks:
-        assert edges_between(g, hubs, block.vertex_set) == 2
+        assert edges_between(g, hubs, block) == 2
         for hub in hubs:
-            assert edges_between(g, VertexSet.of([hub]), block.vertex_set) == 1
+            assert edges_between(g, VertexSet.of([hub]), block) == 1
 
 
 def test_extremal_infeasibility_certificate():

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab import (
     VertexSet,
@@ -23,7 +24,8 @@ from paritylab.errors import (
     VertexOutOfRange,
 )
 
-from conftest import graphs, graph_with_disjoint_sets
+from conftest import graphs, graph_with_disjoint_sets, internal_edge_count, outcome
+from reference_graph import build_graph as reference_build_graph
 
 
 def test_build_k2():
@@ -49,6 +51,51 @@ def test_build_rejects_loops_and_range():
         build_graph(3, [(1, 1)])
     with pytest.raises(VertexOutOfRange):
         build_graph(3, [(0, 3)])
+    # loops and ranges are checked pair by pair, duplicates after the sort
+    with pytest.raises(LoopEdge):
+        build_graph(3, [(0, 1), (1, 0), (2, 2)])
+
+
+# Differential gate: build_graph must return the Graph, or raise the error
+# class, of the seen-set builder it replaced.
+
+
+@st.composite
+def shuffled_edge_lists(draw):
+    """A graph's edges in a drawn order, each pair in a drawn orientation."""
+    g = draw(graphs(max_n=10))
+    pairs = draw(st.permutations(g.edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return g, [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+
+
+@given(shuffled_edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_build_matches_reference(data):
+    g, pairs = data
+    assert build_graph(g.n, pairs) == reference_build_graph(g.n, pairs) == g
+
+
+@given(shuffled_edge_lists(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_build_faults_match_reference(case, data):
+    g, pairs = case
+    kinds = ["loop", "range"] + (["duplicate"] if pairs else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "loop":
+        v = data.draw(st.integers(0, g.n - 1))
+        bad = (v, v)
+    elif kind == "range":
+        v = data.draw(st.integers(0, g.n - 1))
+        w = data.draw(st.sampled_from([-1, g.n, g.n + 3]))
+        bad = data.draw(st.sampled_from([(v, w), (w, v)]))
+    else:
+        u, v = data.draw(st.sampled_from(pairs))
+        bad = data.draw(st.sampled_from([(u, v), (v, u)]))
+    at = data.draw(st.integers(0, len(pairs)))
+    faulty = pairs[:at] + [bad] + pairs[at:]
+    got = outcome(build_graph, g.n, faulty)
+    assert isinstance(got, type) and got is outcome(reference_build_graph, g.n, faulty)
 
 
 def test_handshake():
@@ -84,32 +131,33 @@ def test_components_cycle_minus_vertex():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     comps = components_after_removal(g, VertexSet.of([0]))
     assert len(comps) == 1
-    assert comps[0].original_ids == (1, 2, 3)
-    assert comps[0].graph.edge_count == 2  # a path
+    assert comps[0].members == (1, 2, 3)
+    assert internal_edge_count(g, comps[0]) == 2  # a path
 
 
 def test_components_identity_case():
     g = complete_graph(4)
     comps = components_after_removal(g, VertexSet.empty())
     assert len(comps) == 1
-    assert comps[0].graph.edges == g.edges
+    assert comps[0].members == (0, 1, 2, 3)
+    assert internal_edge_count(g, comps[0]) == g.edge_count
 
 
 def test_components_extremal_blocks():
     g, hubs = extremal_construction(ExtremalParams(6, 2))
     comps = components_after_removal(g, hubs)
     assert len(comps) == 6
-    assert all(len(c.original_ids) == 7 for c in comps)
+    assert all(len(c) == 7 for c in comps)
 
 
 @given(graph_with_disjoint_sets())
 def test_components_partition_vertices(data):
     g, s, _ = data
     comps = components_after_removal(g, s)
-    covered = [v for c in comps for v in c.original_ids]
+    covered = [v for c in comps for v in c]
     assert sorted(covered) == sorted(set(range(g.n)) - set(s))
     # deterministic ordering: ascending minimum original id
-    mins = [c.original_ids[0] for c in comps]
+    mins = [c.members[0] for c in comps]
     assert mins == sorted(mins)
 
 
@@ -118,10 +166,9 @@ def test_degree_accounting_per_component(g):
     # for any removal X and component C: sum of degrees restricted to C splits
     # into internal edges twice plus the boundary into X
     x = VertexSet.of(range(0, g.n, 3))
-    for comp in components_after_removal(g, x):
-        cvs = comp.vertex_set
+    for cvs in components_after_removal(g, x):
         boundary = edges_between(g, x, cvs)
-        internal = comp.graph.edge_count
+        internal = internal_edge_count(g, cvs)
         assert sum(g.degree(v) for v in cvs) == 2 * internal + boundary
 
 

@@ -16,9 +16,11 @@ from paritylab import (
     f_odd_components,
     verify_witness,
 )
+from paritylab import lovasz
 from paritylab.errors import (
     GraphTooLargeForEnumeration,
     InvalidParitySpec,
+    SelfCheckFailed,
     SetsNotDisjoint,
 )
 from paritylab.lovasz import parse_witness, serialize_witness
@@ -106,6 +108,18 @@ def test_decide_k3_witness_canonical():
     assert not d.feasible
     assert d.witness.delta == -1
     assert d.witness.S.members == () and d.witness.T.members == ()
+
+
+def test_decide_rejects_a_witness_that_does_not_recompute(monkeypatch):
+    honest = lovasz.deficiency
+
+    def off_by_one(g, spec, s, t):
+        w = honest(g, spec, s, t)
+        return DeficiencyWitness(w.S, w.T, w.delta + 1, w.tau, w.odd_components)
+
+    monkeypatch.setattr(lovasz, "deficiency", off_by_one)
+    with pytest.raises(SelfCheckFailed, match="mask sweep found delta -1"):
+        decide_by_enumeration(complete_graph(3), ParitySpec.constant(1, 1, 3))
 
 
 def test_decide_empty_sets_counts_odd_components():

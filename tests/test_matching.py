@@ -1,25 +1,19 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 
 from paritylab import (
-    ExtremalParams,
-    ParitySpec,
     build_graph,
     build_parity_gadget,
     complete_graph,
     cycle,
-    extremal_construction,
     has_perfect_matching,
     max_matching,
     petersen,
-    random_regular,
 )
 
-from conftest import brute_max_matching_size, graphs
+from conftest import brute_max_matching_size, extremal_instances, graphs, random_regular_instances
 from reference_matching import max_matching as reference_max_matching
 
 
@@ -89,33 +83,12 @@ def test_no_short_augmenting_path_remains(g):
 # Differential gate: the matcher must return exactly the pairs of the
 # full-scan reference it replaced, so every factor and CLI output stays the same.
 
-CONSTANT_SPECS = [(1, 1), (1, 3), (2, 2), (2, 4), (0, 2), (1, 5)]
-
-
 def random_regular_gadgets(r):
-    """Parity gadgets of seeded random r-regular graphs with n <= 60, under
-    constant specs and one seeded per-vertex spec per graph."""
-    rng = random.Random(f"gadgets/{r}")
-    for n in range(r + 1, 61, 7):
-        if n * r % 2:
-            n += 1
-        g = random_regular(n, r, seed=n)
-        specs = [ParitySpec.constant(a, b, n) for a, b in CONSTANT_SPECS if b <= r]
-        low = [rng.randint(0, r) for _ in range(n)]
-        specs.append(ParitySpec(tuple(low), tuple(x + 2 * rng.randint(0, 2) for x in low)))
-        for spec in specs:
-            yield build_parity_gadget(g, spec).h
+    return (build_parity_gadget(g, spec).h for g, spec in random_regular_instances(r))
 
 
 def extremal_gadgets(max_r):
-    """Parity gadgets of the sharpness family: the infeasible (a,b) specs with
-    odd a <= b and b*m < r, plus the feasible (2,2)."""
-    for r in range(4, max_r + 1, 2):
-        for m in range(2, r - 1, 2):
-            g, _ = extremal_construction(ExtremalParams(r, m))
-            abs_ = [(a, b) for a in range(1, r, 2) for b in range(a, r, 2) if b * m < r]
-            for a, b in abs_ + [(2, 2)]:
-                yield build_parity_gadget(g, ParitySpec.constant(a, b, g.n)).h
+    return (build_parity_gadget(g, spec).h for g, spec in extremal_instances(max_r))
 
 
 @given(graphs(max_n=12))

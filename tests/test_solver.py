@@ -18,6 +18,7 @@ from paritylab import (
     petersen,
     verify_factor,
 )
+from paritylab import solver
 from paritylab.errors import (
     InvalidParitySpec,
     LowerBoundExceedsDegree,
@@ -26,7 +27,8 @@ from paritylab.errors import (
 )
 from paritylab.solver import normalized_upper, parse_factor, serialize_factor
 
-from conftest import graph_with_spec, graphs
+from conftest import extremal_instances, graph_with_spec, graphs, outcome, random_regular_instances
+from reference_graph import build_parity_gadget as reference_build_parity_gadget
 
 
 def c4():
@@ -172,3 +174,37 @@ def test_self_duality_on_regular_graphs(g):
             assert verify_factor(g, dual_spec, complement)[0]
         else:
             assert find_parity_factor(g, dual_spec) is None
+
+
+# Differential gate: the counter-numbered gadget must equal the one the
+# incident-list numbering built, node for node, so every factor stays the same.
+
+
+@given(graph_with_spec())
+@settings(max_examples=200, deadline=None)
+def test_gadget_matches_reference_on_small_graphs(data):
+    g, spec = data
+    assert outcome(build_parity_gadget, g, spec) == outcome(reference_build_parity_gadget, g, spec)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_gadget_and_factor_match_reference_on_random_regular(r, monkeypatch):
+    for g, spec in random_regular_instances(r):
+        assert build_parity_gadget(g, spec) == reference_build_parity_gadget(g, spec)
+        factor = find_parity_factor(g, spec)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "build_parity_gadget", reference_build_parity_gadget)
+            assert factor == find_parity_factor(g, spec)
+
+
+def test_gadget_and_factor_match_reference_on_extremal(monkeypatch):
+    count = 0
+    for g, spec in extremal_instances(max_r=8):
+        assert build_parity_gadget(g, spec) == reference_build_parity_gadget(g, spec)
+        factor = find_parity_factor(g, spec)
+        assert (factor is None) == (spec.g[0] % 2 == 1)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "build_parity_gadget", reference_build_parity_gadget)
+            assert factor == find_parity_factor(g, spec)
+        count += 1
+    assert count == 14

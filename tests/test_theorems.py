@@ -18,6 +18,7 @@ from paritylab import (
     m_star,
     petersen,
 )
+from paritylab import theorems
 from paritylab.errors import HypothesisViolation, NotRegular
 
 from conftest import graphs
@@ -102,7 +103,17 @@ def test_component_check_extremal_blocks():
         assert rep.is_a_odd
         assert rep.value == Fraction(1, 3)  # theta2 * e(S,C) = (1/6) * 2
         assert not rep.crossing_bound_holds  # consistent with infeasibility
+        assert rep.parity_identity_holds
         assert rep.regularity_identity_holds
+
+
+def test_parity_identity_cross_checks_f_odd_components(monkeypatch):
+    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    spec = ParitySpec.constant(1, 1, g.n)
+    monkeypatch.setattr(theorems, "f_odd_components", lambda g, spec, s, t: (0, []))
+    reports = component_inequality_check(g, spec, hubs, VertexSet.empty())
+    assert reports and all(rep.is_a_odd for rep in reports)
+    assert not any(rep.parity_identity_holds for rep in reports)
 
 
 def test_component_check_petersen():
@@ -133,4 +144,5 @@ def test_regularity_identity_holds_on_regular_graphs(g):
     s = VertexSet.of(range(0, g.n, 3))
     t = VertexSet.of(range(1, g.n, 3))
     for rep in component_inequality_check(g, ParitySpec.constant(1, 1, g.n), s, t):
+        assert rep.parity_identity_holds
         assert rep.regularity_identity_holds
