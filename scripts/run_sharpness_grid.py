@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the sharpness grid: for each even r, even m <= r-2, and odd
-a <= b with b*m < r, build the extremal instance and print its certificate."""
+a <= b with b*m < r, build the extremal instance and print its certificate.
+Exits 1 if any row is not an infeasible instance with a verified witness."""
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from paritylab import (
@@ -26,23 +28,28 @@ def main() -> None:
     print(f"{'r':>3} {'m':>3} {'a':>3} {'b':>3} {'n':>5} {'lambda':>6} "
           f"{'delta':>6} {'tau':>4} {'solver':>10} {'witness':>8}")
     t0 = time.time()
+    failed = 0
     for r in args.r:
         for m in range(2, r - 1, 2):
+            g, hubs = extremal_construction(ExtremalParams(r, m))
+            lam, _ = edge_connectivity(g)
             for b in range(1, r, 2):
                 if b * m >= r:
                     continue
                 for a in range(1, b + 1, 2):
-                    g, hubs = extremal_construction(ExtremalParams(r, m))
-                    lam, _ = edge_connectivity(g)
                     spec = ParitySpec.constant(a, b, g.n)
                     factor = find_parity_factor(g, spec)
                     w = deficiency(g, spec, hubs, VertexSet.empty())
                     ok, _ = verify_witness(g, spec, w)
+                    failed += factor is not None or not ok
                     print(f"{r:>3} {m:>3} {a:>3} {b:>3} {g.n:>5} {lam:>6} "
                           f"{w.delta:>6} {w.tau:>4} "
                           f"{'infeasible' if factor is None else 'FOUND?!':>10} "
                           f"{'ok' if ok else 'BAD':>8}")
     print(f"done in {time.time() - t0:.2f}s")
+    if failed:
+        print(f"{failed} rows not infeasible/ok")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

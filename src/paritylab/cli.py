@@ -61,11 +61,16 @@ def _load_graph(path: str) -> tuple[Graph, str]:
     return parse_graph(text), text
 
 
-def _hub_metadata(text: str) -> VertexSet | None:
+def _hub_metadata(text: str, n: int) -> VertexSet | None:
+    """The ``# hubs:`` trailer of a construct pipeline. It is a comment, so a
+    trailer that is not all vertex ids in 0..n-1 counts as absent."""
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.startswith("# hubs:"):
-            return VertexSet.of(int(x) for x in stripped[len("# hubs:"):].split())
+            ids = stripped[len("# hubs:"):].split()
+            if all(x.isdecimal() and int(x) < n for x in ids):
+                return VertexSet.of(int(x) for x in ids)
+            return None
     return None
 
 
@@ -111,8 +116,8 @@ def _infeasibility_witness(g: Graph, spec: ParitySpec, raw_text: str, enum_cap: 
         decision = decide_by_enumeration(g, spec, enum_cap)
         if not decision.feasible:
             return decision.witness
-    hubs = _hub_metadata(raw_text)
-    if hubs is not None and all(v < g.n for v in hubs):
+    hubs = _hub_metadata(raw_text, g.n)
+    if hubs is not None:
         w = deficiency(g, spec, hubs, VertexSet.empty())
         if w.delta < 0:
             return w

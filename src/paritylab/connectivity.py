@@ -2,11 +2,17 @@
 
 lambda(G) = min over t != 0 of maxflow(0, t): any global minimum cut separates
 vertex 0 from some other vertex, so sweeping all sinks from the fixed source
-is exact. Good enough for desk-scale graphs (hundreds of vertices).
+is exact. Each flow is Edmonds-Karp over ``g.adjacency``: a breadth-first
+search for a shortest augmenting path, neighbours in ascending order. The
+residual state is one set per vertex v of the neighbours w that already carry
+a unit v -> w; the arc v -> w is usable iff w is not in that set, and a push
+against a carried unit cancels it. A sink's flow stops at the best value found
+so far; a sink that ends below it hands back the vertices its last, failed
+search reached as the cut side. Good enough for desk-scale graphs (hundreds of
+vertices).
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import SelfCheckFailed, TooSmall
@@ -23,86 +29,64 @@ class CutCertificate:
     cut_size: int
 
 
-class _FlowNet:
-    """Residual network for one undirected graph; capacities reset per run."""
+def _max_flow(
+    adj: tuple[tuple[int, ...], ...], s: int, t: int, cap_at: int
+) -> tuple[int, VertexSet | None]:
+    """Unit-capacity s-t max-flow, stopped once the flow reaches ``cap_at``.
 
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(g.n)]
-        for u, v in g.edges:
-            self._arc(u, v)
-            self._arc(v, u)
-
-    def _arc(self, u: int, v: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(1)
-
-    def maxflow(self, s: int, t: int) -> int:
-        for i in range(len(self.cap)):
-            self.cap[i] = 1
-        flow = 0
-        while self._augment(s, t):
-            flow += 1
-        return flow
-
-    def _augment(self, s: int, t: int) -> bool:
-        prev_arc = [-1] * self.n
-        prev_arc[s] = -2
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for a in self.head[v]:
-                w = self.to[a]
-                if self.cap[a] > 0 and prev_arc[w] == -1:
-                    prev_arc[w] = a
-                    if w == t:
-                        while w != s:
-                            a = prev_arc[w]
-                            self.cap[a] -= 1
-                            self.cap[a ^ 1] += 1
-                            w = self.to[a ^ 1]
-                        return True
-                    q.append(w)
-        return False
-
-    def reachable(self, s: int) -> list[int]:
-        seen = [False] * self.n
-        seen[s] = True
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for a in self.head[v]:
-                w = self.to[a]
-                if self.cap[a] > 0 and not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        return [v for v in range(self.n) if seen[v]]
+    Returns ``(flow, None)`` if it stopped at ``cap_at``. Otherwise the flow is
+    maximum and below ``cap_at``, and the second item is the set of vertices
+    the last, failed augmenting search reached: the source side of a minimum
+    s-t cut, and the smallest one, so it is the same for every maximum flow.
+    """
+    carried: list[set[int]] = [set() for _ in adj]
+    flow = 0
+    while flow < cap_at:
+        parent = [-1] * len(adj)
+        parent[s] = s
+        queue = [s]
+        for v in queue:  # the list grows as it is read: a breadth-first search
+            used = carried[v]
+            for w in adj[v]:
+                if parent[w] < 0 and w not in used:
+                    parent[w] = v
+                    queue.append(w)
+            if parent[t] >= 0:
+                break
+        else:
+            return flow, VertexSet.of(queue)
+        w = t
+        while w != s:
+            v = parent[w]
+            if v in carried[w]:
+                carried[w].remove(v)
+            else:
+                carried[v].add(w)
+            w = v
+        flow += 1
+    return flow, None
 
 
 def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
     """Exact edge-connectivity with a witnessing cut.
 
-    Deterministic: among sinks attaining the minimum, the smallest vertex id is
-    used for the witness, and the witness side is the residual-reachable set of
-    vertex 0.
+    Sinks are tried in ascending order, and each flow stops as soon as it
+    reaches the smallest value found so far, since it cannot improve on it.
+    A sink whose flow ends below that value is the new best. Its last, failed
+    augmenting search gives the cut side: the vertices residual-reachable from
+    vertex 0. Deterministic: among sinks attaining the minimum, the smallest
+    vertex id gives the witness.
     """
     if g.n < 2:
         raise TooSmall(f"edge connectivity needs at least 2 vertices, got {g.n}")
-    net = _FlowNet(g)
-    best = None
-    best_t = None
+    # no flow from vertex 0 exceeds its degree, at most n - 1, so sink 1 sets a best
+    best, side = g.n, None
     for t in range(1, g.n):
-        f = net.maxflow(0, t)
-        if best is None or f < best:
-            best, best_t = f, t
+        f, reached = _max_flow(g.adjacency, 0, t, best)
+        if f < best:
+            best, side = f, reached
             if best == 0:
                 break
-    assert best is not None and best_t is not None
-    net.maxflow(0, best_t)
-    side = VertexSet.of(net.reachable(0))
     cert = CutCertificate(side, best)
     # certificate self-consistency is cheap; keep it as a hard guarantee
     crossing = edges_between(g, side, VertexSet.of(set(range(g.n)) - side._as_set))

@@ -215,9 +215,6 @@ def verify_witness(
 ) -> tuple[bool, str]:
     """Accept iff the recorded witness recomputes exactly and proves infeasibility."""
     try:
-        _check_spec(g, spec)
-        w.S.check_bounds(g.n)
-        w.T.check_bounds(g.n)
         recomputed = deficiency(g, spec, w.S, w.T)
     except Exception as exc:  # malformed witnesses are rejected, not raised
         return False, f"malformed witness: {exc}"
@@ -238,16 +235,20 @@ def serialize_witness(w: DeficiencyWitness) -> str:
 
 
 def parse_witness(text: str) -> DeficiencyWitness:
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
+    fields: dict[str, tuple[int, str]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(":")
-        fields[key.strip()] = rest.strip()
+        fields[key.strip()] = (lineno, rest.strip())
+    values = []
     for key in ("S", "T", "delta", "tau"):
         if key not in fields:
             raise GraphSyntaxError(f"witness block missing field {key!r}")
-    s = VertexSet.of(int(x) for x in fields["S"].split())
-    t = VertexSet.of(int(x) for x in fields["T"].split())
-    return DeficiencyWitness(s, t, int(fields["delta"]), int(fields["tau"]))
+        lineno, rest = fields[key]
+        try:
+            values.append(VertexSet.of(map(int, rest.split())) if key in ("S", "T") else int(rest))
+        except ValueError:
+            raise GraphSyntaxError(f"line {lineno}: bad {key} field {rest!r}") from None
+    return DeficiencyWitness(*values)

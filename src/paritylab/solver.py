@@ -168,9 +168,8 @@ def verify_factor(g: Graph, spec: ParitySpec, factor: Factor) -> tuple[bool, str
     _check_spec(g, spec)
     if factor.n != g.n:
         return False, f"factor is on {factor.n} vertices, graph has {g.n}"
-    edge_set = set(g.edges)
     for u, v in factor.edges:
-        if (min(u, v), max(u, v)) not in edge_set:
+        if not g.has_edge(u, v):
             return False, f"edge ({u},{v}) not in the graph"
     if len(set(factor.edges)) != len(factor.edges):
         return False, "repeated edge in factor"
@@ -193,20 +192,23 @@ def serialize_factor(factor: Factor) -> str:
 
 def parse_factor(text: str, n: int) -> Factor:
     lines = [
-        line.split("#", 1)[0].strip()
-        for line in text.splitlines()
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
     ]
-    lines = [line for line in lines if line]
-    if not lines or not lines[0].startswith("factor"):
+    if not lines or not lines[0][1].startswith("factor"):
         raise GraphSyntaxError("factor block must start with 'factor <k>'")
     try:
-        k = int(lines[0].split()[1])
+        k = int(lines[0][1].split()[1])
     except (IndexError, ValueError):
         raise GraphSyntaxError("factor block must start with 'factor <k>'")
     if len(lines) - 1 != k:
         raise GraphSyntaxError(f"factor header promised {k} edges, found {len(lines) - 1}")
     edges = []
-    for line in lines[1:]:
-        u, v = (int(x) for x in line.split())
+    for lineno, line in lines[1:]:
+        try:
+            u, v = (int(x) for x in line.split())
+        except ValueError:
+            raise GraphSyntaxError(f"line {lineno}: expected two integers, got {line!r}") from None
         edges.append((min(u, v), max(u, v)))
     return Factor(n, tuple(sorted(edges)))

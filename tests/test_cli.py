@@ -39,6 +39,18 @@ def test_construct_solve_pipeline_emits_hub_witness():
     assert "delta: -4" in solve.stdout
 
 
+@pytest.mark.parametrize("trailer", ["-1", "x"])
+def test_malformed_hub_trailer_is_ignored(trailer):
+    # '#' starts a comment: a trailer that names no vertices is not a usage error
+    construct = run_cli(["construct", "--r", "4", "--m", "2"])
+    text = construct.stdout.replace("# hubs: 20 21", f"# hubs: {trailer}")
+    assert text != construct.stdout
+    solve = run_cli(["solve", "--a", "1", "--b", "1", "-"], stdin_text=text)
+    assert (solve.returncode, solve.stdout, solve.stderr) == (
+        1, "infeasible (no witness within enumeration cap)\n", ""
+    )
+
+
 def test_witness_round_trip_through_files(tmp_path):
     construct = run_cli(["construct", "--r", "6", "--m", "2"])
     graph_file = tmp_path / "g.txt"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,11 @@ from paritylab import (
     extremal_construction,
     is_k_edge_connected,
     petersen,
+    random_regular,
 )
 from paritylab.errors import SelfCheckFailed, TooSmall
 
+import reference_connectivity
 from conftest import brute_edge_connectivity, graphs
 
 
@@ -100,3 +103,46 @@ def test_cut_certificate_check_survives_optimize_flag():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "raised\n"
+
+
+def _same_as_reference(g):
+    lam, cert = edge_connectivity(g)
+    ref_lam, ref_cert = reference_connectivity.edge_connectivity(g)
+    assert (lam, cert.cut_side.members, cert.cut_size) == (
+        ref_lam, ref_cert.cut_side.members, ref_cert.cut_size
+    )
+
+
+@given(graphs(min_n=2, max_n=12))
+@settings(max_examples=200)
+def test_matches_reference_on_small_graphs(g):
+    _same_as_reference(g)
+
+
+# the sizes the verification harness sweeps: small n, and the largest n per r
+SWEEP_N = {3: 176, 4: 104, 5: 64, 6: 48, 7: 32, 8: 28}
+
+
+@pytest.mark.parametrize("r", sorted(SWEEP_N))
+def test_matches_reference_on_random_regular(r):
+    for n, seed in product((12, SWEEP_N[r]), range(3)):
+        _same_as_reference(random_regular(n, r, seed=seed))
+
+
+@pytest.mark.parametrize("r", [4, 6, 8, 10])
+def test_matches_reference_on_extremal(r):
+    for m in range(2, r - 1, 2):
+        _same_as_reference(extremal_construction(ExtremalParams(r, m))[0])
+
+
+def test_flow_that_must_cancel_a_unit():
+    # the flow to sink 1 pushes a unit against one already on an edge at
+    # vertex 2; were that edge left blocked, not freed, the last search would
+    # miss vertex 2 and return a side with 3 boundary edges
+    g = build_graph(8, [
+        (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (2, 5),
+        (2, 6), (3, 5), (4, 5), (4, 6), (4, 7),
+    ])
+    lam, cert = edge_connectivity(g)
+    assert (lam, cert.cut_side.members) == (2, (0, 2, 4, 5, 6, 7))
+    _same_as_reference(g)

@@ -18,6 +18,7 @@ from paritylab import (
 )
 from paritylab import lovasz
 from paritylab.errors import (
+    GraphSyntaxError,
     GraphTooLargeForEnumeration,
     InvalidParitySpec,
     SelfCheckFailed,
@@ -171,6 +172,18 @@ def test_witness_serialization_round_trip():
     assert parsed.S == w.S and parsed.T == w.T
     assert parsed.delta == w.delta and parsed.tau == w.tau
     assert verify_witness(g, spec, parsed)[0]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("S: 1 a\nT:\ndelta: -1\ntau: 1\n", "line 1: bad S field '1 a'"),
+    ("S:\n# comment\nT: 2.5\ndelta: -1\ntau: 1\n", "line 3: bad T field '2.5'"),
+    ("S: 1\nT:\ndelta: x\ntau: 1\n", "line 3: bad delta field 'x'"),
+    ("S: 1\nT:\ndelta: -1\ntau: 1 2\n", "line 4: bad tau field '1 2'"),
+])
+def test_parse_witness_names_the_bad_line(text, line):
+    with pytest.raises(GraphSyntaxError) as info:
+        parse_witness(text)
+    assert str(info.value) == line
 
 
 @given(graph_with_disjoint_sets(max_n=6))

@@ -20,6 +20,7 @@ from paritylab import (
 )
 from paritylab import solver
 from paritylab.errors import (
+    GraphSyntaxError,
     InvalidParitySpec,
     LowerBoundExceedsDegree,
     SelfCheckFailed,
@@ -134,6 +135,17 @@ def test_factor_serialization_round_trip():
     text = serialize_factor(f)
     assert text.splitlines()[0] == "factor 5"
     assert parse_factor(text, 10) == f
+
+
+@pytest.mark.parametrize("text,line", [
+    ("factor 1\n0 1 2\n", "line 2: expected two integers, got '0 1 2'"),
+    ("factor 2\n0 1\n# comment\n3\n", "line 4: expected two integers, got '3'"),
+    ("factor 1\n0 x\n", "line 2: expected two integers, got '0 x'"),
+])
+def test_parse_factor_names_the_bad_line(text, line):
+    with pytest.raises(GraphSyntaxError) as info:
+        parse_factor(text, 10)
+    assert str(info.value) == line
 
 
 @given(graph_with_spec(max_n=6))
