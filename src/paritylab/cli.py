@@ -15,6 +15,7 @@ from pathlib import Path
 from . import __version__
 from .connectivity import edge_connectivity
 from .errors import (
+    GraphSyntaxError,
     GraphTooLargeForEnumeration,
     ParityLabError,
     SelfCheckFailed,
@@ -77,11 +78,14 @@ def _hub_metadata(text: str, n: int) -> VertexSet | None:
 def _load_spec(args, n: int) -> ParitySpec:
     if args.spec_file:
         g_vals, f_vals = [], []
-        for line in _read_text(args.spec_file).splitlines():
-            line = line.split("#", 1)[0].strip()
+        for lineno, raw in enumerate(_read_text(args.spec_file).splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            gv, fv = (int(x) for x in line.split())
+            try:
+                gv, fv = (int(x) for x in line.split())
+            except ValueError:
+                raise GraphSyntaxError(f"line {lineno}: expected two integers, got {line!r}") from None
             g_vals.append(gv)
             f_vals.append(fv)
         return ParitySpec(tuple(g_vals), tuple(f_vals))
@@ -159,11 +163,21 @@ def cmd_decide(args) -> int:
     return EXIT_INFEASIBLE
 
 
+def _vertex_ids(flag: str, text: str) -> VertexSet:
+    ids = []
+    for field in text.split():
+        try:
+            ids.append(int(field))
+        except ValueError:
+            raise GraphSyntaxError(f"{flag}: bad vertex id {field!r}") from None
+    return VertexSet.of(ids)
+
+
 def cmd_deficiency(args) -> int:
     g, _ = _load_graph(args.graph)
     spec = _load_spec(args, g.n)
-    s = VertexSet.of(int(x) for x in args.S.split())
-    t = VertexSet.of(int(x) for x in args.T.split())
+    s = _vertex_ids("--S", args.S)
+    t = _vertex_ids("--T", args.T)
     sys.stdout.write(serialize_witness(deficiency(g, spec, s, t)))
     return EXIT_OK
 

@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
-from paritylab import cli
+from paritylab import ParitySpec, cli, emit_graph, random_regular
 from paritylab.errors import SelfCheckFailed
+from paritylab.lovasz import DEFAULT_ENUMERATION_CAP, serialize_witness
+
+import reference_lovasz
 
 CLI = [sys.executable, "-m", "paritylab.cli"]
 
@@ -104,6 +107,14 @@ def test_deficiency_subcommand():
     assert "delta: -4" in result.stdout and "tau: 6" in result.stdout
 
 
+@pytest.mark.parametrize("flag,value,field", [("--S", "1 a", "a"), ("--T", "0 x1", "x1")])
+def test_deficiency_bad_vertex_id_is_a_usage_error(flag, value, field):
+    result = run_cli(["deficiency", "-", "--a", "1", "--b", "1", flag, value], stdin_text=PETERSEN)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"error: {flag}: bad vertex id {field!r}\n"
+    )
+
+
 def test_connectivity_subcommand():
     result = run_cli(["connectivity", "-"], stdin_text=PETERSEN)
     assert result.returncode == 0
@@ -149,6 +160,42 @@ def test_spec_file_of_wrong_length_is_a_usage_error(tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr == "error: spec covers 2 vertices, graph has 10\n"
+
+
+@pytest.mark.parametrize("text,line", [("1 1 1\n", 1), ("# g f\n1 1\n3\n", 3), ("1 x\n", 1)])
+def test_malformed_spec_line_is_a_usage_error(tmp_path, text, line):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("2 1\n0 1\n")
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(text)
+    result = run_cli(["solve", str(graph_file), "--spec-file", str(spec_file)])
+    bad = text.splitlines()[line - 1]
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"error: line {line}: expected two integers, got {bad!r}\n"
+    )
+
+
+# f(V) is odd, so (empty, empty) is a witness too, with delta -1; the
+# enumeration's canonical witness has delta -3 and nonempty S and T
+BYTE_IDENTITY_SPEC = (
+    (1, 1, 0, 2, 2, 1, 0, 0, 0, 2),
+    (3, 1, 0, 4, 4, 1, 0, 2, 0, 2),
+)
+
+
+@pytest.mark.parametrize("command", ["solve", "decide"])
+def test_infeasible_witness_is_the_reference_enumeration_witness(tmp_path, command):
+    g = random_regular(10, 3, seed=4)
+    spec = ParitySpec(*BYTE_IDENTITY_SPEC)
+    assert g.n <= DEFAULT_ENUMERATION_CAP == 15
+    expected = serialize_witness(reference_lovasz.decide_by_enumeration(g, spec).witness)
+    assert expected.startswith("S: 2 5 6\nT: 3 4\ndelta: -3\n")
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(emit_graph(g))
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("".join(f"{lo} {hi}\n" for lo, hi in zip(*BYTE_IDENTITY_SPEC)))
+    result = run_cli([command, str(graph_file), "--spec-file", str(spec_file)])
+    assert (result.returncode, result.stdout, result.stderr) == (1, expected, "")
 
 
 @pytest.mark.parametrize("fault", [IndexError("planted"), SelfCheckFailed("planted")])

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +17,7 @@ from paritylab import (
     deficiency,
     extremal_construction,
     f_odd_components,
+    random_regular,
     verify_witness,
 )
 from paritylab import lovasz
@@ -26,6 +30,7 @@ from paritylab.errors import (
 )
 from paritylab.lovasz import parse_witness, serialize_witness
 
+import reference_lovasz
 from conftest import graph_with_disjoint_sets, graph_with_spec
 
 
@@ -198,3 +203,49 @@ def test_deficiency_matches_decision_minimum(data):
         assert decision.witness.delta <= w.delta
     else:
         assert w.delta >= 0
+
+
+# ---- the rest-mask Gray-code sweep against the per-code decode it replaced
+
+def assert_matches_reference(g, spec):
+    # Decision equality covers the verdict and the witness's S, T, delta,
+    # tau and odd components
+    assert decide_by_enumeration(g, spec) == reference_lovasz.decide_by_enumeration(g, spec)
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (2, 2), (0, 2)])
+def test_enumeration_matches_reference_on_every_graph_up_to_five(a, b):
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = build_graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            assert_matches_reference(g, ParitySpec.constant(a, b, n))
+
+
+@given(graph_with_spec(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_reference_on_random_specs(data):
+    assert_matches_reference(*data)
+
+
+@pytest.mark.parametrize("n,r", [(9, 4), (10, 3), (10, 4)])
+def test_enumeration_matches_reference_on_random_regular(n, r):
+    rng = random.Random(f"enumeration/{n}/{r}")
+    g = random_regular(n, r, seed=n * r)
+    for _ in range(2):
+        low = [rng.randint(0, r) for _ in range(n)]
+        spec = ParitySpec(tuple(low), tuple(x + 2 * rng.randint(0, 1) for x in low))
+        assert_matches_reference(g, spec)
+
+
+@pytest.mark.parametrize("n,edges,a,b", [
+    (0, [], 1, 1),
+    (6, [], 1, 1),
+    (6, [], 0, 2),
+    (9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8)], 1, 1),
+    (9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8)], 1, 3),
+])
+def test_enumeration_matches_reference_on_tie_heavy_graphs(n, edges, a, b):
+    # many pairs attain the minimum, so only the explicit code tie-break
+    # recovers the smallest one
+    assert_matches_reference(build_graph(n, edges), ParitySpec.constant(a, b, n))
