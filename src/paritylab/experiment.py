@@ -22,6 +22,7 @@ from .solver import find_parity_factor
 from .theorems import check_main_conditions
 
 CSV_COLUMNS = ("seed", "n", "r", "lambda", "a", "b", "case", "outcome", "delta")
+_TUPLE_KEYS = {"ab": ("specs", 2), "extremal": ("extremal", 4)}
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 kwargs["r_values"] = tuple(int(x) for x in value.split(","))
             elif key == "trials":
                 kwargs["trials"] = int(value)
-            elif key == "ab":
-                kwargs["specs"] = tuple(
-                    tuple(int(x) for x in pair.split(":")) for pair in value.split(",")
-                )
-            elif key == "extremal":
-                kwargs["extremal"] = tuple(
-                    tuple(int(x) for x in quad.split(":")) for quad in value.split(",")
-                )
+            elif key in _TUPLE_KEYS:
+                field_name, width = _TUPLE_KEYS[key]
+                items = tuple(tuple(int(x) for x in item.split(":")) for item in value.split(","))
+                if any(len(item) != width for item in items):
+                    raise ValueError(value)
+                kwargs[field_name] = items
             else:
                 raise GraphSyntaxError(f"config line {lineno}: unknown key {key!r}")
         except ValueError:

@@ -44,9 +44,7 @@ def petersen() -> Graph:
     return build_graph(10, outer + spokes + inner)
 
 
-def random_regular(
-    n: int, r: int, seed: int, max_retries: int = DEFAULT_SAMPLING_RETRIES
-) -> Graph:
+def random_regular(n: int, r: int, seed: int) -> Graph:
     """Seeded configuration-model sampling of a simple r-regular graph.
 
     Stub pairing with rejection of loops and multi-edges; leftover stubs are
@@ -61,11 +59,11 @@ def random_regular(
     if r >= n:
         raise DegreeTooLarge(f"r = {r} must be smaller than n = {n}")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(DEFAULT_SAMPLING_RETRIES):
         edges = _pairing_attempt(n, r, rng)
         if edges is not None:
             return build_graph(n, edges)
-    raise RetriesExhausted(f"no simple {r}-regular graph found in {max_retries} attempts")
+    raise RetriesExhausted(f"no simple {r}-regular graph found in {DEFAULT_SAMPLING_RETRIES} attempts")
 
 
 def _pairing_attempt(n: int, r: int, rng: random.Random):

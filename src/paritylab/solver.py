@@ -20,7 +20,7 @@ from .errors import (
     SelfCheckFailed,
     TooManyEdges,
 )
-from .graph import Graph, build_graph
+from .graph import Graph
 from .lovasz import ParitySpec, _check_spec
 from .matching import max_matching
 
@@ -61,7 +61,10 @@ def normalized_upper(g: Graph, spec: ParitySpec, v: int) -> int:
 
 def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
     """Build the matching gadget H; node numbering is deterministic (vertices
-    ascending, outer nodes before core nodes, incident edges ascending)."""
+    ascending, outer nodes before core nodes, incident edges ascending).
+    Adjacency lists are ascending by construction, as the matcher's determinism
+    requires: a core node sees its outer nodes, then any slack partner; an outer
+    node sees its core after its edge partner if that is smaller, else before."""
     n = g.n
     outer: list[tuple[int, ...]] = []
     core: list[tuple[int, ...]] = []
@@ -78,12 +81,10 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
         next_id += d - gv
         pairs = (normalized_upper(g, spec, v) - gv) // 2
         slack.append(tuple((core[v][2 * i], core[v][2 * i + 1]) for i in range(pairs)))
-    h_edges: list[tuple[int, int]] = []
+    adj: list[tuple[int, ...]] = [()] * next_id
     for v in range(n):
-        for o in outer[v]:
-            for c in core[v]:
-                h_edges.append((o, c))
-        h_edges.extend(slack[v])
+        for i, c in enumerate(core[v]):
+            adj[c] = outer[v] + (core[v][i ^ 1],) if i < 2 * len(slack[v]) else outer[v]
     # the k-th edge at v, in edge order, takes v's k-th outer node
     used = [0] * n
     edge_nodes = []
@@ -92,10 +93,12 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
         ov = outer[v][used[v]]
         used[u] += 1
         used[v] += 1
-        h_edges.append((ou, ov))
+        adj[ou] = core[u] + (ov,)
+        adj[ov] = (ou,) + core[v]
         edge_nodes.append((ou, ov))
+    h_edges = tuple((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
     return GadgetMap(
-        build_graph(next_id, h_edges),
+        Graph(next_id, h_edges, tuple(adj)),
         tuple(edge_nodes),
         tuple(outer),
         tuple(core),

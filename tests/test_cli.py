@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from paritylab import ParitySpec, cli, emit_graph, random_regular
+from paritylab import ParitySpec, cli, emit_graph, generators, random_regular
 from paritylab.errors import SelfCheckFailed
 from paritylab.lovasz import DEFAULT_ENUMERATION_CAP, serialize_witness
 
@@ -136,6 +136,46 @@ def test_gen_random_env_seed():
     assert a.stdout.splitlines()[0] == "10 15"
 
 
+def test_gen_random_retries_exhausted_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(generators, "_pairing_attempt", lambda n, r, rng: None)
+    assert cli.main(["gen-random", "--n", "10", "--r", "3"]) == cli.EXIT_USAGE == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: no simple 3-regular graph")
+
+
+def test_solve_brute_factor_is_accepted(tmp_path):
+    graph_file = tmp_path / "p.g"
+    graph_file.write_text(PETERSEN)
+    solve = run_cli(["solve", str(graph_file), "--a", "1", "--b", "1", "--method", "brute"])
+    assert solve.returncode == 0 and solve.stdout.startswith("factor 5\n")
+    factor_file = tmp_path / "f.txt"
+    factor_file.write_text(solve.stdout)
+    verify = run_cli(
+        ["verify-factor", str(graph_file), "--a", "1", "--b", "1",
+         "--factor", str(factor_file)]
+    )
+    assert verify.returncode == 0 and verify.stdout == "ok\n"
+
+
+def test_solve_brute_infeasible_prints_the_gadget_witness():
+    triangle = "3 3\n0 1\n0 2\n1 2\n"
+    brute = run_cli(["solve", "-", "--a", "1", "--b", "1", "--method", "brute"], stdin_text=triangle)
+    gadget = run_cli(["solve", "-", "--a", "1", "--b", "1"], stdin_text=triangle)
+    assert brute.returncode == gadget.returncode == 1
+    assert brute.stdout == gadget.stdout and "delta: -1" in brute.stdout
+
+
+def test_solve_brute_edge_cap_exceeded():
+    result = run_cli(
+        ["solve", "-", "--a", "1", "--b", "1", "--method", "brute", "--edge-cap", "5"],
+        stdin_text=PETERSEN,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        3, "", "error: |E| = 15 exceeds brute-force cap 5\n"
+    )
+
+
 def test_usage_error_exit_code():
     result = run_cli(["solve", "-"], stdin_text="2 1\n0 1\n")
     assert result.returncode == 2  # no spec given
@@ -218,6 +258,17 @@ def test_experiment_subcommand(tmp_path):
     result = run_cli(["experiment", str(cfg), "--csv", str(out_csv)])
     assert result.returncode == 0
     assert out_csv.read_text().splitlines()[0] == "seed,n,r,lambda,a,b,case,outcome,delta"
+
+
+@pytest.mark.parametrize("line", ["ab=1", "ab=1:1:1", "extremal=6:2"])
+def test_experiment_config_of_wrong_arity_is_a_usage_error(tmp_path, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    result = run_cli(["experiment", str(cfg)])
+    value = line.partition("=")[2]
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"error: config line 1: bad value {value!r}\n"
+    )
 
 
 def test_solve_dot_output(tmp_path):

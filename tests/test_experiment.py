@@ -32,6 +32,9 @@ def test_parse_config_rejects_garbage():
         parse_config("wibble=3\n")
     with pytest.raises(GraphSyntaxError):
         parse_config("seed=abc\n")
+    for text in ("ab=1\n", "ab=1:1:1\n", "extremal=6:2\n"):
+        with pytest.raises(GraphSyntaxError, match="config line 1: bad value"):
+            parse_config(text)
 
 
 def test_run_small_grid():

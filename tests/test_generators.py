@@ -14,6 +14,7 @@ from paritylab import (
     edges_between,
     components_after_removal,
     extremal_construction,
+    generators,
     j_block,
     petersen,
     random_regular,
@@ -23,6 +24,7 @@ from paritylab.errors import (
     DegreeTooLarge,
     ParamDomain,
     ParityViolation,
+    RetriesExhausted,
 )
 
 
@@ -66,6 +68,12 @@ def test_random_regular_parity_violation():
 def test_random_regular_degree_too_large():
     with pytest.raises(DegreeTooLarge):
         random_regular(4, 4, seed=0)
+
+
+def test_random_regular_retries_exhausted(monkeypatch):
+    monkeypatch.setattr(generators, "_pairing_attempt", lambda n, r, rng: None)
+    with pytest.raises(RetriesExhausted):
+        random_regular(10, 3, 0)
 
 
 def test_random_regular_forced_k4():
