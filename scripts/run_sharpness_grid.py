@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce the sharpness grid: for each even r, even m <= r-2, and odd
-a <= b with b*m < r, build the extremal instance and print its certificate.
-Exits 1 if any row is not an infeasible instance with a verified witness."""
+a <= b with b*m < r, build the extremal instance and print the solver's
+certificate. Exits 1 if any row is not an infeasible instance whose witness
+is the paper's: S = hubs, T empty, delta = b*m - r, tau = r."""
 from __future__ import annotations
 
 import argparse
@@ -9,15 +10,15 @@ import sys
 import time
 
 from paritylab import (
+    DeficiencyWitness,
     ExtremalParams,
+    Factor,
     ParitySpec,
-    VertexSet,
-    deficiency,
     edge_connectivity,
     extremal_construction,
-    find_parity_factor,
-    verify_witness,
+    factor_or_witness,
 )
+from paritylab.experiment import is_paper_certificate
 
 
 def main() -> None:
@@ -37,14 +38,13 @@ def main() -> None:
                 if b * m >= r:
                     continue
                 for a in range(1, b + 1, 2):
-                    spec = ParitySpec.constant(a, b, g.n)
-                    factor = find_parity_factor(g, spec)
-                    w = deficiency(g, spec, hubs, VertexSet.empty())
-                    ok, _ = verify_witness(g, spec, w)
-                    failed += factor is not None or not ok
+                    result = factor_or_witness(g, ParitySpec.constant(a, b, g.n))
+                    ok = is_paper_certificate(result, hubs, r, m, b)
+                    failed += not ok
+                    w = result if isinstance(result, DeficiencyWitness) else None
                     print(f"{r:>3} {m:>3} {a:>3} {b:>3} {g.n:>5} {lam:>6} "
-                          f"{w.delta:>6} {w.tau:>4} "
-                          f"{'infeasible' if factor is None else 'FOUND?!':>10} "
+                          f"{w.delta if w else '-':>6} {w.tau if w else '-':>4} "
+                          f"{'FOUND?!' if isinstance(result, Factor) else 'infeasible':>10} "
                           f"{'ok' if ok else 'BAD':>8}")
     print(f"done in {time.time() - t0:.2f}s")
     if failed:

@@ -37,6 +37,7 @@ from .solver import (
     GadgetMap,
     brute_force_factor,
     build_parity_gadget,
+    factor_or_witness,
     find_parity_factor,
     verify_factor,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "emit_graph",
     "extremal_construction",
     "f_odd_components",
+    "factor_or_witness",
     "find_parity_factor",
     "has_perfect_matching",
     "is_k_edge_connected",

@@ -26,6 +26,7 @@ from .generators import ExtremalParams, extremal_construction, random_regular
 from .graph import Graph, VertexSet, emit_graph, parse_graph
 from .lovasz import (
     DEFAULT_ENUMERATION_CAP,
+    DeficiencyWitness,
     ParitySpec,
     decide_by_enumeration,
     deficiency,
@@ -37,7 +38,7 @@ from .solver import (
     DEFAULT_EDGE_CAP,
     Factor,
     brute_force_factor,
-    find_parity_factor,
+    factor_or_witness,
     parse_factor,
     serialize_factor,
     verify_factor,
@@ -57,22 +58,8 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_graph(path: str) -> tuple[Graph, str]:
-    text = _read_text(path)
-    return parse_graph(text), text
-
-
-def _hub_metadata(text: str, n: int) -> VertexSet | None:
-    """The ``# hubs:`` trailer of a construct pipeline. It is a comment, so a
-    trailer that is not all vertex ids in 0..n-1 counts as absent."""
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# hubs:"):
-            ids = stripped[len("# hubs:"):].split()
-            if all(x.isdecimal() and int(x) < n for x in ids):
-                return VertexSet.of(int(x) for x in ids)
-            return None
-    return None
+def _load_graph(path: str) -> Graph:
+    return parse_graph(_read_text(path))
 
 
 def _load_spec(args, n: int) -> ParitySpec:
@@ -112,19 +99,18 @@ def _dot_graph(g: Graph, bold_edges=(), marked_vertices=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _infeasibility_witness(g: Graph, spec: ParitySpec, raw_text: str, enum_cap: int):
+def _infeasibility_witness(
+    g: Graph, spec: ParitySpec, barrier: DeficiencyWitness | None, enum_cap: int
+):
     """Best-effort witness for an infeasible instance: full enumeration when the
-    graph is small enough, then the hub metadata a construct pipeline carries,
-    then the (empty, empty) pair that catches odd-f(V) obstructions."""
+    graph is small enough, then the solver's barrier witness, then the
+    (empty, empty) pair that catches odd-f(V) obstructions."""
     if g.n <= enum_cap:
         decision = decide_by_enumeration(g, spec, enum_cap)
         if not decision.feasible:
             return decision.witness
-    hubs = _hub_metadata(raw_text, g.n)
-    if hubs is not None:
-        w = deficiency(g, spec, hubs, VertexSet.empty())
-        if w.delta < 0:
-            return w
+    if barrier is not None:
+        return barrier
     w = deficiency(g, spec, VertexSet.empty(), VertexSet.empty())
     if w.delta < 0:
         return w
@@ -132,19 +118,19 @@ def _infeasibility_witness(g: Graph, spec: ParitySpec, raw_text: str, enum_cap: 
 
 
 def cmd_solve(args) -> int:
-    g, raw = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     spec = _load_spec(args, g.n)
     if args.method == "brute":
-        factor = brute_force_factor(g, spec, args.edge_cap)
+        result = brute_force_factor(g, spec, args.edge_cap)
     else:
-        factor = find_parity_factor(g, spec)
-    if factor is not None:
+        result = factor_or_witness(g, spec)
+    if isinstance(result, Factor):
         if args.dot:
-            sys.stdout.write(_dot_graph(g, bold_edges=factor.edges))
+            sys.stdout.write(_dot_graph(g, bold_edges=result.edges))
         else:
-            sys.stdout.write(serialize_factor(factor))
+            sys.stdout.write(serialize_factor(result))
         return EXIT_OK
-    witness = _infeasibility_witness(g, spec, raw, args.enum_cap)
+    witness = _infeasibility_witness(g, spec, result, args.enum_cap)
     if witness is not None:
         sys.stdout.write(serialize_witness(witness))
     else:
@@ -153,7 +139,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     spec = _load_spec(args, g.n)
     decision = decide_by_enumeration(g, spec, args.enum_cap)
     if decision.feasible:
@@ -174,7 +160,7 @@ def _vertex_ids(flag: str, text: str) -> VertexSet:
 
 
 def cmd_deficiency(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     spec = _load_spec(args, g.n)
     s = _vertex_ids("--S", args.S)
     t = _vertex_ids("--T", args.T)
@@ -183,7 +169,7 @@ def cmd_deficiency(args) -> int:
 
 
 def cmd_verify_factor(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     spec = _load_spec(args, g.n)
     factor = parse_factor(_read_text(args.factor), g.n)
     ok, reason = verify_factor(g, spec, factor)
@@ -192,7 +178,7 @@ def cmd_verify_factor(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     spec = _load_spec(args, g.n)
     witness = parse_witness(_read_text(args.witness))
     ok, reason = verify_witness(g, spec, witness)
@@ -204,7 +190,7 @@ def cmd_verify_witness(args) -> int:
 
 
 def cmd_connectivity(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     lam, cert = edge_connectivity(g)
     sys.stdout.write(f"lambda: {lam}\n")
     sys.stdout.write("cut_side:" + "".join(f" {v}" for v in cert.cut_side) + "\n")

@@ -17,8 +17,8 @@ from .connectivity import edge_connectivity
 from .errors import CounterexampleError, GraphSyntaxError
 from .generators import ExtremalParams, extremal_construction, random_regular
 from .graph import VertexSet, emit_graph
-from .lovasz import ParitySpec, deficiency, verify_witness
-from .solver import find_parity_factor
+from .lovasz import DeficiencyWitness, ParitySpec
+from .solver import factor_or_witness, find_parity_factor
 from .theorems import check_main_conditions
 
 CSV_COLUMNS = ("seed", "n", "r", "lambda", "a", "b", "case", "outcome", "delta")
@@ -141,17 +141,23 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
     for r, m, a, b in config.extremal:
         g, hubs = extremal_construction(ExtremalParams(r, m))
         lam, _ = edge_connectivity(g)
-        spec = ParitySpec.constant(a, b, g.n)
-        factor = find_parity_factor(g, spec)
-        witness = deficiency(g, spec, hubs, VertexSet.empty())
-        verified, _ = verify_witness(g, spec, witness)
-        if factor is not None or not verified or witness.delta != b * m - r or lam != m:
+        result = factor_or_witness(g, ParitySpec.constant(a, b, g.n))
+        if not is_paper_certificate(result, hubs, r, m, b) or lam != m:
             raise CounterexampleError(
                 f"extremal instance (r={r}, m={m}, a={a}, b={b}) did not certify: "
-                f"lambda={lam}, delta={witness.delta}, factor={'yes' if factor else 'no'}",
+                f"lambda={lam}, solver returned {result!r}",
                 emit_graph(g),
             )
         rows.append(
-            Row(config.seed, g.n, r, lam, a, b, "extremal", "infeasible-verified", witness.delta)
+            Row(config.seed, g.n, r, lam, a, b, "extremal", "infeasible-verified", result.delta)
         )
     return ExperimentReport(tuple(rows))
+
+
+def is_paper_certificate(result, hubs: VertexSet, r: int, m: int, b: int) -> bool:
+    """Whether a ``factor_or_witness`` result on the (r, m) extremal instance
+    under an odd upper bound b is the paper's certificate: S = hubs, T empty,
+    delta = b*m - r and one odd component per block (tau = r)."""
+    return isinstance(result, DeficiencyWitness) and (
+        result.S, result.T, result.delta, result.tau
+    ) == (hubs, VertexSet.empty(), b * m - r, r)

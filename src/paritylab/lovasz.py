@@ -16,6 +16,7 @@ from .errors import (
     GraphSyntaxError,
     GraphTooLargeForEnumeration,
     InvalidParitySpec,
+    ParityLabError,
     SelfCheckFailed,
 )
 from .graph import (
@@ -226,7 +227,7 @@ def verify_witness(
     """Accept iff the recorded witness recomputes exactly and proves infeasibility."""
     try:
         recomputed = deficiency(g, spec, w.S, w.T)
-    except Exception as exc:  # malformed witnesses are rejected, not raised
+    except ParityLabError as exc:  # malformed witnesses are rejected, not raised
         return False, f"malformed witness: {exc}"
     if recomputed.delta != w.delta:
         return False, f"delta mismatch: recorded {w.delta}, recomputed {recomputed.delta}"

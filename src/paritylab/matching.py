@@ -22,6 +22,16 @@ The search order, and with it the matching returned, therefore depends only
 on the graph: vertices are scanned in ascending id and adjacency lists are
 sorted.
 
+The Gallai–Edmonds set D, at no extra search. D holds the vertices that some
+maximum matching leaves exposed: those an even-length alternating path
+reaches from an exposed vertex (Gallai 1964, Edmonds 1965). A search that
+fails has queued exactly the even vertices its tree reached, so
+``max_matching`` keeps the union of those queues as ``Matching.D``. Every
+vertex exposed at the end rooted a search that failed, since a matched
+vertex never becomes exposed again, and no later augmentation touches a
+failed search's tree, so the union is D under the final matching. The
+solver reads the Tutte barrier N(D) - D from it.
+
 Cost per call: O(n + m) to allocate and seed, then, for each exposed root, the
 edges its search scans plus the sizes of its blossoms; O(n^3) at worst.
 """
@@ -37,6 +47,8 @@ __all__ = ["Matching", "max_matching", "has_perfect_matching"]
 @dataclass(frozen=True)
 class Matching:
     pairs: tuple[tuple[int, int], ...]
+    # the Gallai-Edmonds set: vertices left exposed by some maximum matching
+    D: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -64,19 +76,23 @@ def max_matching(g: Graph) -> Matching:
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
+    d: set[int] = set()
     for v in range(n):
         if match[v] < 0:
-            _try_augment(adj, match, parent, base, in_queue, v)
+            even = _try_augment(adj, match, parent, base, in_queue, v)
+            if even is not None:
+                d.update(even)
     pairs = tuple((v, match[v]) for v in range(n) if 0 <= v < match[v])
-    return Matching(pairs)
+    return Matching(pairs, tuple(sorted(d)))
 
 
 def has_perfect_matching(g: Graph) -> bool:
     return 2 * len(max_matching(g)) == g.n
 
 
-def _try_augment(adj, match, parent, base, in_queue, root) -> bool:
+def _try_augment(adj, match, parent, base, in_queue, root) -> list[int] | None:
     """Search for an augmenting path from an exposed root; apply it if found.
+    Returns None after augmenting, or the even vertices of the failed search.
 
     ``parent``, ``base`` and ``in_queue`` must hold their initial values (-1,
     the identity, False) on entry, and are left holding them on return."""
@@ -120,11 +136,11 @@ def _try_augment(adj, match, parent, base, in_queue, root) -> bool:
                             match[to] = parent[to]
                             match[parent[to]] = to
                             to = pv
-                        return True
+                        return None
                     nxt = match[to]
                     in_queue[nxt] = True
                     queue.append(nxt)
-        return False
+        return queue
     finally:
         # a relabelled or re-parented vertex is always queued by then
         for v in queue:

@@ -20,8 +20,8 @@ from .errors import (
     SelfCheckFailed,
     TooManyEdges,
 )
-from .graph import Graph
-from .lovasz import ParitySpec, _check_spec
+from .graph import Graph, VertexSet
+from .lovasz import DeficiencyWitness, ParitySpec, _check_spec, deficiency
 from .matching import max_matching
 
 DEFAULT_EDGE_CAP = 22
@@ -111,14 +111,40 @@ def find_parity_factor(g: Graph, spec: ParitySpec) -> Optional[Factor]:
 
     The recovered factor is checked by ``verify_factor`` before it is
     returned; ``SelfCheckFailed`` is raised if the check rejects it."""
+    result = factor_or_witness(g, spec)
+    return result if isinstance(result, Factor) else None
+
+
+def factor_or_witness(
+    g: Graph, spec: ParitySpec
+) -> Factor | DeficiencyWitness | None:
+    """One gadget matching: the verified factor, else the deficiency witness
+    read off the gadget's Tutte barrier A = N(D) - D, else None. A lower
+    bound above a vertex's degree is certified with T = those vertices,
+    without a gadget.
+
+    D is the matcher's Gallai-Edmonds set. A vertex goes to S if it has outer
+    nodes and all of them are in A, otherwise to T if all its core nodes are
+    in A (vacuously so for an empty core). The pair is returned only if its
+    delta is negative."""
     _check_spec(g, spec)
-    for v in range(g.n):
-        if spec.g[v] > g.degree(v):
-            return None
+    short = [v for v in range(g.n) if spec.g[v] > g.degree(v)]
+    if short:
+        # T = the vertices with g(v) > d(v): delta <= sum_T (d - g) < 0
+        return deficiency(g, spec, VertexSet.empty(), VertexSet.of(short))
     gm = build_parity_gadget(g, spec)
     matching = max_matching(gm.h)
     if 2 * len(matching) != gm.h.n:
-        return None
+        d = set(matching.D)
+        barrier = {y for x in d for y in gm.h.adjacency[x]} - d
+        s, t = [], []
+        for v in range(g.n):
+            if gm.outer[v] and barrier.issuperset(gm.outer[v]):
+                s.append(v)
+            elif barrier.issuperset(gm.core[v]):
+                t.append(v)
+        witness = deficiency(g, spec, VertexSet.of(s), VertexSet.of(t))
+        return witness if witness.delta < 0 else None
     match = matching.partner_array(gm.h.n)
     chosen = [
         g.edges[idx]

@@ -62,6 +62,16 @@ def graph_with_spec(draw, max_n=7):
     return g, ParitySpec(tuple(g_vals), tuple(f_vals))
 
 
+@st.composite
+def graph_with_gadget_spec(draw, max_n=7):
+    """Like graph_with_spec, but with g(v) <= d(v) everywhere, so that the
+    parity gadget exists."""
+    g = draw(graphs(min_n=1, max_n=max_n))
+    g_vals = tuple(draw(st.integers(0, g.degree(v))) for v in range(g.n))
+    f_vals = tuple(gv + 2 * draw(st.integers(0, 2)) for gv in g_vals)
+    return g, ParitySpec(g_vals, f_vals)
+
+
 def outcome(build, *args):
     """What build returns on args, or the class of the ParityLabError it raises."""
     try:

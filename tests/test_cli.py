@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from paritylab import ParitySpec, cli, emit_graph, generators, random_regular
+from paritylab import ParitySpec, cli, emit_graph, generators, lovasz, random_regular
 from paritylab.errors import SelfCheckFailed
 from paritylab.lovasz import DEFAULT_ENUMERATION_CAP, serialize_witness
 
@@ -44,14 +44,28 @@ def test_construct_solve_pipeline_emits_hub_witness():
 
 @pytest.mark.parametrize("trailer", ["-1", "x"])
 def test_malformed_hub_trailer_is_ignored(trailer):
-    # '#' starts a comment: a trailer that names no vertices is not a usage error
+    # '#' starts a comment: a trailer that names no vertices is not a usage
+    # error, and the solver finds the hubs itself
     construct = run_cli(["construct", "--r", "4", "--m", "2"])
     text = construct.stdout.replace("# hubs: 20 21", f"# hubs: {trailer}")
     assert text != construct.stdout
     solve = run_cli(["solve", "--a", "1", "--b", "1", "-"], stdin_text=text)
     assert (solve.returncode, solve.stdout, solve.stderr) == (
-        1, "infeasible (no witness within enumeration cap)\n", ""
+        1, "S: 20 21\nT:\ndelta: -2\ntau: 4\n", ""
     )
+
+
+def test_solve_output_does_not_depend_on_the_hub_trailer():
+    construct = run_cli(["construct", "--r", "8", "--m", "2"])
+    stripped = "".join(
+        line + "\n" for line in construct.stdout.splitlines() if not line.startswith("# hubs:")
+    )
+    assert stripped != construct.stdout
+    with_trailer = run_cli(["solve", "--a", "1", "--b", "1", "-"], stdin_text=construct.stdout)
+    without = run_cli(["solve", "--a", "1", "--b", "1", "-"], stdin_text=stripped)
+    assert (with_trailer.returncode, with_trailer.stdout, with_trailer.stderr) == (
+        without.returncode, without.stdout, without.stderr
+    ) == (1, "S: 72 73\nT:\ndelta: -6\ntau: 8\n", "")
 
 
 def test_witness_round_trip_through_files(tmp_path):
@@ -243,12 +257,27 @@ def test_internal_fault_is_not_reported_as_infeasible(tmp_path, monkeypatch, cap
     def broken(g, spec):
         raise fault
 
-    monkeypatch.setattr(cli, "find_parity_factor", broken)
+    monkeypatch.setattr(cli, "factor_or_witness", broken)
     graph_file = tmp_path / "p.g"
     graph_file.write_text(PETERSEN)
     assert cli.main(["solve", str(graph_file), "--a", "1", "--b", "1"]) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("internal error:") and "planted" in err
+
+
+def test_library_fault_in_verify_witness_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(g, spec, s, t):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(lovasz, "f_odd_components", broken)
+    graph_file = tmp_path / "k2.g"
+    graph_file.write_text("2 1\n0 1\n")
+    witness_file = tmp_path / "w.txt"
+    witness_file.write_text("S:\nT:\ndelta: -1\ntau: 1\n")
+    argv = ["verify-witness", str(graph_file), "--a", "1", "--b", "1", "--witness", str(witness_file)]
+    assert cli.main(argv) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == "internal error: IndexError: planted"
 
 
 def test_experiment_subcommand(tmp_path):

@@ -167,6 +167,17 @@ def test_verify_witness_rejects_out_of_range():
     assert not ok and "malformed" in reason
 
 
+def test_verify_witness_does_not_hide_a_library_fault(monkeypatch):
+    def broken(g, spec, s, t):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(lovasz, "f_odd_components", broken)
+    k2 = complete_graph(2)
+    w = DeficiencyWitness(VertexSet.empty(), VertexSet.empty(), -1, 1)
+    with pytest.raises(IndexError, match="planted"):
+        verify_witness(k2, ParitySpec.constant(1, 1, 2), w)
+
+
 def test_witness_serialization_round_trip():
     g, hubs = extremal_construction(ExtremalParams(6, 2))
     spec = ParitySpec.constant(1, 1, g.n)

@@ -13,7 +13,13 @@ from paritylab import (
     petersen,
 )
 
-from conftest import brute_max_matching_size, extremal_instances, graphs, random_regular_instances
+from conftest import (
+    brute_max_matching_size,
+    extremal_instances,
+    graph_with_gadget_spec,
+    graphs,
+    random_regular_instances,
+)
 from reference_matching import max_matching as reference_max_matching
 
 
@@ -131,3 +137,29 @@ def test_size_matches_networkx_on_gadgets():
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges)
         assert len(max_matching(g)) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+# The Gallai-Edmonds set D read off the failed searches must be the set of
+# vertices x with nu(H - x) = nu(H): those some maximum matching leaves exposed.
+
+
+def without_vertex(g, x):
+    return build_graph(g.n, [e for e in g.edges if x not in e])
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_d_matches_brute_force_on_small_graphs(g):
+    nu = brute_max_matching_size(g)
+    expected = tuple(x for x in range(g.n) if brute_max_matching_size(without_vertex(g, x)) == nu)
+    assert max_matching(g).D == expected
+
+
+@given(graph_with_gadget_spec())
+@settings(max_examples=150, deadline=None)
+def test_d_matches_removal_oracle_on_gadgets(data):
+    h = build_parity_gadget(*data).h
+    m = max_matching(h)
+    expected = tuple(x for x in range(h.n) if len(max_matching(without_vertex(h, x))) == len(m))
+    assert m.D == expected
+    assert (m.D == ()) == (2 * len(m) == h.n)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from paritylab import (
     ExtremalParams,
@@ -12,13 +15,19 @@ from paritylab import (
     build_parity_gadget,
     complete_graph,
     cycle,
+    DeficiencyWitness,
+    VertexSet,
     decide_by_enumeration,
+    deficiency,
     extremal_construction,
+    factor_or_witness,
     find_parity_factor,
     petersen,
     verify_factor,
+    verify_witness,
 )
 from paritylab import solver
+from paritylab.experiment import is_paper_certificate
 from paritylab.errors import (
     GraphSyntaxError,
     InvalidParitySpec,
@@ -28,7 +37,14 @@ from paritylab.errors import (
 )
 from paritylab.solver import normalized_upper, parse_factor, serialize_factor
 
-from conftest import extremal_instances, graph_with_spec, graphs, outcome, random_regular_instances
+from conftest import (
+    extremal_instances,
+    graph_with_gadget_spec,
+    graph_with_spec,
+    graphs,
+    outcome,
+    random_regular_instances,
+)
 from reference_graph import build_parity_gadget as reference_build_parity_gadget
 
 
@@ -84,7 +100,11 @@ def test_find_extremal_infeasible():
 
 
 def test_find_shortcuts_lower_bound_above_degree():
-    assert find_parity_factor(cycle(4), ParitySpec.constant(3, 3, 4)) is None
+    spec = ParitySpec.constant(3, 3, 4)
+    assert find_parity_factor(cycle(4), spec) is None
+    w = factor_or_witness(cycle(4), spec)
+    assert (w.S, w.T, w.delta) == (VertexSet.empty(), VertexSet.of(range(4)), -4)
+    assert verify_witness(cycle(4), spec, w) == (True, "ok")
 
 
 def test_brute_force_basics():
@@ -220,3 +240,61 @@ def test_gadget_and_factor_match_reference_on_extremal(monkeypatch):
             assert factor == find_parity_factor(g, spec)
         count += 1
     assert count == 14
+
+
+# Certifier gate: one gadget matching decides, and an infeasible answer comes
+# with the barrier witness whenever the projection yields a negative delta.
+
+
+def check_against_enumeration(g, spec):
+    """Assert the gate on one instance; return how infeasibility was shown:
+    'feasible', 'barrier', 'empty pair' or 'no witness'."""
+    result = factor_or_witness(g, spec)
+    decision = decide_by_enumeration(g, spec)
+    assert isinstance(result, Factor) == decision.feasible
+    if isinstance(result, Factor):
+        assert verify_factor(g, spec, result) == (True, "ok")
+        return "feasible"
+    if result is not None:
+        assert isinstance(result, DeficiencyWitness)
+        assert verify_witness(g, spec, result) == (True, "ok")
+        return "barrier"
+    if deficiency(g, spec, VertexSet.empty(), VertexSet.empty()).delta < 0:
+        return "empty pair"
+    return "no witness"
+
+
+@given(st.one_of(graph_with_spec(max_n=8), graph_with_gadget_spec(max_n=8)))
+@settings(max_examples=300, deadline=None)
+def test_certifier_agrees_with_enumeration(data):
+    event(check_against_enumeration(*data))
+
+
+def test_certifier_witness_share_on_seeded_specs():
+    # 400 seeded (g,f) instances on 5..8 vertices: pins how often an
+    # infeasible one gets no barrier witness, before and after (empty, empty);
+    # a better projection lowers the last two counts
+    rng = random.Random("certifier-gate")
+    counts = dict.fromkeys(("feasible", "barrier", "empty pair", "no witness"), 0)
+    for _ in range(400):
+        n = rng.randint(5, 8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        g = build_graph(n, edges)
+        low = [rng.randint(0, g.degree(v)) for v in range(n)]
+        spec = ParitySpec(tuple(low), tuple(x + 2 * rng.randint(0, 1) for x in low))
+        counts[check_against_enumeration(g, spec)] += 1
+    assert counts == {"feasible": 90, "barrier": 243, "empty pair": 43, "no witness": 24}
+
+
+@pytest.mark.parametrize("r", [4, 6, 8, 10])
+def test_certifier_returns_the_paper_certificate_on_the_extremal_family(r):
+    count = 0
+    for m in range(2, r - 1, 2):
+        g, hubs = extremal_construction(ExtremalParams(r, m))
+        for b in range(1, r, 2):
+            for a in range(1, b + 1, 2):
+                if b * m < r:
+                    result = factor_or_witness(g, ParitySpec.constant(a, b, g.n))
+                    assert is_paper_certificate(result, hubs, r, m, b), (m, a, b, result)
+                    count += 1
+    assert count == {4: 1, 6: 2, 8: 5, 10: 6}[r]
