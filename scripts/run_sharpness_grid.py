@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Reproduce the sharpness grid: for each even r, even m <= r-2, and odd
 a <= b with b*m < r, build the extremal instance and print the solver's
-certificate. Exits 1 if any row is not an infeasible instance whose witness
-is the paper's: S = hubs, T empty, delta = b*m - r, tau = r."""
+certificate. Exits 1 if any row is not an infeasible instance with
+lambda = m whose witness is the paper's: S = hubs, T empty, delta = b*m - r,
+tau = r."""
 from __future__ import annotations
 
 import argparse
@@ -39,7 +40,7 @@ def main() -> None:
                     continue
                 for a in range(1, b + 1, 2):
                     result = factor_or_witness(g, ParitySpec.constant(a, b, g.n))
-                    ok = is_paper_certificate(result, hubs, r, m, b)
+                    ok = lam == m and is_paper_certificate(result, hubs, r, m, b)
                     failed += not ok
                     w = result if isinstance(result, DeficiencyWitness) else None
                     print(f"{r:>3} {m:>3} {a:>3} {b:>3} {g.n:>5} {lam:>6} "

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .connectivity import edge_connectivity
-from .errors import CounterexampleError, GraphSyntaxError
+from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation
 from .generators import ExtremalParams, extremal_construction, random_regular
 from .graph import VertexSet, emit_graph
 from .lovasz import DeficiencyWitness, ParitySpec
@@ -110,6 +110,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
+    for r, m, a, b in config.extremal:
+        # the construction defeats only these bounds; others may well be feasible
+        if not (a % 2 == b % 2 == 1 and 1 <= a <= b and b * m < r):
+            raise HypothesisViolation(
+                f"extremal tuple (r={r}, m={m}, a={a}, b={b}) is outside the "
+                f"sharpness domain: need odd 1 <= a <= b with b*m < r"
+            )
     rng = random.Random(config.seed)
     rows: list[Row] = []
     for r in config.r_values:

@@ -300,6 +300,15 @@ def test_experiment_config_of_wrong_arity_is_a_usage_error(tmp_path, line):
     )
 
 
+@pytest.mark.parametrize("tuple_text", ["6:2:1:3", "6:2:2:2", "8:4:3:3"])
+def test_experiment_extremal_tuple_outside_the_domain_is_a_usage_error(tuple_text):
+    result = run_cli(["experiment", "-"], stdin_text=f"trials=0\nextremal={tuple_text}\n")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: extremal tuple (r=")
+    assert len(result.stderr.splitlines()) == 1
+    assert "instance for replay" not in result.stderr
+
+
 def test_solve_dot_output(tmp_path):
     graph_file = tmp_path / "p.g"
     graph_file.write_text(PETERSEN)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 from itertools import product
@@ -17,9 +18,11 @@ from paritylab import (
     edges_between,
     extremal_construction,
     is_k_edge_connected,
+    j_block,
     petersen,
     random_regular,
 )
+from paritylab.connectivity import _max_flow
 from paritylab.errors import SelfCheckFailed, TooSmall
 
 import reference_connectivity
@@ -146,3 +149,39 @@ def test_flow_that_must_cancel_a_unit():
     lam, cert = edge_connectivity(g)
     assert (lam, cert.cut_side.members) == (2, (0, 2, 4, 5, 6, 7))
     _same_as_reference(g)
+
+
+def pendant_block(N, r, k, seed):
+    """A random r-regular graph on N vertices less k/2 disjoint edges, joined
+    by k < r edges to K_{r+1} less a matching of size k/2, ids shuffled with
+    0 and 1 in the large part. lambda = k, below the minimum degree r, yet
+    lambda(0, 1) = r: only a sink in the block shows the small cut."""
+    rng = random.Random(seed)
+    big = random_regular(N, r, seed)
+    removed, touched = [], set()
+    for u, v in rng.sample(big.edges, len(big.edges)):
+        if len(removed) < k // 2 and u not in touched and v not in touched:
+            removed.append((u, v))
+            touched.update((u, v))
+    short = [v for e in removed for v in e]  # degree r - 1 in the large part
+    rest = list(range(2, N + r + 1))
+    rng.shuffle(rest)
+    big_ids = [0, 1] + rest[:N - 2]
+    rng.shuffle(big_ids)
+    block_ids = rest[N - 2:]
+    # j_block leaves vertices 0..k-1 of the block at degree r - 1
+    edges = [(big_ids[u], big_ids[v]) for u, v in big.edges if (u, v) not in removed]
+    edges += [(block_ids[u], block_ids[v]) for u, v in j_block(r, k).edges]
+    edges += [(big_ids[short[i]], block_ids[i]) for i in range(k)]
+    return build_graph(N + r + 1, edges)
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_matches_reference_on_pendant_block(r):
+    for N, k, seed in product((20, 30), range(2, r - 1, 2), range(4)):
+        g = pendant_block(N, r, k, seed)
+        assert g.degrees == [r] * g.n
+        # sink 1 reaches the minimum degree, so the dominating-set check runs
+        assert _max_flow(g.adjacency, 0, 1, g.n)[0] == r
+        assert edge_connectivity(g)[0] == k
+        _same_as_reference(g)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from paritylab import experiment
-from paritylab.errors import CounterexampleError, GraphSyntaxError
+from paritylab.errors import CounterexampleError, GraphSyntaxError, HypothesisViolation
 from paritylab.experiment import (
     ExperimentConfig,
     parse_config,
@@ -72,4 +72,14 @@ def test_satisfied_case_without_factor_is_a_counterexample(monkeypatch):
     monkeypatch.setattr(experiment, "find_parity_factor", lambda g, spec: None)
     cfg = ExperimentConfig(seed=7, n_values=(10,), r_values=(3,), trials=1, specs=((1, 1),))
     with pytest.raises(CounterexampleError, match="satisfied cases"):
+        run_verification_experiment(cfg)
+
+
+@pytest.mark.parametrize("r,m,a,b", [(6, 2, 1, 3), (6, 2, 2, 2), (8, 4, 3, 3)])
+def test_extremal_tuple_outside_the_sharpness_domain_is_rejected(monkeypatch, r, m, a, b):
+    # b*m >= r or an even bound: the construction need not defeat these, so
+    # they are input errors, caught before any graph is built
+    monkeypatch.setattr(experiment, "extremal_construction", None)
+    cfg = ExperimentConfig(seed=1, trials=1, extremal=((r, m, a, b),))
+    with pytest.raises(HypothesisViolation, match=rf"\(r={r}, m={m}, a={a}, b={b}\)"):
         run_verification_experiment(cfg)
