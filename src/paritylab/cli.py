@@ -23,7 +23,7 @@ from .errors import (
 )
 from .experiment import parse_config, run_verification_experiment
 from .generators import ExtremalParams, extremal_construction, random_regular
-from .graph import Graph, VertexSet, emit_graph, parse_graph
+from .graph import Graph, VertexSet, emit_graph, int_pair, parse_graph, text_lines
 from .lovasz import (
     DEFAULT_ENUMERATION_CAP,
     DeficiencyWitness,
@@ -64,25 +64,19 @@ def _load_graph(path: str) -> Graph:
 
 def _load_spec(args, n: int) -> ParitySpec:
     if args.spec_file:
-        g_vals, f_vals = [], []
-        for lineno, raw in enumerate(_read_text(args.spec_file).splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                gv, fv = (int(x) for x in line.split())
-            except ValueError:
-                raise GraphSyntaxError(f"line {lineno}: expected two integers, got {line!r}") from None
-            g_vals.append(gv)
-            f_vals.append(fv)
-        return ParitySpec(tuple(g_vals), tuple(f_vals))
+        pairs = [int_pair(*entry) for entry in text_lines(_read_text(args.spec_file))]
+        return ParitySpec(tuple(gv for gv, _ in pairs), tuple(fv for _, fv in pairs))
     if args.a is None or args.b is None:
         raise ParityLabError("either --a/--b or --spec-file is required")
     return ParitySpec.constant(args.a, args.b, n)
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PARITYLAB_SEED", "0"))
+    seed = os.environ.get("PARITYLAB_SEED", "0")
+    try:
+        return int(seed)
+    except ValueError:
+        raise ParityLabError(f"PARITYLAB_SEED: bad seed {seed!r}") from None
 
 
 def _dot_graph(g: Graph, bold_edges=(), marked_vertices=()) -> str:
@@ -102,13 +96,17 @@ def _dot_graph(g: Graph, bold_edges=(), marked_vertices=()) -> str:
 def _infeasibility_witness(
     g: Graph, spec: ParitySpec, barrier: DeficiencyWitness | None, enum_cap: int
 ):
-    """Best-effort witness for an infeasible instance: full enumeration when the
-    graph is small enough, then the solver's barrier witness, then the
-    (empty, empty) pair that catches odd-f(V) obstructions."""
+    """Best-effort witness for an instance the solver found no factor for:
+    full enumeration when the graph is small enough, then the solver's barrier
+    witness, then the (empty, empty) pair that catches odd-f(V) obstructions.
+    An enumeration that finds the instance feasible contradicts the solver."""
     if g.n <= enum_cap:
         decision = decide_by_enumeration(g, spec, enum_cap)
-        if not decision.feasible:
-            return decision.witness
+        if decision.feasible:
+            raise SelfCheckFailed(
+                "the solver found no factor, but the enumeration finds the instance feasible"
+            )
+        return decision.witness
     if barrier is not None:
         return barrier
     w = deficiency(g, spec, VertexSet.empty(), VertexSet.empty())
@@ -330,7 +328,7 @@ def main(argv=None) -> int:
     except ParityLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .connectivity import edge_connectivity
 from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation
 from .generators import ExtremalParams, extremal_construction, random_regular
-from .graph import VertexSet, emit_graph
+from .graph import VertexSet, emit_graph, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec
 from .solver import factor_or_witness, find_parity_factor
 from .theorems import check_main_conditions
@@ -79,10 +79,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """key=value lines; lists comma-separated, spec pairs and extremal tuples
     colon-separated (ab=1:1,2:2  extremal=6:2:1:1)."""
     kwargs: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         key, sep, value = line.partition("=")
         if not sep:
             raise GraphSyntaxError(f"config line {lineno}: expected key=value")

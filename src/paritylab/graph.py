@@ -4,6 +4,7 @@ Graphs are immutable after construction; every function here is pure.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -43,13 +44,12 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+        # the guard matters: adjacency[-1] is vertex n-1's list
+        if not 0 <= u < self.n:
+            return False
+        nbrs = self.adjacency[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
 
 @dataclass(frozen=True)
@@ -155,28 +155,37 @@ def components_after_removal(g: Graph, removed: VertexSet) -> list[VertexSet]:
     return out
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the ``n m`` / edge-lines text format; '#' starts a comment."""
-    n = None
-    m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The line syntax of every text format: yields ``(lineno, line)``, 1-based
+    over the whole text, with '#' comments cut and blank lines skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphSyntaxError(f"line {lineno}: expected two integers, got {line!r}")
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphSyntaxError(f"line {lineno}: expected two integers, got {line!r}")
-        if n is None:
-            n, m = a, b
-            if n < 0 or m < 0:
-                raise GraphSyntaxError(f"line {lineno}: negative header values")
-            continue
+        if line:
+            yield lineno, line
+
+
+def int_pair(lineno: int, line: str) -> tuple[int, int]:
+    """The two integers of a line of a pair format (graph, spec, factor)."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError:
+        raise GraphSyntaxError(f"line {lineno}: expected two integers, got {line!r}") from None
+    return a, b
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the ``n m`` / edge-lines text format."""
+    lines = text_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise GraphSyntaxError("empty input: missing 'n m' header line")
+    n, m = int_pair(*header)
+    if n < 0 or m < 0:
+        raise GraphSyntaxError(f"line {header[0]}: negative header values")
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, line in lines:
+        a, b = int_pair(lineno, line)
         if not a < b:
             raise GraphSyntaxError(f"line {lineno}: edge endpoints must satisfy u < v")
         if not (0 <= a < n) or not (0 <= b < n):
@@ -187,8 +196,6 @@ def parse_graph(text: str) -> Graph:
             raise DuplicateEdge(f"line {lineno}: edge ({a},{b}) given twice")
         seen.add((a, b))
         edges.append((a, b))
-    if n is None:
-        raise GraphSyntaxError("empty input: missing 'n m' header line")
     if len(edges) != m:
         raise GraphSyntaxError(f"header promised {m} edges, found {len(edges)}")
     return build_graph(n, edges)

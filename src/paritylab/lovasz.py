@@ -25,9 +25,11 @@ from .graph import (
     components_after_removal,
     edges_between,
     require_disjoint,
+    text_lines,
 )
 
 DEFAULT_ENUMERATION_CAP = 15
+_WITNESS_FIELDS = ("S", "T", "delta", "tau")
 
 
 @dataclass(frozen=True)
@@ -247,14 +249,16 @@ def serialize_witness(w: DeficiencyWitness) -> str:
 
 def parse_witness(text: str) -> DeficiencyWitness:
     fields: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(text):
         key, _, rest = line.partition(":")
-        fields[key.strip()] = (lineno, rest.strip())
+        key = key.strip()
+        if key not in _WITNESS_FIELDS:
+            raise GraphSyntaxError(f"line {lineno}: unknown witness field {key!r}")
+        if key in fields:
+            raise GraphSyntaxError(f"line {lineno}: repeated witness field {key!r}")
+        fields[key] = (lineno, rest.strip())
     values = []
-    for key in ("S", "T", "delta", "tau"):
+    for key in _WITNESS_FIELDS:
         if key not in fields:
             raise GraphSyntaxError(f"witness block missing field {key!r}")
         lineno, rest = fields[key]

@@ -20,7 +20,7 @@ from .errors import (
     SelfCheckFailed,
     TooManyEdges,
 )
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, int_pair, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec, _check_spec, deficiency
 from .matching import max_matching
 
@@ -220,24 +220,18 @@ def serialize_factor(factor: Factor) -> str:
 
 
 def parse_factor(text: str, n: int) -> Factor:
-    lines = [
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.split("#", 1)[0].strip())
-    ]
-    if not lines or not lines[0][1].startswith("factor"):
-        raise GraphSyntaxError("factor block must start with 'factor <k>'")
+    lines = list(text_lines(text))
     try:
-        k = int(lines[0][1].split()[1])
+        word, count = lines[0][1].split()
+        k = int(count)
+        if word != "factor":
+            raise ValueError(word)
     except (IndexError, ValueError):
-        raise GraphSyntaxError("factor block must start with 'factor <k>'")
+        raise GraphSyntaxError("factor block must start with 'factor <k>'") from None
     if len(lines) - 1 != k:
         raise GraphSyntaxError(f"factor header promised {k} edges, found {len(lines) - 1}")
     edges = []
     for lineno, line in lines[1:]:
-        try:
-            u, v = (int(x) for x in line.split())
-        except ValueError:
-            raise GraphSyntaxError(f"line {lineno}: expected two integers, got {line!r}") from None
+        u, v = int_pair(lineno, line)
         edges.append((min(u, v), max(u, v)))
     return Factor(n, tuple(sorted(edges)))

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
-from paritylab import ParitySpec, cli, emit_graph, generators, lovasz, random_regular
+from paritylab import ParitySpec, cli, emit_graph, generators, lovasz, parse_graph, random_regular
 from paritylab.errors import SelfCheckFailed
-from paritylab.lovasz import DEFAULT_ENUMERATION_CAP, serialize_witness
+from paritylab.experiment import parse_config
+from paritylab.lovasz import DEFAULT_ENUMERATION_CAP, parse_witness, serialize_witness
+from paritylab.solver import parse_factor
 
 import reference_lovasz
 
@@ -252,7 +254,9 @@ def test_infeasible_witness_is_the_reference_enumeration_witness(tmp_path, comma
     assert (result.returncode, result.stdout, result.stderr) == (1, expected, "")
 
 
-@pytest.mark.parametrize("fault", [IndexError("planted"), SelfCheckFailed("planted")])
+@pytest.mark.parametrize(
+    "fault", [IndexError("planted"), SelfCheckFailed("planted"), ValueError("planted")]
+)
 def test_internal_fault_is_not_reported_as_infeasible(tmp_path, monkeypatch, capsys, fault):
     def broken(g, spec):
         raise fault
@@ -263,6 +267,56 @@ def test_internal_fault_is_not_reported_as_infeasible(tmp_path, monkeypatch, cap
     assert cli.main(["solve", str(graph_file), "--a", "1", "--b", "1"]) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("internal error:") and "planted" in err
+
+
+def test_oracle_disagreement_in_solve_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # n = 2 is within --enum-cap, and the enumeration finds the factor {01}
+    monkeypatch.setattr(cli, "factor_or_witness", lambda g, spec: None)
+    graph_file = tmp_path / "k2.g"
+    graph_file.write_text("2 1\n0 1\n")
+    assert cli.main(["solve", str(graph_file), "--a", "1", "--b", "1"]) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error:")
+
+
+def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("PARITYLAB_SEED", "abc")
+    assert cli.main(["gen-random", "--n", "6", "--r", "3"]) == cli.EXIT_USAGE == 2
+    assert capsys.readouterr() == ("", "error: PARITYLAB_SEED: bad seed 'abc'\n")
+
+
+def test_graph_file_of_invalid_utf8_is_a_usage_error(tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_bytes(b"2 1\n0 \xff1\n")
+    assert cli.main(["solve", str(graph_file), "--a", "1", "--b", "1"]) == cli.EXIT_USAGE == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _commented(text):
+    """text under the shared line syntax: a comment line and a blank line
+    first, and a trailing comment and a blank line after every line"""
+    return "# comment\n\n" + "".join(f"{line}  # note\n\n" for line in text.splitlines())
+
+
+def test_every_text_format_reads_comments_alike(tmp_path, capsys):
+    graph = "4 3\n0 1\n1 2\n2 3\n"
+    assert parse_graph(_commented(graph)) == parse_graph(graph)
+    factor = "factor 2\n0 1\n2 3\n"
+    assert parse_factor(_commented(factor), 4) == parse_factor(factor, 4)
+    witness = "S: 20 21\nT:\ndelta: -2\ntau: 4\n"
+    assert parse_witness(_commented(witness)) == parse_witness(witness)
+    config = "seed=1\nn=10\nr=3\ntrials=1\nab=1:1\nextremal=4:2:1:1\n"
+    assert parse_config(_commented(config)) == parse_config(config)
+    graph_file = tmp_path / "p4.g"
+    graph_file.write_text(graph)
+    results = []
+    for text in ("0 2\n1 1\n1 1\n0 0\n", _commented("0 2\n1 1\n1 1\n0 0\n")):
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(text)
+        code = cli.main(["solve", str(graph_file), "--spec-file", str(spec_file)])
+        results.append((code, capsys.readouterr()))
+    assert results[0] == results[1] == (0, ("factor 1\n1 2\n", ""))
 
 
 def test_library_fault_in_verify_witness_is_an_internal_error(tmp_path, monkeypatch, capsys):

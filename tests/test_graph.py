@@ -196,6 +196,16 @@ def test_parse_reports_line_numbers():
 
 
 @given(graphs())
+def test_has_edge_matches_the_edge_list(g):
+    # bisecting adjacency against membership in the canonical pairs, including
+    # endpoints just outside 0..n-1
+    edges = set(g.edges)
+    for u in range(-2, g.n + 2):
+        for v in range(-2, g.n + 2):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
+@given(graphs())
 def test_parse_emit_round_trip(g):
     assert parse_graph(emit_graph(g)) == g
 

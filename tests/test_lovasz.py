@@ -195,6 +195,9 @@ def test_witness_serialization_round_trip():
     ("S:\n# comment\nT: 2.5\ndelta: -1\ntau: 1\n", "line 3: bad T field '2.5'"),
     ("S: 1\nT:\ndelta: x\ntau: 1\n", "line 3: bad delta field 'x'"),
     ("S: 1\nT:\ndelta: -1\ntau: 1 2\n", "line 4: bad tau field '1 2'"),
+    ("S:\nT:\nhello world\ndelta: -1\ntau: 1\n", "line 3: unknown witness field 'hello world'"),
+    ("S:\nT:\ndelta: -1\ntau: 1\nfoo: bar\n", "line 5: unknown witness field 'foo'"),
+    ("S:\nT:\ndelta: 5\ndelta: -2\ntau: 1\n", "line 4: repeated witness field 'delta'"),
 ])
 def test_parse_witness_names_the_bad_line(text, line):
     with pytest.raises(GraphSyntaxError) as info:

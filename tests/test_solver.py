@@ -131,6 +131,14 @@ def test_verify_factor_catches_foreign_edge():
     assert not ok and "not in the graph" in reason
 
 
+@pytest.mark.parametrize("edge", [(-1, 4), (0, 10)])
+def test_verify_factor_rejects_out_of_range_endpoints(edge):
+    # adjacency[-1] is vertex 9's list, and 4 is adjacent to 9
+    spec = ParitySpec.constant(1, 1, 10)
+    ok, reason = verify_factor(petersen(), spec, Factor(10, (edge,)))
+    assert not ok and reason == f"edge ({edge[0]},{edge[1]}) not in the graph"
+
+
 @pytest.mark.parametrize("n", [2, 12])
 def test_spec_length_must_match_graph(n):
     spec = ParitySpec.constant(1, 1, n)
@@ -161,6 +169,8 @@ def test_factor_serialization_round_trip():
     ("factor 1\n0 1 2\n", "line 2: expected two integers, got '0 1 2'"),
     ("factor 2\n0 1\n# comment\n3\n", "line 4: expected two integers, got '3'"),
     ("factor 1\n0 x\n", "line 2: expected two integers, got '0 x'"),
+    ("factorial 0\n", "factor block must start with 'factor <k>'"),
+    ("factor 0 0\n", "factor block must start with 'factor <k>'"),
 ])
 def test_parse_factor_names_the_bad_line(text, line):
     with pytest.raises(GraphSyntaxError) as info:
