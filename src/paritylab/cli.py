@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / feasible, 1 infeasible or failed verification,
 2 usage error, 3 enumeration / edge cap exceeded, 4 internal error (a
-self-check failed or an unexpected exception; the traceback goes to stderr).
+self-check failed or an unexpected exception; the traceback goes to stderr),
+141 stdout closed by its reader (128 + SIGPIPE).
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .generators import ExtremalParams, extremal_construction, random_regular
 from .graph import Graph, VertexSet, emit_graph, int_pair, parse_graph, text_lines
 from .lovasz import (
     DEFAULT_ENUMERATION_CAP,
-    DeficiencyWitness,
     ParitySpec,
     decide_by_enumeration,
     deficiency,
@@ -50,6 +50,7 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _read_text(path: str) -> str:
@@ -93,29 +94,10 @@ def _dot_graph(g: Graph, bold_edges=(), marked_vertices=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _infeasibility_witness(
-    g: Graph, spec: ParitySpec, barrier: DeficiencyWitness | None, enum_cap: int
-):
-    """Best-effort witness for an instance the solver found no factor for:
-    full enumeration when the graph is small enough, then the solver's barrier
-    witness, then the (empty, empty) pair that catches odd-f(V) obstructions.
-    An enumeration that finds the instance feasible contradicts the solver."""
-    if g.n <= enum_cap:
-        decision = decide_by_enumeration(g, spec, enum_cap)
-        if decision.feasible:
-            raise SelfCheckFailed(
-                "the solver found no factor, but the enumeration finds the instance feasible"
-            )
-        return decision.witness
-    if barrier is not None:
-        return barrier
-    w = deficiency(g, spec, VertexSet.empty(), VertexSet.empty())
-    if w.delta < 0:
-        return w
-    return None
-
-
 def cmd_solve(args) -> int:
+    """A verified factor, else the canonical enumeration witness when
+    n <= --enum-cap, else the gadget's barrier witness. An oracle that finds
+    a factor after the solver found none is a ``SelfCheckFailed``."""
     g = _load_graph(args.graph)
     spec = _load_spec(args, g.n)
     if args.method == "brute":
@@ -128,11 +110,18 @@ def cmd_solve(args) -> int:
         else:
             sys.stdout.write(serialize_factor(result))
         return EXIT_OK
-    witness = _infeasibility_witness(g, spec, result, args.enum_cap)
-    if witness is not None:
-        sys.stdout.write(serialize_witness(witness))
-    else:
-        sys.stdout.write("infeasible (no witness within enumeration cap)\n")
+    if g.n <= args.enum_cap:
+        decision = decide_by_enumeration(g, spec, args.enum_cap)
+        if decision.feasible:
+            raise SelfCheckFailed(
+                "the solver found no factor, but the enumeration finds the instance feasible"
+            )
+        result = decision.witness
+    elif args.method == "brute":  # brute force has no gadget to read a barrier from
+        result = factor_or_witness(g, spec)
+        if isinstance(result, Factor):
+            raise SelfCheckFailed("brute force found no factor, but the gadget solver found one")
+    sys.stdout.write(serialize_witness(result))
     return EXIT_INFEASIBLE
 
 
@@ -318,7 +307,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except (GraphTooLargeForEnumeration, TooManyEdges) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -328,6 +319,9 @@ def main(argv=None) -> int:
     except ParityLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # not a usage error; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

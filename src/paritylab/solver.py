@@ -115,18 +115,16 @@ def find_parity_factor(g: Graph, spec: ParitySpec) -> Optional[Factor]:
     return result if isinstance(result, Factor) else None
 
 
-def factor_or_witness(
-    g: Graph, spec: ParitySpec
-) -> Factor | DeficiencyWitness | None:
+def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
     """One gadget matching: the verified factor, else the deficiency witness
-    read off the gadget's Tutte barrier A = N(D) - D, else None. A lower
-    bound above a vertex's degree is certified with T = those vertices,
-    without a gadget.
+    read off the gadget's Tutte barrier A = N(D) - D, D the matcher's
+    Gallai-Edmonds set. A lower bound above a vertex's degree is certified
+    with T = those vertices, without a gadget.
 
-    D is the matcher's Gallai-Edmonds set. A vertex goes to S if it has outer
-    nodes and all of them are in A, otherwise to T if all its core nodes are
-    in A (vacuously so for an empty core). The pair is returned only if its
-    delta is negative."""
+    A vertex with f(v) <= d(v) goes to S if it has outer nodes, all in A; any
+    other vertex goes to T if all its core nodes are in A. The pair attains
+    delta = -(exposed gadget nodes), the least delta of any pair (README,
+    *Barrier witness*); a nonnegative delta is a ``SelfCheckFailed``."""
     _check_spec(g, spec)
     short = [v for v in range(g.n) if spec.g[v] > g.degree(v)]
     if short:
@@ -139,12 +137,15 @@ def factor_or_witness(
         barrier = {y for x in d for y in gm.h.adjacency[x]} - d
         s, t = [], []
         for v in range(g.n):
-            if gm.outer[v] and barrier.issuperset(gm.outer[v]):
+            # S charges f(v), H only the clamped f'(v): they differ iff f(v) > d(v)
+            if gm.outer[v] and spec.f[v] <= g.degree(v) and barrier.issuperset(gm.outer[v]):
                 s.append(v)
             elif barrier.issuperset(gm.core[v]):
                 t.append(v)
         witness = deficiency(g, spec, VertexSet.of(s), VertexSet.of(t))
-        return witness if witness.delta < 0 else None
+        if witness.delta >= 0:
+            raise SelfCheckFailed(f"barrier projection has delta {witness.delta} >= 0")
+        return witness
     match = matching.partner_array(gm.h.n)
     chosen = [
         g.edges[idx]

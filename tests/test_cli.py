@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from paritylab import ParitySpec, cli, emit_graph, generators, lovasz, parse_gra
 from paritylab.errors import SelfCheckFailed
 from paritylab.experiment import parse_config
 from paritylab.lovasz import DEFAULT_ENUMERATION_CAP, parse_witness, serialize_witness
-from paritylab.solver import parse_factor
+from paritylab.solver import Factor, parse_factor
 
 import reference_lovasz
 
@@ -137,6 +138,20 @@ def test_connectivity_subcommand():
     assert result.stdout.splitlines()[0] == "lambda: 3"
 
 
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader is gone before paritylab writes: no message, exit 128 + SIGPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            CLI + ["connectivity", "-"], input=PETERSEN, stdout=write_end,
+            stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "") == (141, "")
+
+
 def test_check_conditions():
     result = run_cli(
         ["check-conditions", "--r", "4", "--m", "4", "--a", "1", "--b", "3", "--n-even"]
@@ -180,6 +195,49 @@ def test_solve_brute_infeasible_prints_the_gadget_witness():
     gadget = run_cli(["solve", "-", "--a", "1", "--b", "1"], stdin_text=triangle)
     assert brute.returncode == gadget.returncode == 1
     assert brute.stdout == gadget.stdout and "delta: -1" in brute.stdout
+
+
+# n = 16 is above the default --enum-cap. Vertex 12 has f = 4 > d = 1 and
+# all its outer nodes on the gadget's barrier: with it in S the projected
+# pair has delta 2, without it delta -2
+ABOVE_CAP_GRAPH = "16 7\n1 4\n1 5\n1 11\n4 10\n5 15\n8 11\n8 12\n"
+ABOVE_CAP_SPEC = (
+    "0 4\n3 3\n0 4\n0 4\n0 4\n0 2\n0 0\n0 4\n2 4\n0 0\n0 0\n2 4\n0 4\n0 0\n0 4\n1 3\n"
+)
+
+
+@pytest.fixture
+def above_cap_args(tmp_path):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(ABOVE_CAP_GRAPH)
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(ABOVE_CAP_SPEC)
+    assert parse_graph(ABOVE_CAP_GRAPH).n > DEFAULT_ENUMERATION_CAP
+    return [str(graph_file), "--spec-file", str(spec_file)]
+
+
+@pytest.mark.parametrize("method", ["gadget", "brute"])
+def test_solve_above_enum_cap_prints_the_barrier_witness(tmp_path, above_cap_args, method):
+    solve = run_cli(["solve", *above_cap_args, "--method", method])
+    assert (solve.returncode, solve.stdout, solve.stderr) == (
+        1, "S: 10\nT: 0 1 2 3 6 7 8 9 11 13 14 15\ndelta: -2\ntau: 2\n", ""
+    )
+    witness_file = tmp_path / "w.txt"
+    witness_file.write_text(solve.stdout)
+    verify = run_cli(["verify-witness", *above_cap_args, "--witness", str(witness_file)])
+    assert (verify.returncode, verify.stdout) == (
+        0, "verified: infeasibility certificate accepted\n"
+    )
+
+
+def test_oracle_disagreement_in_solve_brute_above_enum_cap_is_an_internal_error(
+    above_cap_args, monkeypatch, capsys
+):
+    # brute force finds no factor; a gadget that claims one contradicts it
+    monkeypatch.setattr(cli, "factor_or_witness", lambda g, spec: Factor(g.n, ()))
+    assert cli.main(["solve", *above_cap_args, "--method", "brute"]) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error:")
 
 
 def test_solve_brute_edge_cap_exceeded():

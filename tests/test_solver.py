@@ -18,7 +18,6 @@ from paritylab import (
     DeficiencyWitness,
     VertexSet,
     decide_by_enumeration,
-    deficiency,
     extremal_construction,
     factor_or_witness,
     find_parity_factor,
@@ -35,6 +34,7 @@ from paritylab.errors import (
     SelfCheckFailed,
     TooManyEdges,
 )
+from paritylab.matching import max_matching
 from paritylab.solver import normalized_upper, parse_factor, serialize_factor
 
 from conftest import (
@@ -253,25 +253,20 @@ def test_gadget_and_factor_match_reference_on_extremal(monkeypatch):
 
 
 # Certifier gate: one gadget matching decides, and an infeasible answer comes
-# with the barrier witness whenever the projection yields a negative delta.
+# with the barrier witness.
 
 
 def check_against_enumeration(g, spec):
-    """Assert the gate on one instance; return how infeasibility was shown:
-    'feasible', 'barrier', 'empty pair' or 'no witness'."""
+    """Assert the gate on one instance; return 'feasible' or 'barrier'."""
     result = factor_or_witness(g, spec)
     decision = decide_by_enumeration(g, spec)
     assert isinstance(result, Factor) == decision.feasible
     if isinstance(result, Factor):
         assert verify_factor(g, spec, result) == (True, "ok")
         return "feasible"
-    if result is not None:
-        assert isinstance(result, DeficiencyWitness)
-        assert verify_witness(g, spec, result) == (True, "ok")
-        return "barrier"
-    if deficiency(g, spec, VertexSet.empty(), VertexSet.empty()).delta < 0:
-        return "empty pair"
-    return "no witness"
+    assert isinstance(result, DeficiencyWitness)
+    assert verify_witness(g, spec, result) == (True, "ok")
+    return "barrier"
 
 
 @given(st.one_of(graph_with_spec(max_n=8), graph_with_gadget_spec(max_n=8)))
@@ -281,11 +276,10 @@ def test_certifier_agrees_with_enumeration(data):
 
 
 def test_certifier_witness_share_on_seeded_specs():
-    # 400 seeded (g,f) instances on 5..8 vertices: pins how often an
-    # infeasible one gets no barrier witness, before and after (empty, empty);
-    # a better projection lowers the last two counts
+    # 400 seeded (g,f) instances on 5..8 vertices: every infeasible one gets
+    # the barrier witness
     rng = random.Random("certifier-gate")
-    counts = dict.fromkeys(("feasible", "barrier", "empty pair", "no witness"), 0)
+    counts = dict.fromkeys(("feasible", "barrier"), 0)
     for _ in range(400):
         n = rng.randint(5, 8)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
@@ -293,7 +287,39 @@ def test_certifier_witness_share_on_seeded_specs():
         low = [rng.randint(0, g.degree(v)) for v in range(n)]
         spec = ParitySpec(tuple(low), tuple(x + 2 * rng.randint(0, 1) for x in low))
         counts[check_against_enumeration(g, spec)] += 1
-    assert counts == {"feasible": 90, "barrier": 243, "empty pair": 43, "no witness": 24}
+    assert counts == {"feasible": 90, "barrier": 310}
+
+
+@given(st.one_of(graph_with_gadget_spec(max_n=9), graph_with_spec(max_n=9)))
+@settings(max_examples=300, deadline=None)
+def test_min_delta_is_minus_the_gadget_deficiency(data):
+    # min-max: where g <= d, the least delta over all 3^n pairs (0 if
+    # feasible) is minus the number of gadget nodes a maximum matching of H
+    # leaves exposed, and the barrier witness attains it
+    g, spec = data
+    if any(spec.g[v] > g.degree(v) for v in range(g.n)):
+        event("g > d: no gadget")
+        return
+    h = build_parity_gadget(g, spec).h
+    target = -(h.n - 2 * len(max_matching(h)))
+    decision = decide_by_enumeration(g, spec)
+    assert (0 if decision.feasible else decision.witness.delta) == target
+    result = factor_or_witness(g, spec)
+    if decision.feasible:
+        assert isinstance(result, Factor)
+        return
+    assert result.delta == target
+    assert verify_witness(g, spec, result) == (True, "ok")
+
+
+def test_nonnegative_projected_delta_is_a_self_check_failure(monkeypatch):
+    # the projection is exact, so a pair with delta >= 0 is a fault, not an answer
+    g, _ = extremal_construction(ExtremalParams(4, 2))
+    monkeypatch.setattr(
+        solver, "deficiency", lambda g, spec, s, t: DeficiencyWitness(s, t, 0, 0)
+    )
+    with pytest.raises(SelfCheckFailed, match="delta 0 >= 0"):
+        factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
 
 
 @pytest.mark.parametrize("r", [4, 6, 8, 10])
