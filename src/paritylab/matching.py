@@ -22,6 +22,18 @@ The search order, and with it the matching returned, therefore depends only
 on the graph: vertices are scanned in ascending id and adjacency lists are
 sorted.
 
+What a scan tests per edge. From an even vertex v, a neighbour ``to`` is
+either queued (contract, unless it shares v's base) or, if it has no parent
+yet, labelled odd or the end of an augmenting path; anything else is odd and
+skipped. One ``in_queue`` test stands for "to is even" because:
+
+- a vertex is queued exactly when it is even: the root, the mate of a vertex
+  labelled odd, or a vertex that a contraction relabelled;
+- an unqueued ``to`` is in no blossom, so ``base[to] == to``, and no base is
+  unqueued, so v's base is never ``to``;
+- v's mate is either queued in v's blossom, so it has v's base, or odd with a
+  parent, so the edge to it is skipped without a separate test.
+
 The Gallai–Edmonds set D, at no extra search. D holds the vertices that some
 maximum matching leaves exposed: those an even-length alternating path
 reaches from an exposed vertex (Gallai 1964, Edmonds 1965). A search that
@@ -38,10 +50,20 @@ edges its search scans plus the sizes of its blossoms; O(n^3) at worst.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .graph import Graph
+from typing import Protocol
 
 __all__ = ["Matching", "max_matching", "has_perfect_matching"]
+
+
+class Adjacency(Protocol):
+    """What the matcher reads of a graph: ``Graph`` and the solver's
+    ``GadgetMap`` both provide it."""
+
+    @property
+    def n(self) -> int: ...
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]: ...
 
 
 @dataclass(frozen=True)
@@ -62,7 +84,7 @@ class Matching:
         return match
 
 
-def max_matching(g: Graph) -> Matching:
+def max_matching(g: Adjacency) -> Matching:
     n = g.n
     adj = g.adjacency
     match = [-1] * n
@@ -86,7 +108,7 @@ def max_matching(g: Graph) -> Matching:
     return Matching(pairs, tuple(sorted(d)))
 
 
-def has_perfect_matching(g: Graph) -> bool:
+def has_perfect_matching(g: Adjacency) -> bool:
     return 2 * len(max_matching(g)) == g.n
 
 
@@ -100,15 +122,12 @@ def _try_augment(adj, match, parent, base, in_queue, root) -> list[int] | None:
     odd = []  # vertices given a parent when first reached
     members: dict[int, list[int]] = {}  # base -> its vertices, once it heads a blossom
     in_queue[root] = True
-    head = 0
     try:
-        while head < len(queue):
-            v = queue[head]
-            head += 1
+        for v in queue:  # the loop also reaches the vertices queued while it runs
             for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] >= 0 and parent[match[to]] >= 0):
+                if in_queue[to]:
+                    if base[v] == base[to]:
+                        continue
                     # edge closes an odd cycle: contract the blossom
                     cur_base = _lca(match, base, parent, v, to)
                     blossom: set[int] = set()

@@ -12,6 +12,7 @@ so recovered degrees range over {g, g+2, ..., f'}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -45,12 +46,27 @@ class Factor:
 
 @dataclass(frozen=True)
 class GadgetMap:
-    h: Graph
+    """The matching gadget H of a graph and spec, and where each vertex's
+    nodes sit in it. The solver and the matcher read only ``adjacency``;
+    ``h``, the ``Graph`` with H's edge tuple, is built on first access."""
+
+    # H's adjacency lists, each ascending
+    adjacency: tuple[tuple[int, ...], ...]
     # per original edge index: (outer node at smaller endpoint, at larger endpoint)
     edge_nodes: tuple[tuple[int, int], ...]
     outer: tuple[tuple[int, ...], ...]
     core: tuple[tuple[int, ...], ...]
     slack_pairs: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.adjacency)
+
+    @cached_property
+    def h(self) -> Graph:
+        adj = self.adjacency
+        edges = tuple((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
+        return Graph(len(adj), edges, adj)
 
 
 def normalized_upper(g: Graph, spec: ParitySpec, v: int) -> int:
@@ -96,9 +112,8 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
         adj[ou] = core[u] + (ov,)
         adj[ov] = (ou,) + core[v]
         edge_nodes.append((ou, ov))
-    h_edges = tuple((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
     return GadgetMap(
-        Graph(next_id, h_edges, tuple(adj)),
+        tuple(adj),
         tuple(edge_nodes),
         tuple(outer),
         tuple(core),
@@ -131,10 +146,10 @@ def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
         # T = the vertices with g(v) > d(v): delta <= sum_T (d - g) < 0
         return deficiency(g, spec, VertexSet.empty(), VertexSet.of(short))
     gm = build_parity_gadget(g, spec)
-    matching = max_matching(gm.h)
-    if 2 * len(matching) != gm.h.n:
+    matching = max_matching(gm)
+    if 2 * len(matching) != gm.n:
         d = set(matching.D)
-        barrier = {y for x in d for y in gm.h.adjacency[x]} - d
+        barrier = {y for x in d for y in gm.adjacency[x]} - d
         s, t = [], []
         for v in range(g.n):
             # S charges f(v), H only the clamped f'(v): they differ iff f(v) > d(v)
@@ -146,7 +161,7 @@ def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
         if witness.delta >= 0:
             raise SelfCheckFailed(f"barrier projection has delta {witness.delta} >= 0")
         return witness
-    match = matching.partner_array(gm.h.n)
+    match = matching.partner_array(gm.n)
     chosen = [
         g.edges[idx]
         for idx, (a, b) in enumerate(gm.edge_nodes)
@@ -201,7 +216,7 @@ def verify_factor(g: Graph, spec: ParitySpec, factor: Factor) -> tuple[bool, str
     for u, v in factor.edges:
         if not g.has_edge(u, v):
             return False, f"edge ({u},{v}) not in the graph"
-    if len(set(factor.edges)) != len(factor.edges):
+    if len({(min(u, v), max(u, v)) for u, v in factor.edges}) != len(factor.edges):
         return False, "repeated edge in factor"
     deg = factor.degrees
     for v in range(g.n):

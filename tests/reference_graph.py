@@ -79,7 +79,7 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
         h_edges.append((ou, ov))
         edge_nodes.append((ou, ov))
     return GadgetMap(
-        build_graph(next_id, h_edges),
+        build_graph(next_id, h_edges).adjacency,
         tuple(edge_nodes),
         tuple(outer),
         tuple(core),

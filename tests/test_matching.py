@@ -118,6 +118,13 @@ def test_pairs_match_reference_on_extremal_gadgets():
     assert count == 14
 
 
+@given(graph_with_gadget_spec())
+@settings(max_examples=200, deadline=None)
+def test_pairs_match_reference_on_per_vertex_spec_gadgets(data):
+    h = build_parity_gadget(*data).h
+    assert max_matching(h).pairs == reference_max_matching(h).pairs
+
+
 @given(graphs(max_n=12))
 @settings(max_examples=100, deadline=None)
 def test_size_matches_networkx(g):

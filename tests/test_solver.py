@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -22,11 +23,13 @@ from paritylab import (
     factor_or_witness,
     find_parity_factor,
     petersen,
+    random_regular,
     verify_factor,
     verify_witness,
 )
 from paritylab import solver
 from paritylab.experiment import is_paper_certificate
+from paritylab.lovasz import serialize_witness
 from paritylab.errors import (
     GraphSyntaxError,
     InvalidParitySpec,
@@ -139,6 +142,15 @@ def test_verify_factor_rejects_out_of_range_endpoints(edge):
     assert not ok and reason == f"edge ({edge[0]},{edge[1]}) not in the graph"
 
 
+def test_verify_factor_catches_an_edge_given_in_both_orders():
+    # (0,1) and (1,0) are one edge: counted twice, they would give the path
+    # 0-1-2 degrees (2, 2, 0), a factor that enumeration proves cannot exist
+    g = build_graph(3, [(0, 1), (1, 2)])
+    spec = ParitySpec((2, 2, 0), (2, 2, 0))
+    assert not decide_by_enumeration(g, spec).feasible
+    assert verify_factor(g, spec, Factor(3, ((0, 1), (1, 0)))) == (False, "repeated edge in factor")
+
+
 @pytest.mark.parametrize("n", [2, 12])
 def test_spec_length_must_match_graph(n):
     spec = ParitySpec.constant(1, 1, n)
@@ -155,6 +167,46 @@ def test_find_verifies_the_recovered_factor(monkeypatch):
     monkeypatch.setattr(solver, "verify_factor", lambda g, spec, f: (False, "planted"))
     with pytest.raises(SelfCheckFailed, match="planted"):
         find_parity_factor(petersen(), ParitySpec.constant(1, 1, 10))
+
+
+# Golden outputs at benchmark scale, computed before the matcher's scan was
+# cut to one "queued" test per edge and the gadget build lost H's edge tuple.
+
+
+@pytest.mark.parametrize("n,r,seed,a,b,digest", [
+    (2000, 3, 1, 1, 1, "9040226f7292881f9f3efa0834db90e106c93793da6a6b04b6c0ae52066a2080"),
+    (1000, 4, 2, 1, 3, "fc7c4dfb058fa147b03e830aae0ef63c9d6a067fbd5d01568d7db7710779c9c2"),
+    (600, 6, 3, 2, 4, "10fe32e467dbca2f1a852b261b1f24ad463a81bd79dfbd8a1d148854caf52f29"),
+])
+def test_factor_matches_golden_digest_at_scale(n, r, seed, a, b, digest):
+    factor = factor_or_witness(random_regular(n, r, seed), ParitySpec.constant(a, b, n))
+    assert hashlib.sha256(serialize_factor(factor).encode()).hexdigest() == digest
+
+
+def test_extremal_witness_matches_golden_at_r12():
+    g, _ = extremal_construction(ExtremalParams(12, 2))
+    witness = factor_or_witness(g, ParitySpec.constant(1, 3, g.n))
+    assert serialize_witness(witness) == "S: 156 157\nT:\ndelta: -6\ntau: 12\n"
+
+
+# The solve path reads only the gadget's adjacency: H's edge tuple, built on
+# first access to ``GadgetMap.h``, is never built.
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_solve_never_builds_the_gadget_edge_tuple(feasible, monkeypatch):
+    built = []
+
+    def spy(g, spec):
+        built.append(build_parity_gadget(g, spec))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "build_parity_gadget", spy)
+    g = petersen() if feasible else extremal_construction(ExtremalParams(4, 2))[0]
+    result = factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
+    assert isinstance(result, Factor) == feasible
+    assert len(built) == 1 and "h" not in built[0].__dict__
+    assert built[0].h.adjacency is built[0].adjacency  # h is still there on demand
 
 
 def test_factor_serialization_round_trip():
