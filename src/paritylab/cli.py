@@ -240,7 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("gadget", "brute"), default="gadget")
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
-    p.add_argument("--dot", action="store_true", help="emit the certificate as DOT")
+    p.add_argument(
+        "--dot", action="store_true",
+        help="draw a found factor as DOT; an infeasible instance still prints its witness block",
+    )
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("decide", help="exhaustive feasibility decision (small graphs)")

@@ -13,8 +13,9 @@ their member lists are merged into the common base's list, and only those
 members are relabelled. A contraction so costs the size of the blossom, not
 of the graph, in the spirit of Gabow's O(V^3) implementation (Gabow 1976).
 The ``parent``, ``base`` and ``in_queue`` arrays are allocated once per
-``max_matching`` call. A search resets only the entries it set: those of the
-vertices it queued or labelled odd.
+``max_matching`` call. A successful search resets only the entries it set:
+those of the vertices it queued or labelled odd. A failed search leaves its
+tree pruned instead (see the set D below).
 
 Why the enqueue order is kept. A contraction queues the vertices it makes
 even in ascending id, the order a scan over all vertices would find them in.
@@ -24,28 +25,46 @@ sorted.
 
 What a scan tests per edge. From an even vertex v, a neighbour ``to`` is
 either queued (contract, unless it shares v's base) or, if it has no parent
-yet, labelled odd or the end of an augmenting path; anything else is odd and
-skipped. One ``in_queue`` test stands for "to is even" because:
+yet, labelled odd or the end of an augmenting path; anything else is odd, or
+pruned by an earlier failed search, and skipped. One ``in_queue`` test stands
+for "to is even" because:
 
 - a vertex is queued exactly when it is even: the root, the mate of a vertex
   labelled odd, or a vertex that a contraction relabelled;
-- an unqueued ``to`` is in no blossom, so ``base[to] == to``, and no base is
-  unqueued, so v's base is never ``to``;
+- an unqueued ``to`` without a parent is in no blossom, so
+  ``base[to] == to``, and no base is unqueued, so v's base is never ``to``;
 - v's mate is either queued in v's blossom, so it has v's base, or odd with a
   parent, so the edge to it is skipped without a separate test.
 
 The Gallai–Edmonds set D, at no extra search. D holds the vertices that some
 maximum matching leaves exposed: those an even-length alternating path
 reaches from an exposed vertex (Gallai 1964, Edmonds 1965). A search that
-fails has queued exactly the even vertices its tree reached, so
-``max_matching`` keeps the union of those queues as ``Matching.D``. Every
+fails has queued exactly the even vertices its tree T reached. It leaves T
+pruned for the rest of the call, as Edmonds allows for a Hungarian tree: its
+even vertices take, and its odd vertices keep, ``parent >= 0`` with
+``in_queue`` False, so a later scan that meets one fails both of its tests
+and skips it. The output is the one a search that reset T would give:
+
+- every edge from an even vertex of T stays inside T, since the failed
+  search scanned it and neither augmented nor left T;
+- a later search that found T reset could enter T only through an odd vertex
+  of T, and inside T it would label T's vertices as T did;
+- nothing it would meet in T leads out of T, closes a blossom with vertices
+  outside T, or ends an augmenting path;
+- so its queue order outside T, the path it augments along, and D are
+  unchanged.
+
+No later search queues a vertex of a pruned tree, so the failed trees are
+disjoint and no later augmentation touches one, by construction. Every
 vertex exposed at the end rooted a search that failed, since a matched
-vertex never becomes exposed again, and no later augmentation touches a
-failed search's tree, so the union is D under the final matching. The
-solver reads the Tutte barrier N(D) - D from it.
+vertex never becomes exposed again, so the concatenation of the failed
+searches' queues is D under the final matching. ``max_matching`` returns it sorted as ``Matching.D``;
+the solver reads the Tutte barrier N(D) - D from it.
 
 Cost per call: O(n + m) to allocate and seed, then, for each exposed root, the
-edges its search scans plus the sizes of its blossoms; O(n^3) at worst.
+edges its search scans plus the sizes of its blossoms; O(n^3) at worst. A
+failed tree is scanned once, by the search that grew it, not once per later
+root.
 """
 from __future__ import annotations
 
@@ -98,12 +117,12 @@ def max_matching(g: Adjacency) -> Matching:
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
-    d: set[int] = set()
+    d: list[int] = []
     for v in range(n):
         if match[v] < 0:
             even = _try_augment(adj, match, parent, base, in_queue, v)
             if even is not None:
-                d.update(even)
+                d.extend(even)
     pairs = tuple((v, match[v]) for v in range(n) if 0 <= v < match[v])
     return Matching(pairs, tuple(sorted(d)))
 
@@ -116,58 +135,63 @@ def _try_augment(adj, match, parent, base, in_queue, root) -> list[int] | None:
     """Search for an augmenting path from an exposed root; apply it if found.
     Returns None after augmenting, or the even vertices of the failed search.
 
-    ``parent``, ``base`` and ``in_queue`` must hold their initial values (-1,
-    the identity, False) on entry, and are left holding them on return."""
+    On entry, every live vertex (one in no earlier failed search's tree)
+    holds the initial values of ``parent``, ``base`` and ``in_queue`` (-1,
+    the identity, False); a pruned vertex holds ``parent >= 0`` and
+    ``in_queue`` False, so the scan skips it. A successful search leaves
+    the entries it set at their initial values; a failed one prunes its
+    tree: its queued and odd vertices are left with ``parent >= 0``."""
     queue = [root]  # every vertex ever queued, in order
     odd = []  # vertices given a parent when first reached
     members: dict[int, list[int]] = {}  # base -> its vertices, once it heads a blossom
     in_queue[root] = True
-    try:
-        for v in queue:  # the loop also reaches the vertices queued while it runs
-            for to in adj[v]:
-                if in_queue[to]:
-                    if base[v] == base[to]:
-                        continue
-                    # edge closes an odd cycle: contract the blossom
-                    cur_base = _lca(match, base, parent, v, to)
-                    blossom: set[int] = set()
-                    _mark_path(match, base, parent, blossom, v, cur_base, to)
-                    _mark_path(match, base, parent, blossom, to, cur_base, v)
-                    blossom.discard(cur_base)
-                    merged = members.setdefault(cur_base, [cur_base])
-                    newly_even = []
-                    for b in blossom:
-                        for i in members.pop(b, (b,)):
-                            base[i] = cur_base
-                            merged.append(i)
-                            if not in_queue[i]:
-                                in_queue[i] = True
-                                newly_even.append(i)
-                    newly_even.sort()
-                    queue.extend(newly_even)
-                elif parent[to] < 0:
-                    parent[to] = v
-                    odd.append(to)
-                    if match[to] < 0:
-                        # augment along the alternating path back to the root
-                        while to >= 0:
-                            pv = match[parent[to]]
-                            match[to] = parent[to]
-                            match[parent[to]] = to
-                            to = pv
-                        return None
-                    nxt = match[to]
-                    in_queue[nxt] = True
-                    queue.append(nxt)
-        return queue
-    finally:
-        # a relabelled or re-parented vertex is always queued by then
-        for v in queue:
-            parent[v] = -1
-            base[v] = v
-            in_queue[v] = False
-        for v in odd:
-            parent[v] = -1
+    for v in queue:  # the loop also reaches the vertices queued while it runs
+        for to in adj[v]:
+            if in_queue[to]:
+                if base[v] == base[to]:
+                    continue
+                # edge closes an odd cycle: contract the blossom
+                cur_base = _lca(match, base, parent, v, to)
+                blossom: set[int] = set()
+                _mark_path(match, base, parent, blossom, v, cur_base, to)
+                _mark_path(match, base, parent, blossom, to, cur_base, v)
+                blossom.discard(cur_base)
+                merged = members.setdefault(cur_base, [cur_base])
+                newly_even = []
+                for b in blossom:
+                    for i in members.pop(b, (b,)):
+                        base[i] = cur_base
+                        merged.append(i)
+                        if not in_queue[i]:
+                            in_queue[i] = True
+                            newly_even.append(i)
+                newly_even.sort()
+                queue.extend(newly_even)
+            elif parent[to] < 0:
+                parent[to] = v
+                odd.append(to)
+                if match[to] < 0:
+                    # augment along the alternating path back to the root
+                    while to >= 0:
+                        pv = match[parent[to]]
+                        match[to] = parent[to]
+                        match[parent[to]] = to
+                        to = pv
+                    # a relabelled or re-parented vertex is always queued by now
+                    for u in queue:
+                        parent[u] = -1
+                        base[u] = u
+                        in_queue[u] = False
+                    for u in odd:
+                        parent[u] = -1
+                    return None
+                nxt = match[to]
+                in_queue[nxt] = True
+                queue.append(nxt)
+    for u in queue:  # odd vertices already have a parent
+        parent[u] = root
+        in_queue[u] = False
+    return queue
 
 
 def _lca(match, base, parent, a, b) -> int:

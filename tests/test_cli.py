@@ -428,3 +428,10 @@ def test_solve_dot_output(tmp_path):
     assert result.returncode == 0
     assert result.stdout.startswith("graph G {")
     assert result.stdout.count("penwidth=3") == 5
+
+
+def test_solve_dot_on_an_infeasible_instance_prints_the_witness_block():
+    # --dot draws a found factor; an infeasible instance keeps its witness text
+    result = run_cli(["solve", "-", "--a", "1", "--b", "1", "--dot"], stdin_text="3 3\n0 1\n0 2\n1 2\n")
+    assert result.returncode == 1
+    assert result.stdout == "S:\nT:\ndelta: -1\ntau: 1\n"

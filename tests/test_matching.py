@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab import (
+    ExtremalParams,
+    ParitySpec,
     build_graph,
     build_parity_gadget,
     complete_graph,
     cycle,
+    extremal_construction,
     has_perfect_matching,
     max_matching,
     petersen,
 )
+from paritylab import matching
 
 from conftest import (
     brute_max_matching_size,
@@ -170,3 +175,81 @@ def test_d_matches_removal_oracle_on_gadgets(data):
     expected = tuple(x for x in range(h.n) if len(max_matching(without_vertex(h, x))) == len(m))
     assert m.D == expected
     assert (m.D == ()) == (2 * len(m) == h.n)
+
+
+# A failed search prunes its tree: later searches skip it, so the even lists
+# the failed searches return are disjoint, and together they are D.
+
+
+def star(leaves):
+    return build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def extremal_gadgets_at_one_one(max_r):
+    for r in range(4, max_r + 1, 2):
+        for m in range(2, r - 1, 2):
+            g, _ = extremal_construction(ExtremalParams(r, m))
+            h = build_parity_gadget(g, ParitySpec.constant(1, 1, g.n)).h
+            yield pytest.param(h, id=f"extremal-r{r}-m{m}")
+
+
+@pytest.mark.parametrize("h", [pytest.param(star(6), id="star-6"), *extremal_gadgets_at_one_one(max_r=10)])
+def test_failed_search_trees_are_disjoint_and_make_up_d(h, monkeypatch):
+    try_augment = matching._try_augment
+    failed = []
+
+    def spy(*args):
+        even = try_augment(*args)
+        if even is not None:
+            failed.append(list(even))
+        return even
+
+    monkeypatch.setattr(matching, "_try_augment", spy)
+    m = max_matching(h)
+    assert len(failed) == h.n - 2 * len(m) >= 2
+    union = [v for even in failed for v in even]
+    assert len(union) == len(set(union))
+    assert tuple(sorted(union)) == m.D
+
+
+@st.composite
+def deficient_graphs(draw):
+    """Odd cliques and pendant stars joined to a random core, vertex ids
+    shuffled. A star with at least three pendant leaves leaves two of them
+    exposed, so the deficiency n - 2 nu is at least 2 and several searches
+    fail."""
+    parts = [list(range(draw(st.sampled_from([1, 3, 5])))) for _ in range(draw(st.integers(0, 3)))]
+    stars = [draw(st.integers(3, 5)) for _ in range(draw(st.integers(1, 2)))]
+    core = draw(st.integers(0, 5))
+    edges = []
+    hooks = []  # per part, the vertices it may join the core through
+    n = core
+    for size in (len(p) for p in parts):
+        members = list(range(n, n + size))
+        edges += [(u, v) for i, u in enumerate(members) for v in members[i + 1:]]
+        hooks.append(members)
+        n += size
+    for leaves in stars:
+        edges += [(n, n + i) for i in range(1, leaves + 1)]
+        hooks.append([n])
+        n += leaves + 1
+    if core:
+        pairs = [(u, v) for u in range(core) for v in range(u + 1, core)]
+        edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        for members in hooks:
+            for _ in range(draw(st.integers(0, 2))):
+                edges.append((draw(st.sampled_from(members)), draw(st.integers(0, core - 1))))
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, sorted({tuple(sorted((perm[u], perm[v]))) for u, v in edges}))
+
+
+@given(deficient_graphs())
+@settings(max_examples=150, deadline=None)
+def test_pairs_and_d_match_reference_on_deficient_graphs(g):
+    m = max_matching(g)
+    assert m.pairs == reference_max_matching(g).pairs
+    assert g.n - 2 * len(m) >= 2
+    expected = tuple(
+        x for x in range(g.n) if len(reference_max_matching(without_vertex(g, x))) == len(m)
+    )
+    assert m.D == expected

@@ -189,6 +189,13 @@ def test_extremal_witness_matches_golden_at_r12():
     assert serialize_witness(witness) == "S: 156 157\nT:\ndelta: -6\ntau: 12\n"
 
 
+def test_extremal_witness_matches_golden_at_r16():
+    # 14 exposed gadget nodes, so 14 failed searches over pruned trees
+    g, _ = extremal_construction(ExtremalParams(16, 2))
+    witness = factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
+    assert serialize_witness(witness) == "S: 272 273\nT:\ndelta: -14\ntau: 16\n"
+
+
 # The solve path reads only the gadget's adjacency: H's edge tuple, built on
 # first access to ``GadgetMap.h``, is never built.
 
