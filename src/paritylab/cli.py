@@ -59,17 +59,14 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_graph(_read_text(path))
-
-
-def _load_spec(args, n: int) -> ParitySpec:
+def _load_instance(args) -> tuple[Graph, ParitySpec]:
+    g = parse_graph(_read_text(args.graph))
     if args.spec_file:
         pairs = [int_pair(*entry) for entry in text_lines(_read_text(args.spec_file))]
-        return ParitySpec(tuple(gv for gv, _ in pairs), tuple(fv for _, fv in pairs))
+        return g, ParitySpec(tuple(gv for gv, _ in pairs), tuple(fv for _, fv in pairs))
     if args.a is None or args.b is None:
         raise ParityLabError("either --a/--b or --spec-file is required")
-    return ParitySpec.constant(args.a, args.b, n)
+    return g, ParitySpec.constant(args.a, args.b, g.n)
 
 
 def _default_seed() -> int:
@@ -98,8 +95,7 @@ def cmd_solve(args) -> int:
     """A verified factor, else the canonical enumeration witness when
     n <= --enum-cap, else the gadget's barrier witness. An oracle that finds
     a factor after the solver found none is a ``SelfCheckFailed``."""
-    g = _load_graph(args.graph)
-    spec = _load_spec(args, g.n)
+    g, spec = _load_instance(args)
     if args.method == "brute":
         result = brute_force_factor(g, spec, args.edge_cap)
     else:
@@ -126,8 +122,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    g = _load_graph(args.graph)
-    spec = _load_spec(args, g.n)
+    g, spec = _load_instance(args)
     decision = decide_by_enumeration(g, spec, args.enum_cap)
     if decision.feasible:
         sys.stdout.write("feasible\n")
@@ -147,8 +142,7 @@ def _vertex_ids(flag: str, text: str) -> VertexSet:
 
 
 def cmd_deficiency(args) -> int:
-    g = _load_graph(args.graph)
-    spec = _load_spec(args, g.n)
+    g, spec = _load_instance(args)
     s = _vertex_ids("--S", args.S)
     t = _vertex_ids("--T", args.T)
     sys.stdout.write(serialize_witness(deficiency(g, spec, s, t)))
@@ -156,8 +150,7 @@ def cmd_deficiency(args) -> int:
 
 
 def cmd_verify_factor(args) -> int:
-    g = _load_graph(args.graph)
-    spec = _load_spec(args, g.n)
+    g, spec = _load_instance(args)
     factor = parse_factor(_read_text(args.factor), g.n)
     ok, reason = verify_factor(g, spec, factor)
     sys.stdout.write(("ok\n" if ok else f"invalid: {reason}\n"))
@@ -165,8 +158,7 @@ def cmd_verify_factor(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    g = _load_graph(args.graph)
-    spec = _load_spec(args, g.n)
+    g, spec = _load_instance(args)
     witness = parse_witness(_read_text(args.witness))
     ok, reason = verify_witness(g, spec, witness)
     if ok:
@@ -177,7 +169,7 @@ def cmd_verify_witness(args) -> int:
 
 
 def cmd_connectivity(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     lam, cert = edge_connectivity(g)
     sys.stdout.write(f"lambda: {lam}\n")
     sys.stdout.write("cut_side:" + "".join(f" {v}" for v in cert.cut_side) + "\n")
@@ -220,7 +212,8 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+def _add_instance_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", help="graph file or '-' for stdin")
     p.add_argument("--a", type=int, default=None, help="constant lower bound")
     p.add_argument("--b", type=int, default=None, help="constant upper bound")
     p.add_argument("--spec-file", default=None, help="per-vertex 'g f' lines")
@@ -235,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="construct a parity factor or certify infeasibility")
-    p.add_argument("graph", help="graph file or '-' for stdin")
-    _add_spec_flags(p)
+    _add_instance_args(p)
     p.add_argument("--method", choices=("gadget", "brute"), default="gadget")
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
@@ -247,27 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("decide", help="exhaustive feasibility decision (small graphs)")
-    p.add_argument("graph")
-    _add_spec_flags(p)
+    _add_instance_args(p)
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("deficiency", help="evaluate delta(S,T) for given sets")
-    p.add_argument("graph")
-    _add_spec_flags(p)
+    _add_instance_args(p)
     p.add_argument("--S", default="", help="space-separated vertex ids")
     p.add_argument("--T", default="", help="space-separated vertex ids")
     p.set_defaults(fn=cmd_deficiency)
 
     p = sub.add_parser("verify-factor", help="check a factor block against a graph")
-    p.add_argument("graph")
-    _add_spec_flags(p)
+    _add_instance_args(p)
     p.add_argument("--factor", required=True, help="factor block file or '-'")
     p.set_defaults(fn=cmd_verify_factor)
 
     p = sub.add_parser("verify-witness", help="check an infeasibility witness block")
-    p.add_argument("graph")
-    _add_spec_flags(p)
+    _add_instance_args(p)
     p.add_argument("--witness", required=True, help="witness block file or '-'")
     p.set_defaults(fn=cmd_verify_witness)
 

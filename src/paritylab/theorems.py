@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolation, NotRegular
-from .graph import Graph, VertexSet, components_after_removal, edges_between, require_disjoint
-from .lovasz import ParitySpec, f_odd_components
+from .graph import Graph, VertexSet, components_after_removal, require_disjoint
+from .lovasz import ParitySpec, _edges_into, f_odd_components
 
 MAIN_CASES = ("Main-i", "Main-ii", "Main-iii")
 GALLAI_CASES = ("Gallai-i", "Gallai-ii", "Gallai-iii")
@@ -134,8 +134,8 @@ def component_inequality_check(
     lovasz_odd = set(odd)
     reports = []
     for cvs in components_after_removal(g, st):
-        e_s = edges_between(g, cvs, s)
-        e_t = edges_between(g, cvs, t)
+        e_s = _edges_into(g, cvs, s)
+        e_t = _edges_into(g, cvs, t)
         a_odd = (a * len(cvs) + e_t) % 2 == 1
         value = theta2 * e_s + (1 - theta1) * e_t
         reports.append(

@@ -50,6 +50,20 @@ def graph_with_disjoint_sets(draw, max_n=8):
 
 
 @st.composite
+def disjoint_sets(draw, n):
+    """Disjoint S and T in 0..n-1: each vertex labelled at random, or in about
+    half the draws a T that holds every vertex but at most four."""
+    if draw(st.booleans()):
+        few = st.sets(st.integers(0, n - 1), max_size=2)
+        s = draw(few)
+        return VertexSet.of(s), VertexSet.of(set(range(n)) - s - draw(few))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    s = VertexSet.of(v for v in range(n) if labels[v] == 1)
+    t = VertexSet.of(v for v in range(n) if labels[v] == 2)
+    return s, t
+
+
+@st.composite
 def graph_with_spec(draw, max_n=7):
     g = draw(graphs(min_n=1, max_n=max_n))
     g_vals = []
@@ -72,12 +86,38 @@ def graph_with_gadget_spec(draw, max_n=7):
     return g, ParitySpec(g_vals, f_vals)
 
 
+@pytest.fixture
+def bound_checks(monkeypatch):
+    """The vertex sets that ``VertexSet.check_bounds`` is run on, in call order."""
+    calls = []
+    check = VertexSet.check_bounds
+
+    def spy(self, n):
+        calls.append(self)
+        return check(self, n)
+
+    monkeypatch.setattr(VertexSet, "check_bounds", spy)
+    return calls
+
+
 def outcome(build, *args):
     """What build returns on args, or the class of the ParityLabError it raises."""
     try:
         return build(*args)
     except ParityLabError as exc:
         return type(exc)
+
+
+def assert_rejects(call, expected):
+    """call() raises exactly the type of the exception ``expected``, with its
+    message; or, for a checker that reports rather than raises, returns
+    ``expected``, its (False, reason) pair."""
+    if not isinstance(expected, Exception):
+        assert call() == expected
+        return
+    with pytest.raises(type(expected)) as info:
+        call()
+    assert type(info.value) is type(expected) and str(info.value) == str(expected)
 
 
 def internal_edge_count(g: Graph, vs: VertexSet) -> int:

@@ -435,3 +435,40 @@ def test_solve_dot_on_an_infeasible_instance_prints_the_witness_block():
     result = run_cli(["solve", "-", "--a", "1", "--b", "1", "--dot"], stdin_text="3 3\n0 1\n0 2\n1 2\n")
     assert result.returncode == 1
     assert result.stdout == "S:\nT:\ndelta: -1\ntau: 1\n"
+
+
+def test_verify_witness_with_a_spec_of_the_wrong_length_is_a_usage_error(tmp_path):
+    graph_file = tmp_path / "k2.g"
+    graph_file.write_text("2 1\n0 1\n")
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("1 1\n1 1\n1 1\n")
+    witness_file = tmp_path / "w.txt"
+    witness_file.write_text("S:\nT:\ndelta: -1\ntau: 1\n")
+    result = run_cli(["verify-witness", str(graph_file), "--spec-file", str(spec_file),
+                      "--witness", str(witness_file)])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: spec covers 3 vertices, graph has 2\n"
+    )
+
+
+def test_verify_witness_with_a_vertex_out_of_range_is_rejected(tmp_path):
+    graph_file = tmp_path / "k2.g"
+    graph_file.write_text("2 1\n0 1\n")
+    witness_file = tmp_path / "w.txt"
+    witness_file.write_text("S: 7\nT:\ndelta: -1\ntau: 1\n")
+    result = run_cli(["verify-witness", str(graph_file), "--a", "1", "--b", "1",
+                      "--witness", str(witness_file)])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "rejected: malformed witness: vertex 7 not in 0..1\n", ""
+    )
+
+
+@pytest.mark.parametrize("command", ["solve", "decide", "deficiency", "verify-factor", "verify-witness"])
+def test_instance_commands_share_the_graph_and_spec_arguments(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for line in ("graph file or '-' for stdin", "constant lower bound",
+                 "constant upper bound", "per-vertex 'g f' lines"):
+        assert line in out

@@ -27,6 +27,8 @@ from paritylab.errors import (
     RetriesExhausted,
 )
 
+from conftest import assert_rejects
+
 
 def test_fixture_shapes():
     assert complete_graph(5).edge_count == 10
@@ -138,3 +140,14 @@ def test_j_block_feasibility_contrast():
     # precisely when the order works out; sanity-check the small case
     g = j_block(4, 2)
     assert not decide_by_enumeration(g, ParitySpec.constant(1, 1, 5)).feasible  # odd order
+
+
+# ---- rejections with their full messages
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: random_regular(0, 3, 1), BadOrder("need n >= 1 and r >= 0, got n=0, r=3")),
+    (lambda: j_block(5, 2), ParamDomain("r must be even and >= 4, got 5")),
+    (lambda: j_block(4, 6), ParamDomain("m must be even with 2 <= m <= r, got m=6, r=4")),
+], ids=["random-regular-empty", "j-block-odd-r", "j-block-m-above-r"])
+def test_generators_rejections(call, expected):
+    assert_rejects(call, expected)

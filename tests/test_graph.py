@@ -24,7 +24,7 @@ from paritylab.errors import (
     VertexOutOfRange,
 )
 
-from conftest import graphs, graph_with_disjoint_sets, internal_edge_count, outcome
+from conftest import assert_rejects, graphs, graph_with_disjoint_sets, internal_edge_count, outcome
 from reference_graph import build_graph as reference_build_graph
 
 
@@ -213,3 +213,13 @@ def test_parse_emit_round_trip(g):
 def test_emit_canonical_order():
     g = build_graph(4, [(3, 2), (1, 0)])
     assert emit_graph(g) == "4 2\n0 1\n2 3\n"
+
+
+# ---- rejections with their full messages
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: parse_graph("-1 0\n"), GraphSyntaxError("line 1: negative header values")),
+    (lambda: build_graph(-1, []), VertexOutOfRange("vertex count must be nonnegative, got -1")),
+], ids=["negative-header", "negative-order"])
+def test_graph_rejections(call, expected):
+    assert_rejects(call, expected)

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab import (
     DeficiencyWitness,
@@ -13,8 +14,10 @@ from paritylab import (
     VertexSet,
     build_graph,
     complete_graph,
+    components_after_removal,
     decide_by_enumeration,
     deficiency,
+    edges_between,
     extremal_construction,
     f_odd_components,
     random_regular,
@@ -31,7 +34,13 @@ from paritylab.errors import (
 from paritylab.lovasz import parse_witness, serialize_witness
 
 import reference_lovasz
-from conftest import graph_with_disjoint_sets, graph_with_spec
+from conftest import (
+    assert_rejects,
+    disjoint_sets,
+    graph_with_disjoint_sets,
+    graph_with_spec,
+    graphs,
+)
 
 
 def test_spec_validation():
@@ -263,3 +272,79 @@ def test_enumeration_matches_reference_on_tie_heavy_graphs(n, edges, a, b):
     # many pairs attain the minimum, so only the explicit code tie-break
     # recovers the smallest one
     assert_matches_reference(build_graph(n, edges), ParitySpec.constant(a, b, n))
+
+
+# ---- delta(S,T) checks S and T once, on entry, and counts e(C,T) directly
+
+def _hub_witness(r):
+    g, hubs = extremal_construction(ExtremalParams(r, 2))
+    return g, ParitySpec.constant(1, 1, g.n), hubs, VertexSet.empty()
+
+
+def _even_t_pair(n):
+    # 3 3 on even ids and 1 1 on odd ids, T = the even ids
+    g = random_regular(n, 3, seed=1)
+    window = tuple(3 if v % 2 == 0 else 1 for v in range(n))
+    return g, ParitySpec(window, window), VertexSet.empty(), VertexSet.of(range(0, n, 2))
+
+
+@pytest.mark.parametrize("build,size", [(_hub_witness, 10), (_even_t_pair, 2000)])
+def test_deficiency_checks_bounds_at_most_three_times(build, size, bound_checks):
+    # S and T on entry, S + T in components_after_removal: never once per
+    # component of G-(S+T), of which these pairs have 10 and 254
+    instance = build(size)
+    bound_checks.clear()
+    deficiency(*instance)
+    assert len(bound_checks) <= 3
+
+
+@st.composite
+def instance_with_disjoint_sets(draw, max_n=8):
+    """A graph, a per-vertex spec drawn as in ``graph_with_spec`` and a
+    disjoint pair (S, T), T holding most vertices in about half the draws."""
+    g = draw(graphs(min_n=1, max_n=max_n))
+    g_vals = [draw(st.integers(0, 4)) for _ in range(g.n)]
+    f_vals = [gv + 2 * draw(st.integers(0, 2)) for gv in g_vals]
+    s, t = draw(disjoint_sets(g.n))
+    return g, ParitySpec(tuple(g_vals), tuple(f_vals)), s, t
+
+
+@given(instance_with_disjoint_sets())
+@settings(max_examples=200)
+def test_deficiency_matches_an_independent_evaluation(data):
+    g, spec, s, t = data
+    w = deficiency(g, spec, s, t)
+    adj_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]
+    s_mask = sum(1 << v for v in s)
+    t_mask = sum(1 << v for v in t)
+    assert w.delta == reference_lovasz._delta_masks(
+        g.n, adj_mask, g.degrees, spec, s_mask, t_mask, (1 << g.n) - 1
+    )
+    odd = [
+        cvs
+        for cvs in components_after_removal(g, VertexSet.of([*s, *t]))
+        if (edges_between(g, cvs, t) + spec.f_sum(cvs)) % 2 == 1
+    ]
+    assert (w.S, w.T, w.tau, list(w.odd_components)) == (s, t, len(odd), odd)
+    assert f_odd_components(g, spec, s, t) == (len(odd), odd)
+
+
+# ---- rejections with their full messages
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: ParitySpec((1, 1), (1,)),
+     InvalidParitySpec("g and f must have the same length")),
+    (lambda: parse_witness("S: 1\nT:\ndelta: -1\n"),
+     GraphSyntaxError("witness block missing field 'tau'")),
+    (lambda: verify_witness(
+        complete_graph(3), ParitySpec.constant(1, 1, 3),
+        DeficiencyWitness(VertexSet.empty(), VertexSet.empty(), -1, 2)),
+     (False, "tau mismatch: recorded 2, recomputed 1")),
+    # a spec that does not fit the graph is no fault of the witness
+    (lambda: verify_witness(
+        complete_graph(2), ParitySpec.constant(1, 1, 3),
+        DeficiencyWitness(VertexSet.empty(), VertexSet.empty(), -1, 1)),
+     InvalidParitySpec("spec covers 3 vertices, graph has 2")),
+], ids=["spec-lengths", "missing-tau", "tau-mismatch", "witness-spec-length"])
+def test_lovasz_rejections(call, expected):
+    assert_rejects(call, expected)

@@ -41,6 +41,7 @@ from paritylab.matching import max_matching
 from paritylab.solver import normalized_upper, parse_factor, serialize_factor
 
 from conftest import (
+    assert_rejects,
     extremal_instances,
     graph_with_gadget_spec,
     graph_with_spec,
@@ -393,3 +394,18 @@ def test_certifier_returns_the_paper_certificate_on_the_extremal_family(r):
                     assert is_paper_certificate(result, hubs, r, m, b), (m, a, b, result)
                     count += 1
     assert count == {4: 1, 6: 2, 8: 5, 10: 6}[r]
+
+
+# ---- rejections with their full messages
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: verify_factor(complete_graph(2), ParitySpec.constant(2, 2, 2), Factor(2, ())),
+     (False, "vertex 0: degree 0 below lower bound 2")),
+    (lambda: verify_factor(complete_graph(3), ParitySpec.constant(0, 0, 3),
+                           Factor(3, complete_graph(3).edges)),
+     (False, "vertex 0: degree 2 above upper bound 0")),
+    (lambda: parse_factor("factor 2\n0 1\n", 2),
+     GraphSyntaxError("factor header promised 2 edges, found 1")),
+], ids=["below-lower-bound", "above-upper-bound", "short-factor-block"])
+def test_solver_rejections(call, expected):
+    assert_rejects(call, expected)

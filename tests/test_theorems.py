@@ -10,18 +10,23 @@ from paritylab import (
     ExtremalParams,
     ParitySpec,
     VertexSet,
+    build_graph,
     check_bsw_conditions,
     check_gallai_conditions,
     check_main_conditions,
+    complete_graph,
     component_inequality_check,
+    components_after_removal,
+    edges_between,
     extremal_construction,
     m_star,
     petersen,
+    random_regular,
 )
 from paritylab import theorems
 from paritylab.errors import HypothesisViolation, NotRegular
 
-from conftest import graphs
+from conftest import assert_rejects, disjoint_sets, graphs
 
 
 def test_m_star():
@@ -146,3 +151,63 @@ def test_regularity_identity_holds_on_regular_graphs(g):
     for rep in component_inequality_check(g, ParitySpec.constant(1, 1, g.n), s, t):
         assert rep.parity_identity_holds
         assert rep.regularity_identity_holds
+
+
+# ---- S and T are checked once, on entry; e(C,S) and e(C,T) are counted directly
+
+def test_component_check_checks_bounds_at_most_four_times(bound_checks):
+    # f_odd_components checks S, T and S + T, the check's own component
+    # search S + T once more: never once per component (here 6)
+    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    spec = ParitySpec.constant(1, 1, g.n)
+    bound_checks.clear()
+    assert len(component_inequality_check(g, spec, hubs, VertexSet.empty())) == 6
+    assert len(bound_checks) <= 4
+
+
+@st.composite
+def regular_instance_with_disjoint_sets(draw):
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r + 1, 11))
+    n += n * r % 2
+    g = random_regular(n, r, seed=draw(st.integers(0, 1000)))
+    a = draw(st.integers(0, r))
+    spec = ParitySpec.constant(a, a + 2 * draw(st.integers(0, 1)), n)
+    return (g, spec) + draw(disjoint_sets(n))
+
+
+@given(regular_instance_with_disjoint_sets())
+@settings(max_examples=150, deadline=None)
+def test_component_edge_counts_match_edges_between(data):
+    g, spec, s, t = data
+    reports = component_inequality_check(g, spec, s, t)
+    comps = components_after_removal(g, VertexSet.of([*s, *t]))
+    assert [rep.component for rep in reports] == comps
+    assert [(rep.e_s, rep.e_t) for rep in reports] == [
+        (edges_between(g, cvs, s), edges_between(g, cvs, t)) for cvs in comps
+    ]
+
+
+# ---- rejections with their full messages
+
+def _components(g, spec):
+    return lambda: component_inequality_check(g, spec, VertexSet.empty(), VertexSet.empty())
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: m_star(-1), HypothesisViolation("m must be nonnegative, got -1")),
+    (lambda: check_gallai_conditions(4, 2, 0, True),
+     HypothesisViolation("need 1 <= k < r, got k=0, r=4")),
+    (lambda: check_gallai_conditions(4, 2, 4, True),
+     HypothesisViolation("need 1 <= k < r, got k=4, r=4")),
+    (lambda: check_gallai_conditions(4, 0, 1, True), HypothesisViolation("need m >= 1, got 0")),
+    (lambda: check_bsw_conditions(3, 2, 0), HypothesisViolation("need 1 <= k < r, got k=0, r=3")),
+    (lambda: check_bsw_conditions(3, 2, 3), HypothesisViolation("need 1 <= k < r, got k=3, r=3")),
+    (_components(complete_graph(4), ParitySpec((1, 1, 1, 1), (1, 1, 1, 3))),
+     NotRegular("need a constant (a,b) spec matching the graph")),
+    (_components(build_graph(3, []), ParitySpec.constant(0, 0, 3)),
+     NotRegular("edgeless graph: the crossing ratios are undefined")),
+], ids=["m-star", "gallai-k-low", "gallai-k-high", "gallai-m", "bsw-k-low", "bsw-k-high",
+        "non-constant-spec", "edgeless"])
+def test_theorems_rejections(call, expected):
+    assert_rejects(call, expected)
