@@ -8,6 +8,17 @@ import argparse
 from paritylab import ExperimentConfig, run_verification_experiment
 
 
+def sweep_config(seed: int, trials: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        seed=seed,
+        n_values=(10, 12, 14, 16, 20),
+        r_values=(3, 4, 5, 6, 7, 8),
+        trials=trials,
+        specs=((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (4, 4), (5, 5)),
+        extremal=((4, 2, 1, 1), (6, 2, 1, 1), (6, 4, 1, 1), (8, 2, 1, 3)),
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
@@ -15,15 +26,7 @@ def main() -> None:
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()
 
-    config = ExperimentConfig(
-        seed=args.seed,
-        n_values=(10, 12, 14, 16, 20),
-        r_values=(3, 4, 5, 6, 7, 8),
-        trials=args.trials,
-        specs=((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (4, 4), (5, 5)),
-        extremal=((4, 2, 1, 1), (6, 2, 1, 1), (6, 4, 1, 1), (8, 2, 1, 3)),
-    )
-    report = run_verification_experiment(config)
+    report = run_verification_experiment(sweep_config(args.seed, args.trials))
     print(report.to_table())
     found = sum(1 for row in report.rows if row.outcome == "found")
     certified = sum(1 for row in report.rows if row.outcome == "infeasible-verified")

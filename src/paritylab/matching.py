@@ -58,8 +58,10 @@ No later search queues a vertex of a pruned tree, so the failed trees are
 disjoint and no later augmentation touches one, by construction. Every
 vertex exposed at the end rooted a search that failed, since a matched
 vertex never becomes exposed again, so the concatenation of the failed
-searches' queues is D under the final matching. ``max_matching`` returns it sorted as ``Matching.D``;
-the solver reads the Tutte barrier N(D) - D from it.
+searches' queues is D under the final matching. ``max_matching`` returns it
+sorted as ``Matching.D``; the solver calls ``_mates``, which returns the mate
+array and D without building ``Matching.pairs``, and reads the Tutte barrier
+N(D) - D from D.
 
 Cost per call: O(n + m) to allocate and seed, then, for each exposed root, the
 edges its search scans plus the sizes of its blossoms; O(n^3) at worst. A
@@ -104,6 +106,14 @@ class Matching:
 
 
 def max_matching(g: Adjacency) -> Matching:
+    match, d = _mates(g)
+    pairs = tuple((v, match[v]) for v in range(g.n) if 0 <= v < match[v])
+    return Matching(pairs, d)
+
+
+def _mates(g: Adjacency) -> tuple[list[int], tuple[int, ...]]:
+    """The matcher itself: match[v] = v's mate or -1 if v is exposed, and D
+    sorted. The solver reads these directly, without ``Matching.pairs``."""
     n = g.n
     adj = g.adjacency
     match = [-1] * n
@@ -123,8 +133,7 @@ def max_matching(g: Adjacency) -> Matching:
             even = _try_augment(adj, match, parent, base, in_queue, v)
             if even is not None:
                 d.extend(even)
-    pairs = tuple((v, match[v]) for v in range(n) if 0 <= v < match[v])
-    return Matching(pairs, tuple(sorted(d)))
+    return match, tuple(sorted(d))
 
 
 def has_perfect_matching(g: Adjacency) -> bool:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .graph import Graph, VertexSet, int_pair, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec, _check_spec, deficiency
-from .matching import max_matching
+from .matching import _mates
 
 DEFAULT_EDGE_CAP = 22
 
@@ -146,9 +146,9 @@ def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
         # T = the vertices with g(v) > d(v): delta <= sum_T (d - g) < 0
         return deficiency(g, spec, VertexSet.empty(), VertexSet.of(short))
     gm = build_parity_gadget(g, spec)
-    matching = max_matching(gm)
-    if 2 * len(matching) != gm.n:
-        d = set(matching.D)
+    match, d = _mates(gm)
+    if -1 in match:
+        d = set(d)
         barrier = {y for x in d for y in gm.adjacency[x]} - d
         s, t = [], []
         for v in range(g.n):
@@ -161,7 +161,6 @@ def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
         if witness.delta >= 0:
             raise SelfCheckFailed(f"barrier projection has delta {witness.delta} >= 0")
         return witness
-    match = matching.partner_array(gm.n)
     chosen = [
         g.edges[idx]
         for idx, (a, b) in enumerate(gm.edge_nodes)

@@ -421,6 +421,15 @@ def test_experiment_extremal_tuple_outside_the_domain_is_a_usage_error(tuple_tex
     assert "instance for replay" not in result.stderr
 
 
+@pytest.mark.parametrize("pair", ["3:1", "1:2", "0:0"])
+def test_experiment_ab_pair_that_no_r_admits_is_a_usage_error(pair):
+    result = run_cli(["experiment", "-"], stdin_text=f"n=10\nr=3\ntrials=1\nab=1:1,{pair}\n")
+    assert (result.returncode, result.stdout) == (2, "")
+    a, b = pair.split(":")
+    assert result.stderr.startswith(f"error: ab pair (a={a}, b={b}) is admitted by no r")
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_solve_dot_output(tmp_path):
     graph_file = tmp_path / "p.g"
     graph_file.write_text(PETERSEN)

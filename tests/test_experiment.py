@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+from pathlib import Path
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab import experiment
 from paritylab.errors import CounterexampleError, GraphSyntaxError, HypothesisViolation
@@ -9,6 +16,20 @@ from paritylab.experiment import (
     parse_config,
     run_verification_experiment,
 )
+from paritylab.generators import random_regular
+from paritylab.solver import verify_factor
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_soundness_sweep.py"
+_spec = importlib.util.spec_from_file_location("run_soundness_sweep", _SCRIPT)
+soundness_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(soundness_sweep)
+
+# run_soundness_sweep.py --trials 2 --csv: 662 rows, computed on CPython 3.11
+# before factors were reused; reuse changes no byte of it
+SWEEP_CSV_SHA256 = "8a47db99f3252906e3a1294a5e73f5830489767493d50759a9507dd12e06d581"
+# gadget solves on that config when every satisfied (a, b) is solved afresh
+SWEEP_FRESH_SOLVES = 340
+SWEEP_SPECS = soundness_sweep.sweep_config(0, 1).specs
 
 
 def test_parse_config():
@@ -83,3 +104,113 @@ def test_extremal_tuple_outside_the_sharpness_domain_is_rejected(monkeypatch, r,
     cfg = ExperimentConfig(seed=1, trials=1, extremal=((r, m, a, b),))
     with pytest.raises(HypothesisViolation, match=rf"\(r={r}, m={m}, a={a}, b={b}\)"):
         run_verification_experiment(cfg)
+
+
+@pytest.mark.parametrize("pair", [(3, 1), (1, 2), (0, 0)])
+def test_ab_pair_that_no_r_admits_is_rejected(monkeypatch, pair):
+    # a < 1, a > b or a != b (mod 2): rejected before any graph is built
+    monkeypatch.setattr(experiment, "random_regular", None)
+    a, b = pair
+    cfg = ExperimentConfig(seed=1, trials=1, specs=((1, 1), pair))
+    with pytest.raises(HypothesisViolation, match=rf"^ab pair \(a={a}, b={b}\) is admitted by no r"):
+        run_verification_experiment(cfg)
+
+
+def test_ab_pair_above_r_is_skipped_for_that_r_only():
+    # (5, 5) needs r > 5: skipped at r = 3, solved at r = 6
+    cfg = ExperimentConfig(seed=2, n_values=(10,), r_values=(3, 6), trials=1, specs=((5, 5),))
+    rows = run_verification_experiment(cfg).rows
+    assert [row.r for row in rows] and {row.r for row in rows} == {6}
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The specs handed to ``experiment.find_parity_factor``, in call order."""
+    calls = []
+    solve = experiment.find_parity_factor
+
+    def spy(g, spec):
+        calls.append(spec)
+        return solve(g, spec)
+
+    monkeypatch.setattr(experiment, "find_parity_factor", spy)
+    return calls
+
+
+def _reject_every_cached_factor():
+    return mock.patch.object(experiment, "verify_factor", lambda g, spec, f: (False, "planted"))
+
+
+def _sweep_csv_digest() -> str:
+    report = run_verification_experiment(soundness_sweep.sweep_config(0, 2))
+    assert len(report.rows) == 662
+    return hashlib.sha256(report.to_csv().encode()).hexdigest()
+
+
+def test_soundness_sweep_csv_is_pinned(solver_calls):
+    assert _sweep_csv_digest() == SWEEP_CSV_SHA256
+    # an earlier factor of the same graph, or its complement, answers the rest
+    assert len(solver_calls) <= SWEEP_FRESH_SOLVES // 2
+
+
+def test_rejected_cached_factors_fall_back_to_the_solver(solver_calls):
+    with _reject_every_cached_factor():
+        assert _sweep_csv_digest() == SWEEP_CSV_SHA256
+    assert len(solver_calls) == SWEEP_FRESH_SOLVES
+
+
+def test_a_factor_and_its_complement_serve_the_eight_sweep_specs(solver_calls):
+    # on this 6-regular graph (2,4) has no satisfied case; the (1,1) factor
+    # serves (1,3) and its complement (5,5), the (2,2) factor's complement
+    # serves (4,4), and the (3,3) factor serves (3,5)
+    cfg = ExperimentConfig(seed=7, n_values=(20,), r_values=(6,), trials=1, specs=SWEEP_SPECS)
+    rows = run_verification_experiment(cfg).rows
+    assert {(row.a, row.b) for row in rows if row.outcome == "found"} == set(SWEEP_SPECS) - {(2, 4)}
+    assert [(spec.g[0], spec.f[0]) for spec in solver_calls] == [(1, 1), (2, 2), (3, 3)]
+
+
+def test_every_found_row_rests_on_a_verified_factor(monkeypatch):
+    # (graph edges, a, b) of every factor the solver returned (it verifies
+    # its own) or the harness's verify_factor accepted
+    verified = set()
+    solve, verify = experiment.find_parity_factor, experiment.verify_factor
+
+    def solve_spy(g, spec):
+        factor = solve(g, spec)
+        if factor is not None and verify_factor(g, spec, factor)[0]:
+            verified.add((g.edges, spec.g[0], spec.f[0]))
+        return factor
+
+    def verify_spy(g, spec, factor):
+        ok, reason = verify(g, spec, factor)
+        if ok:
+            verified.add((g.edges, spec.g[0], spec.f[0]))
+        return ok, reason
+
+    monkeypatch.setattr(experiment, "find_parity_factor", solve_spy)
+    monkeypatch.setattr(experiment, "verify_factor", verify_spy)
+    rows = run_verification_experiment(soundness_sweep.sweep_config(0, 2)).rows
+    found = {(row.seed, row.n, row.r, row.a, row.b) for row in rows if row.outcome == "found"}
+    assert len(found) > 100
+    for seed, n, r, a, b in found:
+        assert (random_regular(n, r, seed).edges, a, b) in verified
+
+
+@st.composite
+def small_configs(draw):
+    specs = [(a, b) for a in range(1, 6) for b in range(a, 8, 2)]
+    return ExperimentConfig(
+        seed=draw(st.integers(0, 2 ** 32)),
+        n_values=tuple(draw(st.lists(st.integers(6, 14), min_size=1, max_size=2, unique=True))),
+        r_values=tuple(draw(st.lists(st.integers(3, 7), min_size=1, max_size=2, unique=True))),
+        trials=draw(st.integers(1, 2)),
+        specs=tuple(draw(st.lists(st.sampled_from(specs), min_size=1, max_size=6, unique=True))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_reuse_changes_no_row(cfg):
+    rows = run_verification_experiment(cfg).rows
+    with _reject_every_cached_factor():
+        assert run_verification_experiment(cfg).rows == rows
