@@ -125,8 +125,13 @@ def edges_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
     s.check_bounds(g.n)
     t.check_bounds(g.n)
     require_disjoint(s, t)
-    t_set = t._as_set
-    return sum(1 for u in s for w in g.adjacency[u] if w in t_set)
+    return _edges_into(g, s, t)
+
+
+def _edges_into(g: Graph, vs: VertexSet, into: VertexSet) -> int:
+    """e(vs, into) unchecked: callers check both sets once, on entry."""
+    into_set = into._as_set
+    return sum(1 for u in vs for w in g.adjacency[u] if w in into_set)
 
 
 def components_after_removal(g: Graph, removed: VertexSet) -> list[VertexSet]:

@@ -25,6 +25,7 @@ from .errors import (
 from .graph import (
     Graph,
     VertexSet,
+    _edges_into,
     components_after_removal,
     require_disjoint,
     text_lines,
@@ -95,25 +96,27 @@ def _check_spec(g: Graph, spec: ParitySpec) -> None:
         raise InvalidParitySpec(f"spec covers {spec.n} vertices, graph has {g.n}")
 
 
-def _edges_into(g: Graph, vs: VertexSet, into: VertexSet) -> int:
-    """e(vs, into) unchecked: callers check S and T once, on entry."""
-    into_set = into._as_set
-    return sum(1 for u in vs for w in g.adjacency[u] if w in into_set)
+def _component_scan(
+    g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet
+) -> list[tuple[VertexSet, int, bool]]:
+    """Each component C of G-(S+T), by ascending least vertex, with e(C,T) and
+    whether e(C,T) + f(C) is odd. The spec, S and T are checked here, once."""
+    _check_spec(g, spec)
+    s.check_bounds(g.n)
+    t.check_bounds(g.n)
+    require_disjoint(s, t)
+    scan = []
+    for cvs in components_after_removal(g, VertexSet.of(list(s) + list(t))):
+        e_t = _edges_into(g, cvs, t)
+        scan.append((cvs, e_t, (e_t + spec.f_sum(cvs)) % 2 == 1))
+    return scan
 
 
 def f_odd_components(
     g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet
 ) -> tuple[int, list[VertexSet]]:
     """Components C of G-(S+T) with e_G(C,T) + f(C) odd, and their count."""
-    _check_spec(g, spec)
-    s.check_bounds(g.n)
-    t.check_bounds(g.n)
-    require_disjoint(s, t)
-    removed = VertexSet.of(list(s) + list(t))
-    odd = []
-    for cvs in components_after_removal(g, removed):
-        if (_edges_into(g, cvs, t) + spec.f_sum(cvs)) % 2 == 1:
-            odd.append(cvs)
+    odd = [cvs for cvs, _, is_odd in _component_scan(g, spec, s, t) if is_odd]
     return len(odd), odd
 
 

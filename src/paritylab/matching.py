@@ -59,9 +59,8 @@ disjoint and no later augmentation touches one, by construction. Every
 vertex exposed at the end rooted a search that failed, since a matched
 vertex never becomes exposed again, so the concatenation of the failed
 searches' queues is D under the final matching. ``max_matching`` returns it
-sorted as ``Matching.D``; the solver calls ``_mates``, which returns the mate
-array and D without building ``Matching.pairs``, and reads the Tutte barrier
-N(D) - D from D.
+sorted as ``Matching.D``. The solver reads ``Matching.mate`` and ``D`` (the
+Tutte barrier is N(D) - D); ``Matching.pairs`` is built only on access.
 
 Cost per call: O(n + m) to allocate and seed, then, for each exposed root, the
 edges its search scans plus the sizes of its blossoms; O(n^3) at worst. A
@@ -71,6 +70,7 @@ root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 __all__ = ["Matching", "max_matching", "has_perfect_matching"]
@@ -89,31 +89,21 @@ class Adjacency(Protocol):
 
 @dataclass(frozen=True)
 class Matching:
-    pairs: tuple[tuple[int, int], ...]
+    # mate[v] = v's partner, or -1 if v is exposed
+    mate: tuple[int, ...]
     # the Gallai-Edmonds set: vertices left exposed by some maximum matching
     D: tuple[int, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.pairs)
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The matched edges (v, w), v < w, in ascending order."""
+        return tuple((v, w) for v, w in enumerate(self.mate) if v < w)
 
-    def partner_array(self, n: int) -> list[int]:
-        """match[v] = partner of v, or -1 if exposed."""
-        match = [-1] * n
-        for u, v in self.pairs:
-            match[u] = v
-            match[v] = u
-        return match
+    def __len__(self) -> int:
+        return (len(self.mate) - self.mate.count(-1)) // 2
 
 
 def max_matching(g: Adjacency) -> Matching:
-    match, d = _mates(g)
-    pairs = tuple((v, match[v]) for v in range(g.n) if 0 <= v < match[v])
-    return Matching(pairs, d)
-
-
-def _mates(g: Adjacency) -> tuple[list[int], tuple[int, ...]]:
-    """The matcher itself: match[v] = v's mate or -1 if v is exposed, and D
-    sorted. The solver reads these directly, without ``Matching.pairs``."""
     n = g.n
     adj = g.adjacency
     match = [-1] * n
@@ -133,11 +123,11 @@ def _mates(g: Adjacency) -> tuple[list[int], tuple[int, ...]]:
             even = _try_augment(adj, match, parent, base, in_queue, v)
             if even is not None:
                 d.extend(even)
-    return match, tuple(sorted(d))
+    return Matching(tuple(match), tuple(sorted(d)))
 
 
 def has_perfect_matching(g: Adjacency) -> bool:
-    return 2 * len(max_matching(g)) == g.n
+    return -1 not in max_matching(g).mate
 
 
 def _try_augment(adj, match, parent, base, in_queue, root) -> list[int] | None:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .graph import Graph, VertexSet, int_pair, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec, _check_spec, deficiency
-from .matching import _mates
+from .matching import max_matching
 
 DEFAULT_EDGE_CAP = 22
 
@@ -146,9 +146,10 @@ def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
         # T = the vertices with g(v) > d(v): delta <= sum_T (d - g) < 0
         return deficiency(g, spec, VertexSet.empty(), VertexSet.of(short))
     gm = build_parity_gadget(g, spec)
-    match, d = _mates(gm)
+    m = max_matching(gm)
+    match = m.mate
     if -1 in match:
-        d = set(d)
+        d = set(m.D)
         barrier = {y for x in d for y in gm.adjacency[x]} - d
         s, t = [], []
         for v in range(g.n):

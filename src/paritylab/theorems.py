@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolation, NotRegular
-from .graph import Graph, VertexSet, components_after_removal, require_disjoint
-from .lovasz import ParitySpec, _edges_into, f_odd_components
+from .graph import Graph, VertexSet, _edges_into
+from .lovasz import ParitySpec, _component_scan
 
 MAIN_CASES = ("Main-i", "Main-ii", "Main-iii")
 GALLAI_CASES = ("Gallai-i", "Gallai-ii", "Gallai-iii")
@@ -109,7 +109,7 @@ class ComponentReport:
     is_a_odd: bool
     value: Fraction           # theta2 * e(S,C) + (1 - theta1) * e(T,C)
     crossing_bound_holds: bool  # value >= 1, meaningful for a-odd components
-    parity_identity_holds: bool  # a-odd iff f_odd_components lists C
+    parity_identity_holds: bool  # a-odd iff e(C,T) + f(C) is odd
     regularity_identity_holds: bool  # r|C| = e(S+T, C) (mod 2)
 
 
@@ -127,15 +127,10 @@ def component_inequality_check(
     if r == 0:
         raise NotRegular("edgeless graph: the crossing ratios are undefined")
     a, b = spec.g[0], spec.f[0]
-    require_disjoint(s, t)
     theta1, theta2 = Fraction(a, r), Fraction(b, r)
-    st = VertexSet.of(list(s) + list(t))
-    _, odd = f_odd_components(g, spec, s, t)
-    lovasz_odd = set(odd)
     reports = []
-    for cvs in components_after_removal(g, st):
+    for cvs, e_t, f_odd in _component_scan(g, spec, s, t):
         e_s = _edges_into(g, cvs, s)
-        e_t = _edges_into(g, cvs, t)
         a_odd = (a * len(cvs) + e_t) % 2 == 1
         value = theta2 * e_s + (1 - theta1) * e_t
         reports.append(
@@ -146,7 +141,7 @@ def component_inequality_check(
                 is_a_odd=a_odd,
                 value=value,
                 crossing_bound_holds=value >= 1,
-                parity_identity_holds=a_odd == (cvs in lovasz_odd),
+                parity_identity_holds=a_odd == f_odd,
                 regularity_identity_holds=(r * len(cvs) - (e_s + e_t)) % 2 == 0,
             )
         )

@@ -27,8 +27,7 @@ def max_matching(g: Graph) -> Matching:
     for v in range(n):
         if match[v] < 0:
             _try_augment(n, adj, match, v)
-    pairs = tuple((v, match[v]) for v in range(n) if 0 <= v < match[v])
-    return Matching(pairs)
+    return Matching(tuple(match))
 
 
 def _try_augment(n, adj, match, root) -> bool:

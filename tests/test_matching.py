@@ -72,6 +72,8 @@ def test_valid_and_maximum(g):
         assert u not in used and v not in used
         used.update((u, v))
     assert len(m) == brute_max_matching_size(g)
+    assert all(w < 0 or m.mate[w] == v for v, w in enumerate(m.mate))
+    assert m.pairs == tuple((v, w) for v, w in enumerate(m.mate) if v < w)
 
 
 @given(graphs(max_n=9))
@@ -80,7 +82,7 @@ def test_no_short_augmenting_path_remains(g):
     # necessary conditions for maximality that a plain search can certify:
     # no two exposed vertices are adjacent, and no exposed-matched-matched-
     # exposed alternating path of length three exists
-    match = max_matching(g).partner_array(g.n)
+    match = max_matching(g).mate
     exposed = {v for v in range(g.n) if match[v] < 0}
     for v in exposed:
         for w in g.adjacency[v]:

@@ -217,6 +217,32 @@ def test_solve_never_builds_the_gadget_edge_tuple(feasible, monkeypatch):
     assert built[0].h.adjacency is built[0].adjacency  # h is still there on demand
 
 
+# The solver matches through the public ``max_matching``, one call per gadget,
+# and reads ``Matching.mate`` and ``D``: ``pairs`` is never built.
+
+
+def test_solver_reads_the_public_matcher(monkeypatch):
+    calls = []
+
+    def spy(gm):
+        calls.append(max_matching(gm))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "max_matching", spy, raising=True)
+    for g, feasible in [
+        (petersen(), True),
+        (extremal_construction(ExtremalParams(4, 2))[0], False),
+    ]:
+        calls.clear()
+        result = factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
+        assert isinstance(result, Factor) == feasible
+        assert len(calls) == 1 and "pairs" not in calls[0].__dict__
+        assert (-1 in calls[0].mate) == bool(calls[0].D) == (not feasible)
+    calls.clear()
+    factor_or_witness(cycle(4), ParitySpec.constant(3, 3, 4))  # g > d: no gadget
+    assert calls == []
+
+
 def test_factor_serialization_round_trip():
     spec = ParitySpec.constant(1, 1, 10)
     f = find_parity_factor(petersen(), spec)

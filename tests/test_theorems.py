@@ -23,7 +23,7 @@ from paritylab import (
     petersen,
     random_regular,
 )
-from paritylab import theorems
+from paritylab import lovasz, theorems
 from paritylab.errors import HypothesisViolation, NotRegular
 
 from conftest import assert_rejects, disjoint_sets, graphs
@@ -115,7 +115,12 @@ def test_component_check_extremal_blocks():
 def test_parity_identity_cross_checks_f_odd_components(monkeypatch):
     g, hubs = extremal_construction(ExtremalParams(6, 2))
     spec = ParitySpec.constant(1, 1, g.n)
-    monkeypatch.setattr(theorems, "f_odd_components", lambda g, spec, s, t: (0, []))
+    # the scan that f_odd_components reads, with every f-odd flag cleared
+    scan = theorems._component_scan
+    monkeypatch.setattr(
+        theorems, "_component_scan",
+        lambda *args: [(cvs, e_t, False) for cvs, e_t, _ in scan(*args)],
+    )
     reports = component_inequality_check(g, spec, hubs, VertexSet.empty())
     assert reports and all(rep.is_a_odd for rep in reports)
     assert not any(rep.parity_identity_holds for rep in reports)
@@ -155,14 +160,22 @@ def test_regularity_identity_holds_on_regular_graphs(g):
 
 # ---- S and T are checked once, on entry; e(C,S) and e(C,T) are counted directly
 
-def test_component_check_checks_bounds_at_most_four_times(bound_checks):
-    # f_odd_components checks S, T and S + T, the check's own component
-    # search S + T once more: never once per component (here 6)
+def test_component_check_checks_bounds_at_most_three_times(bound_checks, monkeypatch):
+    # the one component scan checks S, T and S + T: never once per component
+    # (here 6), and G - (S + T) is split into components once
     g, hubs = extremal_construction(ExtremalParams(6, 2))
     spec = ParitySpec.constant(1, 1, g.n)
+    scans = []
+
+    def spy(g, removed):
+        scans.append(removed)
+        return components_after_removal(g, removed)
+
+    monkeypatch.setattr(lovasz, "components_after_removal", spy)
     bound_checks.clear()
     assert len(component_inequality_check(g, spec, hubs, VertexSet.empty())) == 6
-    assert len(bound_checks) <= 4
+    assert len(bound_checks) <= 3
+    assert scans == [hubs]
 
 
 @st.composite
