@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -136,6 +137,20 @@ def test_connectivity_subcommand():
     result = run_cli(["connectivity", "-"], stdin_text=PETERSEN)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "lambda: 3"
+
+
+# digests of the sink sweep's output, which swept every sink from vertex 0:
+# the growing-source flows and the capped cut-side sweep print the same bytes
+@pytest.mark.parametrize("generate,digest", [
+    (["gen-random", "--n", "2000", "--r", "4", "--seed", "1"],
+     "e392ff16351f8a08d589d98e75f68afc90185c38bdeec6c8fb1f9f745767d48d"),
+    (["construct", "--r", "12", "--m", "4"],
+     "a8faaf9600361b3deb41a26cd27429886858189de97b04a0a32caf906db16062"),
+])
+def test_connectivity_output_is_pinned(generate, digest):
+    result = run_cli(["connectivity", "-"], stdin_text=run_cli(generate).stdout)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_closed_stdout_pipe_exits_quietly():

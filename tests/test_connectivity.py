@@ -4,9 +4,11 @@ import random
 import subprocess
 import sys
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paritylab import (
     ExtremalParams,
@@ -22,7 +24,8 @@ from paritylab import (
     petersen,
     random_regular,
 )
-from paritylab.connectivity import _max_flow
+from paritylab import connectivity
+from paritylab.connectivity import _max_flow, _set_flow
 from paritylab.errors import SelfCheckFailed, TooSmall
 
 import reference_connectivity
@@ -138,24 +141,28 @@ def test_matches_reference_on_extremal(r):
         _same_as_reference(extremal_construction(ExtremalParams(r, m))[0])
 
 
+# the flow to sink 1 pushes a unit against one already on an edge at vertex 2;
+# were that edge left blocked, not freed, the last search would miss vertex 2
+# and return a side with 3 boundary edges
+MUST_CANCEL = build_graph(8, [
+    (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (2, 5),
+    (2, 6), (3, 5), (4, 5), (4, 6), (4, 7),
+])
+
+
 def test_flow_that_must_cancel_a_unit():
-    # the flow to sink 1 pushes a unit against one already on an edge at
-    # vertex 2; were that edge left blocked, not freed, the last search would
-    # miss vertex 2 and return a side with 3 boundary edges
-    g = build_graph(8, [
-        (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (2, 5),
-        (2, 6), (3, 5), (4, 5), (4, 6), (4, 7),
-    ])
+    g = MUST_CANCEL
     lam, cert = edge_connectivity(g)
     assert (lam, cert.cut_side.members) == (2, (0, 2, 4, 5, 6, 7))
     _same_as_reference(g)
 
 
-def pendant_block(N, r, k, seed):
+def pendant_block(N, r, k, seed, block_last=False):
     """A random r-regular graph on N vertices less k/2 disjoint edges, joined
     by k < r edges to K_{r+1} less a matching of size k/2, ids shuffled with
-    0 and 1 in the large part. lambda = k, below the minimum degree r, yet
-    lambda(0, 1) = r: only a sink in the block shows the small cut."""
+    0 and 1 in the large part, and the block on ids N..N+r if ``block_last``.
+    lambda = k, below the minimum degree r, yet lambda(0, 1) = r: only a sink
+    in the block shows the small cut."""
     rng = random.Random(seed)
     big = random_regular(N, r, seed)
     removed, touched = [], set()
@@ -166,6 +173,8 @@ def pendant_block(N, r, k, seed):
     short = [v for e in removed for v in e]  # degree r - 1 in the large part
     rest = list(range(2, N + r + 1))
     rng.shuffle(rest)
+    if block_last:
+        rest.sort()
     big_ids = [0, 1] + rest[:N - 2]
     rng.shuffle(big_ids)
     block_ids = rest[N - 2:]
@@ -181,7 +190,78 @@ def test_matches_reference_on_pendant_block(r):
     for N, k, seed in product((20, 30), range(2, r - 1, 2), range(4)):
         g = pendant_block(N, r, k, seed)
         assert g.degrees == [r] * g.n
-        # sink 1 reaches the minimum degree, so the dominating-set check runs
+        # the flow to sink 1 reaches the minimum degree: it cannot show the cut
         assert _max_flow(g.adjacency, 0, 1, g.n)[0] == r
         assert edge_connectivity(g)[0] == k
         _same_as_reference(g)
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_short_cut_found_at_a_late_dominator(r):
+    # with the block on the highest ids, every dominator in the large part
+    # comes first, and the block holds one or two (a vertex and its missing
+    # partner): only the last flows can fall below r
+    for N, k, seed in product((20, 30), range(2, r - 1, 2), range(4)):
+        g = pendant_block(N, r, k, seed, block_last=True)
+        dominators = connectivity._dominating_set(g.adjacency)
+        first_across = next(j for j, d in enumerate(dominators) if d >= N)
+        assert first_across >= max(2, len(dominators) - 2)
+        assert edge_connectivity(g)[0] == k
+        _same_as_reference(g)
+
+
+@st.composite
+def set_flow_cases(draw):
+    """A graph, a nonempty source set, a sink outside it and a cap."""
+    g = draw(graphs(min_n=2, max_n=10))
+    t = draw(st.integers(0, g.n - 1))
+    source = draw(st.sets(st.sampled_from([v for v in range(g.n) if v != t]), min_size=1))
+    return g, source, t, draw(st.integers(0, g.n))
+
+
+def _contracted_flow(g, source, t):
+    """The reference max-flow from ``source`` merged into one vertex to t;
+    edges inside the source drop out, parallel edges into it stay."""
+    s = min(source)
+    merged = [s if v in source else v for v in range(g.n)]
+    edges = [(merged[u], merged[v]) for u, v in g.edges if merged[u] != merged[v]]
+    return reference_connectivity._FlowNet(SimpleNamespace(n=g.n, edges=edges)).maxflow(s, t)
+
+
+@given(set_flow_cases())
+@example((MUST_CANCEL, {1}, 0, 8))
+@settings(max_examples=300)
+def test_set_flow_matches_contracted_reference(case):
+    g, source, t, cap = case
+    expected = _contracted_flow(g, source, t)
+    flow, reached = _set_flow(g.adjacency, set(source), t, g.n)
+    assert flow == expected
+    # the failed search reaches t's side of a minimum cut
+    assert t in reached and not source & set(reached)
+    assert edges_between(g, reached, VertexSet.of(set(range(g.n)) - set(reached))) == expected
+    flow, reached = _set_flow(g.adjacency, set(source), t, cap)
+    assert flow == min(expected, cap)
+    assert (reached is None) == (expected >= cap)
+
+
+def _sinks_swept(monkeypatch, g):
+    sinks = []
+    max_flow = connectivity._max_flow
+
+    def spy(adj, s, t, cap_at):
+        sinks.append(t)
+        return max_flow(adj, s, t, cap_at)
+
+    monkeypatch.setattr(connectivity, "_max_flow", spy)
+    edge_connectivity(g)
+    return sinks
+
+
+def test_random_regular_cut_side_takes_one_flow(monkeypatch):
+    assert _sinks_swept(monkeypatch, random_regular(2000, 4, 1)) == [1]
+
+
+@pytest.mark.parametrize("r,m", [(8, 2), (12, 4), (16, 2)])
+def test_extremal_cut_side_sweep_stops_at_sink_r_plus_1(monkeypatch, r, m):
+    g, _ = extremal_construction(ExtremalParams(r, m))
+    assert _sinks_swept(monkeypatch, g) == list(range(1, r + 2))
