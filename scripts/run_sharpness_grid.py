@@ -1,25 +1,17 @@
 #!/usr/bin/env python3
 """Reproduce the sharpness grid: for each even r, even m <= r-2, and odd
-a <= b with b*m < r, build the extremal instance and print the solver's
-certificate. Exits 1 if any row is not an infeasible instance with
-lambda = m whose witness is the paper's: S = hubs, T empty, delta = b*m - r,
-tau = r."""
+a <= b with b*m < r, certify the extremal instance through the verification
+harness and print its table. Exits 1 at the first instance that is not
+infeasible with lambda = m and the paper's witness: S = hubs, T empty,
+delta = b*m - r, tau = r."""
 from __future__ import annotations
 
 import argparse
 import sys
 import time
 
-from paritylab import (
-    DeficiencyWitness,
-    ExtremalParams,
-    Factor,
-    ParitySpec,
-    edge_connectivity,
-    extremal_construction,
-    factor_or_witness,
-)
-from paritylab.experiment import is_paper_certificate
+from paritylab import ExperimentConfig, run_verification_experiment
+from paritylab.errors import CounterexampleError
 
 
 def main() -> None:
@@ -27,30 +19,23 @@ def main() -> None:
     parser.add_argument("--r", type=int, nargs="+", default=[4, 6, 8])
     args = parser.parse_args()
 
-    print(f"{'r':>3} {'m':>3} {'a':>3} {'b':>3} {'n':>5} {'lambda':>6} "
-          f"{'delta':>6} {'tau':>4} {'solver':>10} {'witness':>8}")
+    grid = tuple(
+        (r, m, a, b)
+        for r in args.r if r % 2 == 0
+        for m in range(2, r - 1, 2)
+        for b in range(1, r, 2) if b * m < r
+        for a in range(1, b + 1, 2)
+    )
     t0 = time.time()
-    failed = 0
-    for r in args.r:
-        for m in range(2, r - 1, 2):
-            g, hubs = extremal_construction(ExtremalParams(r, m))
-            lam, _ = edge_connectivity(g)
-            for b in range(1, r, 2):
-                if b * m >= r:
-                    continue
-                for a in range(1, b + 1, 2):
-                    result = factor_or_witness(g, ParitySpec.constant(a, b, g.n))
-                    ok = lam == m and is_paper_certificate(result, hubs, r, m, b)
-                    failed += not ok
-                    w = result if isinstance(result, DeficiencyWitness) else None
-                    print(f"{r:>3} {m:>3} {a:>3} {b:>3} {g.n:>5} {lam:>6} "
-                          f"{w.delta if w else '-':>6} {w.tau if w else '-':>4} "
-                          f"{'FOUND?!' if isinstance(result, Factor) else 'infeasible':>10} "
-                          f"{'ok' if ok else 'BAD':>8}")
-    print(f"done in {time.time() - t0:.2f}s")
-    if failed:
-        print(f"{failed} rows not infeasible/ok")
+    try:
+        report = run_verification_experiment(
+            ExperimentConfig(n_values=(), r_values=(), trials=0, extremal=grid)
+        )
+    except CounterexampleError as exc:
+        print(exc, file=sys.stderr)
         sys.exit(1)
+    print(report.to_table(), end="")
+    print(f"done in {time.time() - t0:.2f}s")
 
 
 if __name__ == "__main__":

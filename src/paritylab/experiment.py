@@ -6,11 +6,15 @@ extremal instance is certified infeasible).
 Any counterexample aborts the run with the instance serialized for replay;
 the theorems are proven, so a failure is an implementation bug to preserve.
 
+``_check_graph`` checks one sampled regular graph at its measured lambda;
+``run_verification_experiment`` validates the config, samples the graphs and
+certifies the extremal tuples (lambda = m and the paper's certificate).
+
 Each sampled graph is solved once per factor, not once per (a, b). A factor
 whose degrees lie in [a', b'], all of the parity of b', serves every (a, b)
 with a <= a', b' <= b and b = b' (mod 2); on an r-regular graph the
 complement E(G) - F of an (a, b)-parity factor is an (r - b, r - a)-parity
-factor. So the harness keeps, per graph, every factor ``find_parity_factor``
+factor. So ``_check_graph`` keeps, per graph, every factor ``find_parity_factor``
 returns with its (min, max) degree, and before it solves a satisfied (a, b)
 takes the first kept factor, or complement, whose range fits and that
 ``verify_factor`` accepts; only on a miss does it solve. A complement's range
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 from .connectivity import edge_connectivity
 from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation
 from .generators import ExtremalParams, extremal_construction, random_regular
-from .graph import VertexSet, emit_graph, text_lines
+from .graph import Graph, VertexSet, emit_graph, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec
 from .solver import Factor, factor_or_witness, find_parity_factor, verify_factor
 from .theorems import check_main_conditions
@@ -122,6 +126,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
+    for name, values, least in (("n", config.n_values, 2), ("r", config.r_values, 0),
+                                ("trials", (config.trials,), 0)):
+        for value in values:
+            if value < least:
+                raise HypothesisViolation(f"{name}={value} can yield no row: need {name} >= {least}")
     for a, b in config.specs:
         # no r admits these; a pair with b >= r is skipped for that r only
         if not (1 <= a <= b and (b - a) % 2 == 0):
@@ -142,37 +151,8 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
         for n in config.n_values:
             for _ in range(config.trials):
                 instance_seed = rng.randrange(2 ** 63)
-                if (n * r) % 2 != 0 or r >= n:
-                    continue
-                g = random_regular(n, r, instance_seed)
-                lam, _ = edge_connectivity(g)
-                solved: list[tuple[int, int, Factor]] = []  # (min degree, max degree, factor)
-                for a, b in config.specs:
-                    if b >= r:
-                        continue
-                    report = check_main_conditions(r, lam, a, b, n % 2 == 0)
-                    if not report.satisfied_cases:
-                        rows.append(Row(instance_seed, n, r, lam, a, b, "-", "no-case"))
-                        continue
-                    spec = ParitySpec.constant(a, b, n)
-                    if not any(
-                        _fits(a, b, lo, hi) and verify_factor(g, spec, f)[0]
-                        or _fits(a, b, r - hi, r - lo)
-                        and verify_factor(g, spec, Factor(n, tuple(set(g.edges) - set(f.edges))))[0]
-                        for lo, hi, f in solved
-                    ):
-                        factor = find_parity_factor(g, spec)
-                        if factor is None:
-                            raise CounterexampleError(
-                                f"satisfied cases {sorted(report.satisfied_cases)} at "
-                                f"lambda={lam} but no verified ({a},{b})-parity factor "
-                                f"(seed {instance_seed})",
-                                emit_graph(g),
-                            )
-                        deg = factor.degrees
-                        solved.append((min(deg), max(deg), factor))
-                    for case in sorted(report.satisfied_cases):
-                        rows.append(Row(instance_seed, n, r, lam, a, b, case, "found"))
+                if (n * r) % 2 == 0 and r < n:
+                    rows += _check_graph(random_regular(n, r, instance_seed), instance_seed, config.specs)
     for r, m, a, b in config.extremal:
         g, hubs = extremal_construction(ExtremalParams(r, m))
         lam, _ = edge_connectivity(g)
@@ -187,6 +167,42 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
             Row(config.seed, g.n, r, lam, a, b, "extremal", "infeasible-verified", result.delta)
         )
     return ExperimentReport(tuple(rows))
+
+
+def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> list[Row]:
+    """The rows of one r-regular graph drawn from ``seed``: per (a, b) with
+    b < r, "no-case" at its lambda or one "found" row per satisfied case."""
+    n, r = g.n, g.degree(0)
+    lam, _ = edge_connectivity(g)
+    rows: list[Row] = []
+    solved: list[tuple[int, int, Factor]] = []  # (min degree, max degree, factor)
+    for a, b in specs:
+        if b >= r:
+            continue
+        report = check_main_conditions(r, lam, a, b, n % 2 == 0)
+        if not report.satisfied_cases:
+            rows.append(Row(seed, n, r, lam, a, b, "-", "no-case"))
+            continue
+        spec = ParitySpec.constant(a, b, n)
+        if not any(
+            _fits(a, b, lo, hi) and verify_factor(g, spec, f)[0]
+            or _fits(a, b, r - hi, r - lo)
+            and verify_factor(g, spec, Factor(n, tuple(set(g.edges) - set(f.edges))))[0]
+            for lo, hi, f in solved
+        ):
+            factor = find_parity_factor(g, spec)
+            if factor is None:
+                raise CounterexampleError(
+                    f"satisfied cases {sorted(report.satisfied_cases)} at "
+                    f"lambda={lam} but no verified ({a},{b})-parity factor "
+                    f"(seed {seed})",
+                    emit_graph(g),
+                )
+            deg = factor.degrees
+            solved.append((min(deg), max(deg), factor))
+        for case in sorted(report.satisfied_cases):
+            rows.append(Row(seed, n, r, lam, a, b, case, "found"))
+    return rows
 
 
 def _fits(a: int, b: int, lo: int, hi: int) -> bool:

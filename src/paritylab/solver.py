@@ -56,7 +56,6 @@ class GadgetMap:
     edge_nodes: tuple[tuple[int, int], ...]
     outer: tuple[tuple[int, ...], ...]
     core: tuple[tuple[int, ...], ...]
-    slack_pairs: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def n(self) -> int:
@@ -84,7 +83,7 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
     n = g.n
     outer: list[tuple[int, ...]] = []
     core: list[tuple[int, ...]] = []
-    slack: list[tuple[tuple[int, int], ...]] = []
+    slack: list[int] = []  # per vertex, how many slack pairs lead its core
     next_id = 0
     for v in range(n):
         d = g.degree(v)
@@ -95,12 +94,11 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
         next_id += d
         core.append(tuple(range(next_id, next_id + d - gv)))
         next_id += d - gv
-        pairs = (normalized_upper(g, spec, v) - gv) // 2
-        slack.append(tuple((core[v][2 * i], core[v][2 * i + 1]) for i in range(pairs)))
+        slack.append((normalized_upper(g, spec, v) - gv) // 2)
     adj: list[tuple[int, ...]] = [()] * next_id
     for v in range(n):
         for i, c in enumerate(core[v]):
-            adj[c] = outer[v] + (core[v][i ^ 1],) if i < 2 * len(slack[v]) else outer[v]
+            adj[c] = outer[v] + (core[v][i ^ 1],) if i < 2 * slack[v] else outer[v]
     # the k-th edge at v, in edge order, takes v's k-th outer node
     used = [0] * n
     edge_nodes = []
@@ -117,7 +115,6 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
         tuple(edge_nodes),
         tuple(outer),
         tuple(core),
-        tuple(slack),
     )
 
 

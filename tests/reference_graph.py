@@ -83,5 +83,4 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
         tuple(edge_nodes),
         tuple(outer),
         tuple(core),
-        tuple(slack),
     )

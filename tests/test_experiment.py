@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,10 +20,17 @@ from paritylab.experiment import (
 from paritylab.generators import random_regular
 from paritylab.solver import verify_factor
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_soundness_sweep.py"
-_spec = importlib.util.spec_from_file_location("run_soundness_sweep", _SCRIPT)
-soundness_sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(soundness_sweep)
+
+def _load_script(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+soundness_sweep = _load_script("run_soundness_sweep")
+sharpness_grid = _load_script("run_sharpness_grid")
 
 # run_soundness_sweep.py --trials 2 --csv: 662 rows, computed on CPython 3.11
 # before factors were reused; reuse changes no byte of it
@@ -113,6 +121,21 @@ def test_ab_pair_that_no_r_admits_is_rejected(monkeypatch, pair):
     a, b = pair
     cfg = ExperimentConfig(seed=1, trials=1, specs=((1, 1), pair))
     with pytest.raises(HypothesisViolation, match=rf"^ab pair \(a={a}, b={b}\) is admitted by no r"):
+        run_verification_experiment(cfg)
+
+
+@pytest.mark.parametrize("field,value,name", [
+    ("n_values", (10, -4), "n=-4"),
+    ("n_values", (1,), "n=1"),
+    ("r_values", (-1,), "r=-1"),
+    ("trials", -2, "trials=-2"),
+])
+def test_config_value_that_can_yield_no_row_is_rejected(monkeypatch, field, value, name):
+    # n < 2, r < 0 or trials < 0: rejected before any graph is built, not
+    # left to an empty table or to an error from the generator or the flow
+    monkeypatch.setattr(experiment, "random_regular", None)
+    cfg = replace(ExperimentConfig(seed=1, n_values=(11,), r_values=(0,), trials=1), **{field: value})
+    with pytest.raises(HypothesisViolation, match=rf"^{name} can yield no row"):
         run_verification_experiment(cfg)
 
 
@@ -214,3 +237,30 @@ def test_reuse_changes_no_row(cfg):
     rows = run_verification_experiment(cfg).rows
     with _reject_every_cached_factor():
         assert run_verification_experiment(cfg).rows == rows
+
+
+def _run_grid(monkeypatch, *r_values) -> None:
+    monkeypatch.setattr("sys.argv", ["run_sharpness_grid.py", "--r", *map(str, r_values)])
+    sharpness_grid.main()
+
+
+def test_sharpness_grid_certifies_every_tuple_through_the_harness(monkeypatch, capsys):
+    # r = 4, 6, 8: 1, 2 and 5 tuples, as in the solver's extremal-family test
+    _run_grid(monkeypatch, 4, 6, 8)
+    rows = capsys.readouterr().out.splitlines()
+    assert sum("infeasible-verified" in row for row in rows) == 8
+    assert rows[-1].startswith("done in ")
+
+
+def test_sharpness_grid_exits_1_on_a_witness_off_by_one(monkeypatch, capsys):
+    solve = experiment.factor_or_witness
+
+    def off_by_one(g, spec):
+        witness = solve(g, spec)
+        return replace(witness, delta=witness.delta + 1)
+
+    monkeypatch.setattr(experiment, "factor_or_witness", off_by_one)
+    with pytest.raises(SystemExit) as exc:
+        _run_grid(monkeypatch, 4)
+    assert exc.value.code == 1
+    assert "extremal instance (r=4, m=2, a=1, b=1) did not certify" in capsys.readouterr().err

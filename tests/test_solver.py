@@ -66,7 +66,7 @@ def test_gadget_counts_k4_vertex():
     gm = build_parity_gadget(complete_graph(4), ParitySpec.constant(1, 3, 4))
     assert len(gm.outer[0]) == 3
     assert len(gm.core[0]) == 2
-    assert len(gm.slack_pairs[0]) == 1
+    assert gm.core[0][1] in gm.adjacency[gm.core[0][0]]  # its one slack pair
 
 
 def test_gadget_rejects_lower_bound_above_degree():

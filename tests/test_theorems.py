@@ -81,6 +81,26 @@ def test_k_factor_specialization_includes_named_cases():
     assert "Petersen" in report.satisfied_cases
 
 
+def test_main_theorem_generalizes_gallai_and_bsw():
+    # with a = b = k the main theorem's three cases are BSW's (i) and (ii)
+    # and Gallai's (i) exactly, and they contain Gallai's (ii) and (iii):
+    # m* >= m only weakens the m-bounds
+    for r in range(2, 40):
+        for m in range(40):
+            for k in range(1, r):
+                bsw = check_bsw_conditions(r, m, k)
+                for n_even in (True, False):
+                    main = check_main_conditions(r, m, k, k, n_even).satisfied_cases
+                    main = main & set(theorems.MAIN_CASES)
+                    gallai = check_gallai_conditions(r, m, k, n_even) if m >= 1 else frozenset()
+                    case = (r, m, k, n_even)
+                    assert ("Gallai-i" in gallai) == ("Main-i" in main), case
+                    assert ("BSW-i" in bsw) == ("Main-ii" in main), case
+                    assert ("BSW-ii" in bsw) == ("Main-iii" in main), case
+                    assert "Gallai-ii" not in gallai or "Main-ii" in main, case
+                    assert "Gallai-iii" not in gallai or "Main-iii" in main, case
+
+
 def test_measured_lambda_zero_leaves_only_petersen():
     report = check_main_conditions(6, 0, 2, 2, n_even=True)
     assert report.satisfied_cases == {"Petersen"}
