@@ -93,14 +93,17 @@ def _dot_graph(g: Graph, bold_edges=(), marked_vertices=()) -> str:
 
 def cmd_solve(args) -> int:
     """A verified factor, else the canonical enumeration witness when
-    n <= --enum-cap, else the gadget's barrier witness. An oracle that finds
-    a factor after the solver found none is a ``SelfCheckFailed``."""
+    n <= --enum-cap, else the gadget's barrier witness. ``--method brute``
+    cross-checks the gadget's answer and prints brute force's factor. An
+    oracle that contradicts the gadget solver is a ``SelfCheckFailed``."""
     g, spec = _load_instance(args)
-    if args.method == "brute":
-        result = brute_force_factor(g, spec, args.edge_cap)
-    else:
-        result = factor_or_witness(g, spec)
+    # brute force checks its edge cap before the spec, so it runs first
+    brute = brute_force_factor(g, spec, args.edge_cap) if args.method == "brute" else None
+    result = factor_or_witness(g, spec)
+    if args.method == "brute" and (brute is None) == isinstance(result, Factor):
+        raise SelfCheckFailed("brute force and the gadget solver disagree on feasibility")
     if isinstance(result, Factor):
+        result = brute or result
         if args.dot:
             sys.stdout.write(_dot_graph(g, bold_edges=result.edges))
         else:
@@ -113,10 +116,6 @@ def cmd_solve(args) -> int:
                 "the solver found no factor, but the enumeration finds the instance feasible"
             )
         result = decision.witness
-    elif args.method == "brute":  # brute force has no gadget to read a barrier from
-        result = factor_or_witness(g, spec)
-        if isinstance(result, Factor):
-            raise SelfCheckFailed("brute force found no factor, but the gadget solver found one")
     sys.stdout.write(serialize_witness(result))
     return EXIT_INFEASIBLE
 

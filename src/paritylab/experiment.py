@@ -41,7 +41,10 @@ from .solver import Factor, factor_or_witness, find_parity_factor, verify_factor
 from .theorems import check_main_conditions
 
 CSV_COLUMNS = ("seed", "n", "r", "lambda", "a", "b", "case", "outcome", "delta")
-_TUPLE_KEYS = {"ab": ("specs", 2), "extremal": ("extremal", 4)}
+# key -> (field, width): an int at width 0, else a comma-separated list of
+# colon-separated tuples of that width, a width-1 list holding plain ints
+_CONFIG_KEYS = {"seed": ("seed", 0), "n": ("n_values", 1), "r": ("r_values", 1),
+                "trials": ("trials", 0), "ab": ("specs", 2), "extremal": ("extremal", 4)}
 
 
 @dataclass(frozen=True)
@@ -103,23 +106,19 @@ def parse_config(text: str) -> ExperimentConfig:
         if not sep:
             raise GraphSyntaxError(f"config line {lineno}: expected key=value")
         key, value = key.strip(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise GraphSyntaxError(f"config line {lineno}: unknown key {key!r}")
+        field_name, width = _CONFIG_KEYS[key]
+        if field_name in kwargs:
+            raise GraphSyntaxError(f"config line {lineno}: repeated key {key!r}")
         try:
-            if key == "seed":
-                kwargs["seed"] = int(value)
-            elif key == "n":
-                kwargs["n_values"] = tuple(int(x) for x in value.split(","))
-            elif key == "r":
-                kwargs["r_values"] = tuple(int(x) for x in value.split(","))
-            elif key == "trials":
-                kwargs["trials"] = int(value)
-            elif key in _TUPLE_KEYS:
-                field_name, width = _TUPLE_KEYS[key]
-                items = tuple(tuple(int(x) for x in item.split(":")) for item in value.split(","))
-                if any(len(item) != width for item in items):
-                    raise ValueError(value)
-                kwargs[field_name] = items
-            else:
-                raise GraphSyntaxError(f"config line {lineno}: unknown key {key!r}")
+            if width == 0:
+                kwargs[field_name] = int(value)
+                continue
+            items = tuple(tuple(int(x) for x in item.split(":")) for item in value.split(","))
+            if any(len(item) != width for item in items):
+                raise ValueError(value)
+            kwargs[field_name] = tuple(item[0] for item in items) if width == 1 else items
         except ValueError:
             raise GraphSyntaxError(f"config line {lineno}: bad value {value!r}")
     return ExperimentConfig(**kwargs)
@@ -139,11 +138,14 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"need 1 <= a <= b with a = b (mod 2)"
             )
     for r, m, a, b in config.extremal:
-        # the construction defeats only these bounds; others may well be feasible
-        if not (a % 2 == b % 2 == 1 and 1 <= a <= b and b * m < r):
+        # the construction exists only for these (r, m) and defeats only
+        # these bounds; others may well be feasible
+        if not (r % 2 == m % 2 == 0 and 2 <= m <= r - 2
+                and a % 2 == b % 2 == 1 and 1 <= a <= b and b * m < r):
             raise HypothesisViolation(
                 f"extremal tuple (r={r}, m={m}, a={a}, b={b}) is outside the "
-                f"sharpness domain: need odd 1 <= a <= b with b*m < r"
+                f"sharpness domain: need even r >= 4, even 2 <= m <= r-2 and "
+                f"odd 1 <= a <= b with b*m < r"
             )
     rng = random.Random(config.seed)
     rows: list[Row] = []
@@ -214,6 +216,4 @@ def is_paper_certificate(result, hubs: VertexSet, r: int, m: int, b: int) -> boo
     """Whether a ``factor_or_witness`` result on the (r, m) extremal instance
     under an odd upper bound b is the paper's certificate: S = hubs, T empty,
     delta = b*m - r and one odd component per block (tau = r)."""
-    return isinstance(result, DeficiencyWitness) and (
-        result.S, result.T, result.delta, result.tau
-    ) == (hubs, VertexSet.empty(), b * m - r, r)
+    return result == DeficiencyWitness(hubs, VertexSet.empty(), b * m - r, r)

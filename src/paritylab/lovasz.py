@@ -82,7 +82,6 @@ class DeficiencyWitness:
     T: VertexSet
     delta: int
     tau: int
-    odd_components: tuple[VertexSet, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def f_odd_components(
 
 def deficiency(g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet) -> DeficiencyWitness:
     """Evaluate delta(S,T) exactly, returning the full witness record."""
-    tau, odd = f_odd_components(g, spec, s, t)
+    tau, _ = f_odd_components(g, spec, s, t)
     delta = (
         spec.f_sum(s)
         + sum(g.degree(x) for x in t)
@@ -130,7 +129,7 @@ def deficiency(g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet) -> Defici
         - _edges_into(g, s, t)
         - tau
     )
-    return DeficiencyWitness(s, t, delta, tau, tuple(odd))
+    return DeficiencyWitness(s, t, delta, tau)
 
 
 def decide_by_enumeration(

@@ -4,11 +4,15 @@ per-component proof-inequality checks on concrete instances.
 All threshold comparisons are decided by cross-multiplied integers, e.g.
 "r/m <= b" as "r <= b*m" and "a <= r(1-1/m)" as "a*m <= r*(m-1)"; the ratio
 fields theta1 = a/r and theta2 = b/r are exact Fractions.
+Gallai's and Bollobas-Saito-Wormald's k-factor conditions are the main
+theorem's at a = b = k: Gallai's three read its inequalities with m for m*,
+and BSW's two are its (ii) and (iii).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import HypothesisViolation, NotRegular
 from .graph import Graph, VertexSet, _edges_into
@@ -55,23 +59,29 @@ def check_main_conditions(r: int, m: int, a: int, b: int, n_even: bool) -> Condi
     if (a - b) % 2 != 0:
         raise HypothesisViolation(f"a={a} and b={b} must agree in parity")
     ms = m_star(m)
-    cases: set[str] = set()
-    if r % 2 == 0 and a % 2 == 1 and n_even and r <= b * m and a * m <= r * (m - 1):
-        cases.add("Main-i")
-    if r % 2 == 1 and a % 2 == 0 and a * ms <= r * (ms - 1):
-        cases.add("Main-ii")
-    if r % 2 == 1 and a % 2 == 1 and r <= b * ms:
-        cases.add("Main-iii")
+    main = _inequalities(r, m, ms, a, b, n_even)
+    cases = _named(MAIN_CASES, main)
     if a == b:
-        if m >= 1:
-            cases.update(check_gallai_conditions(r, m, a, n_even))
-        cases.update(check_bsw_conditions(r, m, a))
+        # at m = 0 every Gallai inequality fails: r <= 0 or 0 <= -r
+        cases |= _named(GALLAI_CASES, _inequalities(r, m, m, a, a, n_even))
+        cases |= _named(BSW_CASES, main[1:])
         # every 2rho-regular graph has a 2kappa-factor, no connectivity needed
         if r % 2 == 0 and a % 2 == 0 and a >= 2:
-            cases.add("Petersen")
-    return ConditionReport(
-        r, m, a, b, n_even, ms, Fraction(a, r), Fraction(b, r), frozenset(cases)
+            cases |= {"Petersen"}
+    return ConditionReport(r, m, a, b, n_even, ms, Fraction(a, r), Fraction(b, r), cases)
+
+
+def _inequalities(r: int, m: int, m_odd: int, a: int, b: int, n_even: bool) -> tuple[bool, ...]:
+    """The main theorem's cases (i) at m, and (ii) and (iii) at an odd m_odd."""
+    return (
+        r % 2 == 0 and a % 2 == 1 and n_even and r <= b * m and a * m <= r * (m - 1),
+        r % 2 == 1 and a % 2 == 0 and a * m_odd <= r * (m_odd - 1),
+        r % 2 == 1 and a % 2 == 1 and r <= b * m_odd,
     )
+
+
+def _named(names: tuple[str, ...], holds) -> frozenset[str]:
+    return frozenset(compress(names, holds))
 
 
 def check_gallai_conditions(r: int, m: int, k: int, n_even: bool) -> frozenset[str]:
@@ -79,26 +89,13 @@ def check_gallai_conditions(r: int, m: int, k: int, n_even: bool) -> frozenset[s
         raise HypothesisViolation(f"need 1 <= k < r, got k={k}, r={r}")
     if m < 1:
         raise HypothesisViolation(f"need m >= 1, got {m}")
-    cases: set[str] = set()
-    if r % 2 == 0 and k % 2 == 1 and n_even and r <= k * m and k * m <= r * (m - 1):
-        cases.add("Gallai-i")
-    if r % 2 == 1 and k % 2 == 0 and k >= 2 and k * m <= r * (m - 1):
-        cases.add("Gallai-ii")
-    if r % 2 == 1 and k % 2 == 1 and r <= k * m:
-        cases.add("Gallai-iii")
-    return frozenset(cases)
+    return _named(GALLAI_CASES, _inequalities(r, m, m, k, k, n_even))
 
 
 def check_bsw_conditions(r: int, m: int, k: int) -> frozenset[str]:
     if not 1 <= k < r:
         raise HypothesisViolation(f"need 1 <= k < r, got k={k}, r={r}")
-    ms = m_star(m)
-    cases: set[str] = set()
-    if r % 2 == 1 and k % 2 == 0 and k >= 2 and k * ms <= r * (ms - 1):
-        cases.add("BSW-i")
-    if r % 2 == 1 and k % 2 == 1 and r <= k * ms:
-        cases.add("BSW-ii")
-    return frozenset(cases)
+    return _named(BSW_CASES, _inequalities(r, m, m_star(m), k, k, False)[1:])
 
 
 @dataclass(frozen=True)

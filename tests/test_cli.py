@@ -255,6 +255,20 @@ def test_oracle_disagreement_in_solve_brute_above_enum_cap_is_an_internal_error(
     assert out == "" and err.startswith("internal error:")
 
 
+def test_solve_brute_factor_against_a_gadget_witness_is_an_internal_error(
+    tmp_path, monkeypatch, capsys
+):
+    # brute force finds a factor of the Petersen graph; a gadget witness contradicts it
+    witness = parse_witness("S:\nT:\ndelta: -1\ntau: 1\n")
+    monkeypatch.setattr(cli, "factor_or_witness", lambda g, spec: witness)
+    graph_file = tmp_path / "p.g"
+    graph_file.write_text(PETERSEN)
+    argv = ["solve", str(graph_file), "--a", "1", "--b", "1", "--method", "brute"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error:")
+
+
 def test_solve_brute_edge_cap_exceeded():
     result = run_cli(
         ["solve", "-", "--a", "1", "--b", "1", "--method", "brute", "--edge-cap", "5"],

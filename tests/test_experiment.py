@@ -64,6 +64,8 @@ def test_parse_config_rejects_garbage():
     for text in ("ab=1\n", "ab=1:1:1\n", "extremal=6:2\n"):
         with pytest.raises(GraphSyntaxError, match="config line 1: bad value"):
             parse_config(text)
+    with pytest.raises(GraphSyntaxError, match="^config line 2: repeated key 'n'$"):
+        parse_config("n=10\nn=12\n")
 
 
 def test_run_small_grid():
@@ -104,11 +106,15 @@ def test_satisfied_case_without_factor_is_a_counterexample(monkeypatch):
         run_verification_experiment(cfg)
 
 
-@pytest.mark.parametrize("r,m,a,b", [(6, 2, 1, 3), (6, 2, 2, 2), (8, 4, 3, 3)])
+@pytest.mark.parametrize(
+    "r,m,a,b", [(6, 2, 1, 3), (6, 2, 2, 2), (8, 4, 3, 3), (5, 2, 1, 1), (8, 0, 1, 1)]
+)
 def test_extremal_tuple_outside_the_sharpness_domain_is_rejected(monkeypatch, r, m, a, b):
-    # b*m >= r or an even bound: the construction need not defeat these, so
-    # they are input errors, caught before any graph is built
+    # b*m >= r, an even bound, an odd r or an m outside 2..r-2: the
+    # construction does not exist or need not defeat these, so they are
+    # input errors, caught before any graph is built
     monkeypatch.setattr(experiment, "extremal_construction", None)
+    monkeypatch.setattr(experiment, "random_regular", None)
     cfg = ExperimentConfig(seed=1, trials=1, extremal=((r, m, a, b),))
     with pytest.raises(HypothesisViolation, match=rf"\(r={r}, m={m}, a={a}, b={b}\)"):
         run_verification_experiment(cfg)

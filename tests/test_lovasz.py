@@ -20,6 +20,7 @@ from paritylab import (
     edges_between,
     extremal_construction,
     f_odd_components,
+    factor_or_witness,
     random_regular,
     verify_witness,
 )
@@ -38,6 +39,7 @@ from conftest import (
     assert_rejects,
     disjoint_sets,
     graph_with_disjoint_sets,
+    graph_with_gadget_spec,
     graph_with_spec,
     graphs,
 )
@@ -130,7 +132,7 @@ def test_decide_rejects_a_witness_that_does_not_recompute(monkeypatch):
 
     def off_by_one(g, spec, s, t):
         w = honest(g, spec, s, t)
-        return DeficiencyWitness(w.S, w.T, w.delta + 1, w.tau, w.odd_components)
+        return DeficiencyWitness(w.S, w.T, w.delta + 1, w.tau)
 
     monkeypatch.setattr(lovasz, "deficiency", off_by_one)
     with pytest.raises(SelfCheckFailed, match="mask sweep found delta -1"):
@@ -163,7 +165,7 @@ def test_verify_witness_rejects_tampered_delta():
     g, hubs = extremal_construction(ExtremalParams(6, 2))
     spec = ParitySpec.constant(1, 1, g.n)
     w = deficiency(g, spec, hubs, VertexSet.empty())
-    tampered = DeficiencyWitness(w.S, w.T, -2, w.tau, w.odd_components)
+    tampered = DeficiencyWitness(w.S, w.T, -2, w.tau)
     ok, reason = verify_witness(g, spec, tampered)
     assert not ok and "delta mismatch" in reason
 
@@ -193,10 +195,8 @@ def test_witness_serialization_round_trip():
     w = deficiency(g, spec, hubs, VertexSet.empty())
     text = serialize_witness(w)
     assert text == "S: 42 43\nT:\ndelta: -4\ntau: 6\n"
-    parsed = parse_witness(text)
-    assert parsed.S == w.S and parsed.T == w.T
-    assert parsed.delta == w.delta and parsed.tau == w.tau
-    assert verify_witness(g, spec, parsed)[0]
+    assert parse_witness(text) == w
+    assert verify_witness(g, spec, w)[0]
 
 
 @pytest.mark.parametrize("text,line", [
@@ -298,6 +298,17 @@ def test_deficiency_checks_bounds_at_most_three_times(build, size, bound_checks)
     assert len(bound_checks) <= 3
 
 
+@given(st.one_of(graph_with_spec(), graph_with_gadget_spec()))
+@settings(max_examples=200)
+def test_every_returned_witness_round_trips_whole(data):
+    # graph_with_spec draws g(v) > d(v) too (the short-T path), while
+    # graph_with_gadget_spec keeps the gadget (the barrier path)
+    g, spec = data
+    for w in (factor_or_witness(g, spec), decide_by_enumeration(g, spec).witness):
+        if isinstance(w, DeficiencyWitness):
+            assert parse_witness(serialize_witness(w)) == w
+
+
 @st.composite
 def instance_with_disjoint_sets(draw, max_n=8):
     """A graph, a per-vertex spec drawn as in ``graph_with_spec`` and a
@@ -325,7 +336,7 @@ def test_deficiency_matches_an_independent_evaluation(data):
         for cvs in components_after_removal(g, VertexSet.of([*s, *t]))
         if (edges_between(g, cvs, t) + spec.f_sum(cvs)) % 2 == 1
     ]
-    assert (w.S, w.T, w.tau, list(w.odd_components)) == (s, t, len(odd), odd)
+    assert (w.S, w.T, w.tau) == (s, t, len(odd))
     assert f_odd_components(g, spec, s, t) == (len(odd), odd)
 
 

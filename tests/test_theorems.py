@@ -101,6 +101,20 @@ def test_main_theorem_generalizes_gallai_and_bsw():
                     assert "Gallai-iii" not in gallai or "Main-iii" in main, case
 
 
+def test_main_theorem_names_exactly_the_gallai_and_bsw_cases():
+    # Main evaluates Gallai's and BSW's inequalities itself, so its names
+    # are pinned against the two public checkers
+    named = set(theorems.GALLAI_CASES + theorems.BSW_CASES)
+    for r in range(2, 40):
+        for m in range(40):
+            for k in range(1, r):
+                bsw = check_bsw_conditions(r, m, k)
+                for n_even in (True, False):
+                    main = check_main_conditions(r, m, k, k, n_even).satisfied_cases
+                    gallai = check_gallai_conditions(r, m, k, n_even) if m >= 1 else frozenset()
+                    assert main & named == gallai | bsw, (r, m, k, n_even)
+
+
 def test_measured_lambda_zero_leaves_only_petersen():
     report = check_main_conditions(6, 0, 2, 2, n_even=True)
     assert report.satisfied_cases == {"Petersen"}
