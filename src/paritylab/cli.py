@@ -8,6 +8,7 @@ self-check failed or an unexpected exception; the traceback goes to stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -218,7 +219,12 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec-file", default=None, help="per-vertex 'g f' lines")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call: ``parse_args`` leaves it unchanged. The ``cmd_*`` functions
+    and the defaults are bound here; the library functions a command calls
+    are looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="paritylab",
         description="Decide, construct, and certify parity factors in undirected graphs.",

@@ -103,6 +103,11 @@ def build_graph(n: int, edge_pairs: Iterable[tuple[int, int]]) -> Graph:
         if not (0 <= u < n) or not (0 <= v < n):
             raise VertexOutOfRange(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
         canonical.append((u, v) if u < v else (v, u))
+    return _from_canonical(n, canonical)
+
+
+def _from_canonical(n: int, canonical: list[Edge]) -> Graph:
+    """The Graph on in-range pairs u < v; sorts ``canonical`` in place."""
     canonical.sort()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in canonical:
@@ -179,7 +184,9 @@ def int_pair(lineno: int, line: str) -> tuple[int, int]:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the ``n m`` / edge-lines text format."""
+    """Parse the ``n m`` / edge-lines text format. Each edge line is checked
+    in input order (u < v, the range, a repeat), so the first bad line is the
+    one reported."""
     lines = text_lines(text)
     header = next(lines, None)
     if header is None:
@@ -203,7 +210,7 @@ def parse_graph(text: str) -> Graph:
         edges.append((a, b))
     if len(edges) != m:
         raise GraphSyntaxError(f"header promised {m} edges, found {len(edges)}")
-    return build_graph(n, edges)
+    return _from_canonical(n, edges)
 
 
 def emit_graph(g: Graph) -> str:

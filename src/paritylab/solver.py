@@ -80,33 +80,33 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
     Adjacency lists are ascending by construction, as the matcher's determinism
     requires: a core node sees its outer nodes, then any slack partner; an outer
     node sees its core after its edge partner if that is smaller, else before."""
-    n = g.n
+    _check_spec(g, spec)
     outer: list[tuple[int, ...]] = []
     core: list[tuple[int, ...]] = []
-    slack: list[int] = []  # per vertex, how many slack pairs lead its core
+    paired: list[int] = []  # per vertex, f'(v) - g(v): the core nodes in slack pairs
+    nxt: list[int] = []  # per vertex, its next outer node not yet given an edge
     next_id = 0
-    for v in range(n):
-        d = g.degree(v)
-        gv = spec.g[v]
+    for v, (nbrs, gv) in enumerate(zip(g.adjacency, spec.g)):
+        d = len(nbrs)
         if gv > d:
             raise LowerBoundExceedsDegree(f"g({v}) = {gv} exceeds degree {d}")
+        nxt.append(next_id)
         outer.append(tuple(range(next_id, next_id + d)))
         next_id += d
         core.append(tuple(range(next_id, next_id + d - gv)))
         next_id += d - gv
-        slack.append((normalized_upper(g, spec, v) - gv) // 2)
+        paired.append(normalized_upper(g, spec, v) - gv)
     adj: list[tuple[int, ...]] = [()] * next_id
-    for v in range(n):
-        for i, c in enumerate(core[v]):
-            adj[c] = outer[v] + (core[v][i ^ 1],) if i < 2 * slack[v] else outer[v]
+    for outs, cores, k in zip(outer, core, paired):
+        for i, c in enumerate(cores):
+            adj[c] = outs + (cores[i ^ 1],) if i < k else outs
     # the k-th edge at v, in edge order, takes v's k-th outer node
-    used = [0] * n
     edge_nodes = []
     for u, v in g.edges:
-        ou = outer[u][used[u]]
-        ov = outer[v][used[v]]
-        used[u] += 1
-        used[v] += 1
+        ou = nxt[u]
+        ov = nxt[v]
+        nxt[u] = ou + 1
+        nxt[v] = ov + 1
         adj[ou] = core[u] + (ov,)
         adj[ov] = (ou,) + core[v]
         edge_nodes.append((ou, ov))
@@ -206,23 +206,31 @@ def brute_force_factor(
 
 
 def verify_factor(g: Graph, spec: ParitySpec, factor: Factor) -> tuple[bool, str]:
-    """Independent check of edge membership, degree bounds, and parity."""
+    """Independent check of edge membership, degree bounds, and parity. The
+    first failure is reported: the first edge not in the graph, else a
+    repeated edge, else the least vertex whose degree breaks its parity, its
+    lower bound or its upper bound, tested in that order."""
     _check_spec(g, spec)
-    if factor.n != g.n:
-        return False, f"factor is on {factor.n} vertices, graph has {g.n}"
+    n = g.n
+    if factor.n != n:
+        return False, f"factor is on {factor.n} vertices, graph has {n}"
+    deg = [0] * n
+    seen: set[tuple[int, int]] = set()
     for u, v in factor.edges:
         if not g.has_edge(u, v):
             return False, f"edge ({u},{v}) not in the graph"
-    if len({(min(u, v), max(u, v)) for u, v in factor.edges}) != len(factor.edges):
+        seen.add((u, v) if u < v else (v, u))
+        deg[u] += 1
+        deg[v] += 1
+    if len(seen) != len(factor.edges):
         return False, "repeated edge in factor"
-    deg = factor.degrees
-    for v in range(g.n):
-        if (deg[v] - spec.f[v]) % 2 != 0:
-            return False, f"vertex {v}: degree {deg[v]} has wrong parity"
-        if deg[v] < spec.g[v]:
-            return False, f"vertex {v}: degree {deg[v]} below lower bound {spec.g[v]}"
-        if deg[v] > spec.f[v]:
-            return False, f"vertex {v}: degree {deg[v]} above upper bound {spec.f[v]}"
+    for v, (dv, gv, fv) in enumerate(zip(deg, spec.g, spec.f)):
+        if (dv - fv) % 2 != 0:
+            return False, f"vertex {v}: degree {dv} has wrong parity"
+        if dv < gv:
+            return False, f"vertex {v}: degree {dv} below lower bound {gv}"
+        if dv > fv:
+            return False, f"vertex {v}: degree {dv} above upper bound {fv}"
     return True, "ok"
 
 

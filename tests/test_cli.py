@@ -356,6 +356,46 @@ def test_internal_fault_is_not_reported_as_infeasible(tmp_path, monkeypatch, cap
     assert err.splitlines()[-1].startswith("internal error:") and "planted" in err
 
 
+def test_main_reuses_one_parser_safely(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; each call of an in-process
+    # sequence answers as the same call made alone, in its own process
+    assert cli.build_parser() is cli.build_parser()
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(run_cli(["construct", "--r", "6", "--m", "2"]).stdout)
+    solve = ["solve", "--a", "1", "--b", "1", str(graph_file)]
+    sequence = [
+        solve,
+        ["solve", "--a", "1", "--bogus", str(graph_file)],
+        ["--version"],
+        ["connectivity", str(graph_file)],
+        solve,
+    ]
+
+    def in_process(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    got = [in_process(argv) for argv in sequence]
+    alone = [run_cli(argv) for argv in sequence]
+    assert got == [(r.returncode, r.stdout, r.stderr) for r in alone]
+    assert [code for code, _, _ in got] == [1, 2, 0, 0, 1]
+    assert got[0][1] == "S: 42 43\nT:\ndelta: -4\ntau: 6\n"
+    # the cached parser binds cmd_solve, which looks factor_or_witness up per call
+    calls = []
+    real = cli.factor_or_witness
+
+    def spy(g, spec):
+        calls.append(g.n)
+        return real(g, spec)
+
+    monkeypatch.setattr(cli, "factor_or_witness", spy)
+    assert in_process(solve) == got[0] and calls == [44]
+
+
 def test_oracle_disagreement_in_solve_is_an_internal_error(tmp_path, monkeypatch, capsys):
     # n = 2 is within --enum-cap, and the enumeration finds the factor {01}
     monkeypatch.setattr(cli, "factor_or_witness", lambda g, spec: None)

@@ -98,6 +98,30 @@ def test_build_faults_match_reference(case, data):
     assert isinstance(got, type) and got is outcome(reference_build_graph, g.n, faulty)
 
 
+@given(shuffled_edge_lists(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_reference_build(case, data):
+    # parse_graph checks its lines itself and skips build_graph's checks; the
+    # graph must still be build_graph's
+    g, pairs = case
+    edges = [(min(e), max(e)) for e in pairs]
+    lines = [f"{g.n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    comment = st.sampled_from(["", "  # note"])
+    filler = st.sampled_from(["", "\n", "# note\n", "   \n"])
+    text = data.draw(filler) + "".join(
+        line + data.draw(comment) + "\n" + data.draw(filler) for line in lines
+    )
+    assert parse_graph(text) == reference_build_graph(g.n, edges) == g
+
+
+def test_parse_reports_the_first_bad_line():
+    # a repeat on line 3 is reported before the bad endpoint on line 5
+    assert_rejects(
+        lambda: parse_graph("5 4\n0 1\n0 1\n1 2\n2 9\n"),
+        DuplicateEdge("line 3: edge (0,1) given twice"),
+    )
+
+
 def test_handshake():
     g = petersen()
     assert sum(g.degrees) == 2 * g.edge_count

@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from paritylab import (
@@ -50,6 +50,7 @@ from conftest import (
     random_regular_instances,
 )
 from reference_graph import build_parity_gadget as reference_build_parity_gadget
+from reference_solver import verify_factor as reference_verify_factor
 
 
 def c4():
@@ -152,6 +153,60 @@ def test_verify_factor_catches_an_edge_given_in_both_orders():
     assert verify_factor(g, spec, Factor(3, ((0, 1), (1, 0)))) == (False, "repeated edge in factor")
 
 
+# Differential gate: the one-pass verify_factor must give the (ok, reason)
+# of the three-pass verifier it replaced, on the first of several faults too.
+CORRUPTIONS = ("drop", "foreign", "both orders", "range", "n", "bounds")
+
+
+@st.composite
+def corrupted_factors(draw):
+    """A factor with a spec it meets exactly (g = f = its degrees), then each
+    corruption or not, as drawn; an added edge goes in at a drawn position."""
+    g = draw(graphs(max_n=8))
+    edges = draw(st.lists(st.sampled_from(g.edges), unique=True)) if g.edges else []
+    deg = Factor(g.n, tuple(edges)).degrees
+    n = g.n
+
+    def insert(edge):
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+
+    for kind in CORRUPTIONS:
+        if not draw(st.booleans()):
+            continue
+        event(kind)
+        if kind == "drop" and edges:
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        elif kind == "foreign":
+            u, v = draw(st.integers(0, g.n - 1)), draw(st.integers(0, g.n - 1))
+            if not g.has_edge(u, v):
+                insert((u, v))
+        elif kind == "both orders" and edges:
+            u, v = draw(st.sampled_from(edges))
+            insert((v, u))
+        elif kind == "range":
+            v = draw(st.integers(0, g.n - 1))
+            w = draw(st.sampled_from([-1, g.n, g.n + 3]))
+            insert(draw(st.sampled_from([(v, w), (w, v)])))
+        elif kind == "n":
+            n = draw(st.sampled_from([g.n - 1, g.n + 1]))
+        elif kind == "bounds":
+            v = draw(st.integers(0, g.n - 1))
+            # wrong parity, lower bound above the degree, upper bound below it
+            deg[v] = draw(st.sampled_from([deg[v] + 1, deg[v] + 2] + [deg[v] - 2] * (deg[v] >= 2)))
+    spec = ParitySpec(tuple(deg), tuple(deg))
+    return g, spec, Factor(n, tuple(edges))
+
+
+@given(corrupted_factors())
+# a repeat before a foreign edge: the foreign edge is the failure reported
+@example((build_graph(3, [(0, 1), (1, 2)]), ParitySpec((1, 1, 0), (1, 1, 0)),
+          Factor(3, ((0, 1), (1, 0), (0, 2)))))
+@settings(max_examples=400, deadline=None)
+def test_verify_factor_matches_the_three_pass_reference(case):
+    g, spec, factor = case
+    assert verify_factor(g, spec, factor) == reference_verify_factor(g, spec, factor)
+
+
 @pytest.mark.parametrize("n", [2, 12])
 def test_spec_length_must_match_graph(n):
     spec = ParitySpec.constant(1, 1, n)
@@ -160,6 +215,12 @@ def test_spec_length_must_match_graph(n):
     factor = find_parity_factor(petersen(), ParitySpec.constant(1, 1, 10))
     with pytest.raises(InvalidParitySpec, match="spec covers"):
         verify_factor(petersen(), spec, factor)
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_gadget_spec_length_must_match_graph(n):
+    with pytest.raises(InvalidParitySpec, match="spec covers"):
+        build_parity_gadget(petersen(), ParitySpec.constant(1, 1, n))
 
 
 def test_find_verifies_the_recovered_factor(monkeypatch):
