@@ -31,7 +31,7 @@ from .lovasz import (
     f_odd_components,
     verify_witness,
 )
-from .matching import Matching, has_perfect_matching, max_matching
+from .matching import Matching, max_matching
 from .solver import (
     Factor,
     GadgetMap,
@@ -82,7 +82,6 @@ __all__ = [
     "f_odd_components",
     "factor_or_witness",
     "find_parity_factor",
-    "has_perfect_matching",
     "is_k_edge_connected",
     "j_block",
     "m_star",

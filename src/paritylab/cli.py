@@ -212,6 +212,17 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _cap(text: str) -> int:
+    """An ``--enum-cap`` or ``--edge-cap`` value: an int, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap cannot be negative, got {value}")
+    return value
+
+
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph file or '-' for stdin")
     p.add_argument("--a", type=int, default=None, help="constant lower bound")
@@ -235,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="construct a parity factor or certify infeasibility")
     _add_instance_args(p)
     p.add_argument("--method", choices=("gadget", "brute"), default="gadget")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
+    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--edge-cap", type=_cap, default=DEFAULT_EDGE_CAP)
     p.add_argument(
         "--dot", action="store_true",
         help="draw a found factor as DOT; an infeasible instance still prints its witness block",
@@ -245,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="exhaustive feasibility decision (small graphs)")
     _add_instance_args(p)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("deficiency", help="evaluate delta(S,T) for given sets")

@@ -7,15 +7,25 @@ Blossoms are contracted implicitly: ``base[v]`` is the base of the outermost
 blossom that holds v, and each base of a contracted blossom keeps the list of
 the vertices it stands for.
 
-What a contraction touches. An edge between two even vertices closes an odd
-cycle. The bases on the two tree paths up to their common base are marked,
-their member lists are merged into the common base's list, and only those
-members are relabelled. A contraction so costs the size of the blossom, not
-of the graph, in the spirit of Gabow's O(V^3) implementation (Gabow 1976).
-The ``parent``, ``base`` and ``in_queue`` arrays are allocated once per
-``max_matching`` call. A successful search resets only the entries it set:
-those of the vertices it queued or labelled odd. A failed search leaves its
-tree pruned instead (see the set D below).
+What a contraction touches. An edge between two even vertices v and ``to``
+closes an odd cycle. Its base is the lowest common base of the two ends: the
+bases on v's path to the root are stamped with a fresh tick, and the walk up
+from ``to`` stops at the first stamped base. The two paths are then walked up to
+that base again, vertex by vertex, rewriting their ``parent`` pointers. Each
+outer blossom on a path is left only through its base b, and b's mate is a
+single odd vertex, so the walk relabels as it goes: at each vertex x with
+``base[x] == x``, the members of x's blossom (or x alone) and x's mate move
+to the common base's member list, and the mate, the only vertex not yet
+even, is queued. The two paths share no blossom below the common base, so
+no later step reads a base this relabelling changed. A contraction so costs
+the length of v's path to the root plus the size of the blossom, not the
+size of the graph, in the spirit of Gabow's O(V^3) implementation (Gabow
+1976), and allocates nothing unless it makes two or more vertices even (it
+then sorts them). The ``parent``, ``base``, ``in_queue`` and ``stamp``
+arrays are allocated once per ``max_matching`` call. The tick only grows
+over the call, so ``stamp`` is never reset. A successful search resets only
+the other entries it set: those of the vertices it queued or labelled odd.
+A failed search leaves its tree pruned instead (see the set D below).
 
 Why the enqueue order is kept. A contraction queues the vertices it makes
 even in ascending id, the order a scan over all vertices would find them in.
@@ -60,20 +70,19 @@ vertex exposed at the end rooted a search that failed, since a matched
 vertex never becomes exposed again, so the concatenation of the failed
 searches' queues is D under the final matching. ``max_matching`` returns it
 sorted as ``Matching.D``. The solver reads ``Matching.mate`` and ``D`` (the
-Tutte barrier is N(D) - D); ``Matching.pairs`` is built only on access.
+Tutte barrier is N(D) - D).
 
-Cost per call: O(n + m) to allocate and seed, then, for each exposed root, the
-edges its search scans plus the sizes of its blossoms; O(n^3) at worst. A
-failed tree is scanned once, by the search that grew it, not once per later
-root.
+Cost per call: O(n + m) to allocate the four arrays and seed, then, for each
+exposed root, the edges its search scans plus, per contraction, its blossom
+and v's path to the root; O(n^3) at worst. A failed tree is scanned once, by
+the search that grew it, not once per later root.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Protocol
 
-__all__ = ["Matching", "max_matching", "has_perfect_matching"]
+__all__ = ["Matching", "max_matching"]
 
 
 class Adjacency(Protocol):
@@ -94,11 +103,6 @@ class Matching:
     # the Gallai-Edmonds set: vertices left exposed by some maximum matching
     D: tuple[int, ...] = ()
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The matched edges (v, w), v < w, in ascending order."""
-        return tuple((v, w) for v, w in enumerate(self.mate) if v < w)
-
     def __len__(self) -> int:
         return (len(self.mate) - self.mate.count(-1)) // 2
 
@@ -117,20 +121,18 @@ def max_matching(g: Adjacency) -> Matching:
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
+    stamp = [0] * n  # per base, the last contraction tick that marked it
+    clock = [0]  # the last tick used in this call
     d: list[int] = []
     for v in range(n):
         if match[v] < 0:
-            even = _try_augment(adj, match, parent, base, in_queue, v)
+            even = _try_augment(adj, match, parent, base, in_queue, stamp, clock, v)
             if even is not None:
                 d.extend(even)
     return Matching(tuple(match), tuple(sorted(d)))
 
 
-def has_perfect_matching(g: Adjacency) -> bool:
-    return -1 not in max_matching(g).mate
-
-
-def _try_augment(adj, match, parent, base, in_queue, root) -> list[int] | None:
+def _try_augment(adj, match, parent, base, in_queue, stamp, clock, root) -> list[int] | None:
     """Search for an augmenting path from an exposed root; apply it if found.
     Returns None after augmenting, or the even vertices of the failed search.
 
@@ -139,33 +141,61 @@ def _try_augment(adj, match, parent, base, in_queue, root) -> list[int] | None:
     the identity, False); a pruned vertex holds ``parent >= 0`` and
     ``in_queue`` False, so the scan skips it. A successful search leaves
     the entries it set at their initial values; a failed one prunes its
-    tree: its queued and odd vertices are left with ``parent >= 0``."""
+    tree: its queued and odd vertices are left with ``parent >= 0``.
+    ``clock[0]`` holds the last tick taken in this call; ``stamp`` entries
+    are never reset, since every contraction takes a fresh tick."""
     queue = [root]  # every vertex ever queued, in order
     odd = []  # vertices given a parent when first reached
     members: dict[int, list[int]] = {}  # base -> its vertices, once it heads a blossom
     in_queue[root] = True
+    tick = clock[0]
     for v in queue:  # the loop also reaches the vertices queued while it runs
         for to in adj[v]:
             if in_queue[to]:
                 if base[v] == base[to]:
                     continue
-                # edge closes an odd cycle: contract the blossom
-                cur_base = _lca(match, base, parent, v, to)
-                blossom: set[int] = set()
-                _mark_path(match, base, parent, blossom, v, cur_base, to)
-                _mark_path(match, base, parent, blossom, to, cur_base, v)
-                blossom.discard(cur_base)
-                merged = members.setdefault(cur_base, [cur_base])
-                newly_even = []
-                for b in blossom:
-                    for i in members.pop(b, (b,)):
-                        base[i] = cur_base
-                        merged.append(i)
-                        if not in_queue[i]:
-                            in_queue[i] = True
-                            newly_even.append(i)
-                newly_even.sort()
-                queue.extend(newly_even)
+                # edge closes an odd cycle: contract the blossom. Its base is
+                # the first base on to's path to the root that v's path stamped.
+                tick += 1
+                b = base[v]
+                stamp[b] = tick
+                while b != root:
+                    b = base[parent[match[b]]]
+                    stamp[b] = tick
+                cur_base = base[to]
+                while stamp[cur_base] != tick:
+                    cur_base = base[parent[match[cur_base]]]
+                merged = members.get(cur_base)
+                if merged is None:
+                    merged = members[cur_base] = [cur_base]
+                # walk v's path, then to's, up to cur_base; relabel each outer
+                # blossom when the walk reaches its base, and queue the base's mate
+                start = len(queue)
+                x, child = v, to
+                for _ in range(2):
+                    b = base[x]
+                    while b != cur_base:
+                        y = match[x]
+                        if b == x:
+                            inner = members.pop(x, None)
+                            if inner is None:
+                                base[x] = cur_base
+                                merged.append(x)
+                            else:
+                                for i in inner:
+                                    base[i] = cur_base
+                                merged += inner
+                            base[y] = cur_base
+                            merged.append(y)
+                            in_queue[y] = True
+                            queue.append(y)
+                        parent[x] = child
+                        child = y
+                        x = parent[y]
+                        b = base[x]
+                    x, child = to, v
+                if len(queue) - start > 1:  # queue the newly even in ascending id
+                    queue[start:] = sorted(queue[start:])
             elif parent[to] < 0:
                 parent[to] = v
                 odd.append(to)
@@ -183,6 +213,7 @@ def _try_augment(adj, match, parent, base, in_queue, root) -> list[int] | None:
                         in_queue[u] = False
                     for u in odd:
                         parent[u] = -1
+                    clock[0] = tick
                     return None
                 nxt = match[to]
                 in_queue[nxt] = True
@@ -190,30 +221,5 @@ def _try_augment(adj, match, parent, base, in_queue, root) -> list[int] | None:
     for u in queue:  # odd vertices already have a parent
         parent[u] = root
         in_queue[u] = False
+    clock[0] = tick
     return queue
-
-
-def _lca(match, base, parent, a, b) -> int:
-    seen = set()
-    v = a
-    while True:
-        v = base[v]
-        seen.add(v)
-        if match[v] < 0:
-            break
-        v = parent[match[v]]
-    v = b
-    while True:
-        v = base[v]
-        if v in seen:
-            return v
-        v = parent[match[v]]
-
-
-def _mark_path(match, base, parent, blossom, v, stop, child) -> None:
-    while base[v] != stop:
-        blossom.add(base[v])
-        blossom.add(base[match[v]])
-        parent[v] = child
-        child = match[v]
-        v = parent[match[v]]

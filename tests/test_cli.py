@@ -279,6 +279,31 @@ def test_solve_brute_edge_cap_exceeded():
     )
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decide", "-", "--a", "1", "--b", "1", "--enum-cap", "-5"],
+        ["solve", "-", "--a", "1", "--b", "1", "--enum-cap", "-1"],
+        ["solve", "-", "--a", "1", "--b", "1", "--method", "brute", "--edge-cap", "-1"],
+    ],
+    ids=["decide-enum-cap", "solve-enum-cap", "solve-edge-cap"],
+)
+def test_negative_cap_is_a_usage_error(args):
+    result = run_cli(args, stdin_text="2 1\n0 1\n")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert f"argument {args[-2]}: a cap cannot be negative, got {args[-1]}" in result.stderr
+
+
+def test_zero_cap_is_still_a_cap():
+    k2 = "2 1\n0 1\n"
+    result = run_cli(["decide", "-", "--a", "1", "--b", "1", "--enum-cap", "0"], stdin_text=k2)
+    assert (result.returncode, result.stderr) == (3, "error: n = 2 exceeds enumeration cap 0\n")
+    result = run_cli(
+        ["solve", "-", "--a", "1", "--b", "1", "--method", "brute", "--edge-cap", "0"], stdin_text=k2
+    )
+    assert (result.returncode, result.stderr) == (3, "error: |E| = 1 exceeds brute-force cap 0\n")
+
+
 def test_usage_error_exit_code():
     result = run_cli(["solve", "-"], stdin_text="2 1\n0 1\n")
     assert result.returncode == 2  # no spec given
