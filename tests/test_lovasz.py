@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +274,58 @@ def test_enumeration_matches_reference_on_tie_heavy_graphs(n, edges, a, b):
     assert_matches_reference(build_graph(n, edges), ParitySpec.constant(a, b, n))
 
 
+# ---- the bound-pruned sweep against the full Gray-code sweep it replaced
+
+def _sweep_instance(kind, n, size, shape):
+    """A seeded graph and spec: "regular" graphs from the sampler, "sparse"
+    ones with size edges drawn uniformly, "split" ones a random cubic graph on
+    size vertices beside a cycle on the other n - size; shape is a constant
+    (a, b) or "vertex" for a per-vertex window."""
+    rng = random.Random(f"gray-sweep/{kind}/{n}/{size}/{shape}")
+    if kind == "regular":
+        g = random_regular(n, size, seed=rng.randrange(2 ** 32))
+    elif kind == "sparse":
+        pairs = list(combinations(range(n), 2))
+        g = build_graph(n, rng.sample(pairs, size))
+    else:
+        cubic = random_regular(size, 3, seed=rng.randrange(2 ** 32))
+        cycle = [(size + i, size + (i + 1) % (n - size)) for i in range(n - size)]
+        g = build_graph(n, [*cubic.edges, *cycle])
+    if shape == "vertex":
+        low = [rng.choice((0, 1, 1, 2)) for _ in range(n)]
+        return g, ParitySpec(tuple(low), tuple(x + 2 * rng.randint(0, 1) for x in low))
+    return g, ParitySpec.constant(*shape, n)
+
+
+# feasible and infeasible instances, witnesses with S or T nonempty, and
+# f(V) odd (regular 11, sparse 9 and 11 with 17 edges, split 10 and 12) as
+# well as even; every sparse case but the (1, 1) one has a vertex with
+# g(v) > d(v), and three sparse cases and the split graphs are disconnected
+SWEEP_CASES = [
+    ("regular", 9, 4, "vertex"),
+    ("regular", 10, 3, (1, 1)),
+    ("regular", 11, 4, (1, 1)),
+    ("regular", 12, 4, (1, 1)),
+    ("sparse", 9, 10, "vertex"),
+    ("sparse", 10, 11, (2, 2)),
+    ("sparse", 10, 14, (1, 1)),
+    ("sparse", 11, 13, (2, 2)),
+    ("sparse", 11, 17, "vertex"),
+    ("sparse", 12, 14, "vertex"),
+    ("split", 10, 6, "vertex"),
+    ("split", 11, 6, (2, 2)),
+    ("split", 12, 6, "vertex"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n,size,shape", SWEEP_CASES, ids=["-".join(map(str, case)) for case in SWEEP_CASES]
+)
+def test_pruned_sweep_matches_the_gray_sweep(kind, n, size, shape):
+    g, spec = _sweep_instance(kind, n, size, shape)
+    assert decide_by_enumeration(g, spec) == reference_lovasz.decide_by_gray_sweep(g, spec)
+
+
 # ---- delta(S,T) checks S and T once, on entry, and counts e(C,T) directly
 
 def _hub_witness(r):
@@ -338,6 +390,67 @@ def test_deficiency_matches_an_independent_evaluation(data):
     ]
     assert (w.S, w.T, w.tau) == (s, t, len(odd))
     assert f_odd_components(g, spec, s, t) == (len(odd), odd)
+
+
+# (blocks walked, codes walked) on each of SWEEP_CASES, of 2^n blocks and 3^n
+# codes; computed when the bound was introduced
+SWEEP_WORK = [
+    (4, 1025), (165, 30849), (76, 43521), (173, 142465), (118, 6673), (129, 25119),
+    (115, 19555), (70, 29963), (133, 38833), (218, 50369), (174, 27517), (1557, 169545),
+    (174, 119473),
+]
+
+
+def test_the_bound_skips_the_pinned_blocks(monkeypatch):
+    # each walked block takes one islice of the Gray-code ruler; a change to
+    # the bound, its parity round-up or its tie rule moves these counts even
+    # where the decision stays the same
+    walked = []
+
+    def spy(ruler, steps):
+        walked.append(steps + 1)
+        return islice(ruler, steps)
+
+    monkeypatch.setattr(lovasz, "islice", spy)
+    work = []
+    for case in SWEEP_CASES:
+        walked.clear()
+        decide_by_enumeration(*_sweep_instance(*case))
+        work.append((len(walked), sum(walked)))
+    assert work == SWEEP_WORK
+
+
+def _block_bounds(g, spec, s, t):
+    """Two lower bounds on delta over every pair with S + T = O, from the
+    definitions: each vertex of O pays f or d - g, less e(G[O]); or each pays
+    f, and in T also d - g - f - |N(x) & O|, with e(G[T]) >= 0 left out.
+    Both less the components C of G - O whose e(C,T) + f(C) some T in O
+    could make odd: f(C) is odd, or some x in O has an odd number of
+    neighbours in C."""
+    inside = [*s, *t]
+    deg_o = [len(set(g.adjacency[x]) & set(inside)) for x in inside]
+    free = sum(
+        1
+        for cvs in components_after_removal(g, VertexSet.of(inside))
+        if spec.f_sum(cvs) % 2 == 1
+        or any(len(set(g.adjacency[x]) & set(cvs)) % 2 == 1 for x in inside)
+    )
+    first = sum(min(spec.f[x], g.degree(x) - spec.g[x]) for x in inside) - sum(deg_o) // 2
+    second = sum(
+        spec.f[x] + min(0, g.degree(x) - spec.g[x] - spec.f[x] - k)
+        for x, k in zip(inside, deg_o)
+    )
+    return first - free, second - free
+
+
+@given(instance_with_disjoint_sets(max_n=7))
+@settings(max_examples=300)
+def test_block_lower_bounds_hold(data):
+    g, spec, s, t = data
+    delta = deficiency(g, spec, s, t).delta
+    for bound in _block_bounds(g, spec, s, t):
+        # delta = f(V) (mod 2), so the bound may be rounded up to that parity
+        assert delta >= bound + (bound - spec.f_total) % 2
 
 
 # ---- rejections with their full messages
