@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .connectivity import CutCertificate, edge_connectivity, is_k_edge_connected
+from .connectivity import CutCertificate, edge_connectivity
 from .experiment import ExperimentConfig, run_verification_experiment
 from .generators import (
     ExtremalParams,
@@ -42,9 +42,6 @@ from .solver import (
     verify_factor,
 )
 from .theorems import (
-    ConditionReport,
-    check_bsw_conditions,
-    check_gallai_conditions,
     check_main_conditions,
     component_inequality_check,
     m_star,
@@ -52,7 +49,6 @@ from .theorems import (
 
 __all__ = [
     "CutCertificate",
-    "ConditionReport",
     "Decision",
     "DeficiencyWitness",
     "ExperimentConfig",
@@ -66,8 +62,6 @@ __all__ = [
     "brute_force_factor",
     "build_graph",
     "build_parity_gadget",
-    "check_bsw_conditions",
-    "check_gallai_conditions",
     "check_main_conditions",
     "complete_graph",
     "component_inequality_check",
@@ -82,7 +76,6 @@ __all__ = [
     "f_odd_components",
     "factor_or_witness",
     "find_parity_factor",
-    "is_k_edge_connected",
     "j_block",
     "m_star",
     "max_matching",

@@ -63,6 +63,8 @@ def _read_text(path: str) -> str:
 def _load_instance(args) -> tuple[Graph, ParitySpec]:
     g = parse_graph(_read_text(args.graph))
     if args.spec_file:
+        if args.a is not None or args.b is not None:
+            raise ParityLabError("--a/--b and --spec-file cannot be combined")
         pairs = [int_pair(*entry) for entry in text_lines(_read_text(args.spec_file))]
         return g, ParitySpec(tuple(gv for gv, _ in pairs), tuple(fv for _, fv in pairs))
     if args.a is None or args.b is None:
@@ -195,10 +197,10 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_check_conditions(args) -> int:
-    report = check_main_conditions(args.r, args.m, args.a, args.b, args.n_even)
+    satisfied = check_main_conditions(args.r, args.m, args.a, args.b, args.n_even)
     relevant = [c for c in ALL_CASES if c.startswith("Main")] if args.a != args.b else list(ALL_CASES)
     for case in relevant:
-        status = "satisfied" if case in report.satisfied_cases else "not satisfied"
+        status = "satisfied" if case in satisfied else "not satisfied"
         sys.stdout.write(f"{case}: {status}\n")
     return EXIT_OK
 

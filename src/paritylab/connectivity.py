@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import SelfCheckFailed, TooSmall
 from .graph import Graph, VertexSet, edges_between
 
-__all__ = ["CutCertificate", "edge_connectivity", "is_k_edge_connected"]
+__all__ = ["CutCertificate", "edge_connectivity"]
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,3 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
     if crossing != best:
         raise SelfCheckFailed(f"cut side has {crossing} boundary edges, max-flow found {best}")
     return best, cert
-
-
-def is_k_edge_connected(g: Graph, k: int) -> bool:
-    if k <= 0:
-        return True
-    return edge_connectivity(g)[0] >= k

@@ -181,8 +181,8 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
     for a, b in specs:
         if b >= r:
             continue
-        report = check_main_conditions(r, lam, a, b, n % 2 == 0)
-        if not report.satisfied_cases:
+        cases = check_main_conditions(r, lam, a, b, n % 2 == 0)
+        if not cases:
             rows.append(Row(seed, n, r, lam, a, b, "-", "no-case"))
             continue
         spec = ParitySpec.constant(a, b, n)
@@ -195,14 +195,14 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
             factor = find_parity_factor(g, spec)
             if factor is None:
                 raise CounterexampleError(
-                    f"satisfied cases {sorted(report.satisfied_cases)} at "
+                    f"satisfied cases {sorted(cases)} at "
                     f"lambda={lam} but no verified ({a},{b})-parity factor "
                     f"(seed {seed})",
                     emit_graph(g),
                 )
             deg = factor.degrees
             solved.append((min(deg), max(deg), factor))
-        for case in sorted(report.satisfied_cases):
+        for case in sorted(cases):
             rows.append(Row(seed, n, r, lam, a, b, case, "found"))
     return rows
 

@@ -2,11 +2,12 @@
 per-component proof-inequality checks on concrete instances.
 
 All threshold comparisons are decided by cross-multiplied integers, e.g.
-"r/m <= b" as "r <= b*m" and "a <= r(1-1/m)" as "a*m <= r*(m-1)"; the ratio
-fields theta1 = a/r and theta2 = b/r are exact Fractions.
+"r/m <= b" as "r <= b*m" and "a <= r(1-1/m)" as "a*m <= r*(m-1)"; the
+crossing values theta2 * e(S,C) + (1 - theta1) * e(T,C) are exact Fractions.
 Gallai's and Bollobas-Saito-Wormald's k-factor conditions are the main
 theorem's at a = b = k: Gallai's three read its inequalities with m for m*,
-and BSW's two are its (ii) and (iii).
+and BSW's two are its (ii) and (iii). ``check_main_conditions`` names them
+all, with the Petersen case, in one set.
 """
 from __future__ import annotations
 
@@ -31,26 +32,13 @@ def m_star(m: int) -> int:
     return m if m % 2 == 1 else m + 1
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    r: int
-    m: int
-    a: int
-    b: int
-    n_even: bool
-    m_star: int
-    theta1: Fraction
-    theta2: Fraction
-    satisfied_cases: frozenset[str]
-
-
-def check_main_conditions(r: int, m: int, a: int, b: int, n_even: bool) -> ConditionReport:
-    """Evaluate the (a,b)-parity-factor sufficient conditions at connectivity m.
-
-    For the k-factor specialization a == b, the Gallai, BSW, and even-degree
-    2k-factor ("Petersen") cases are evaluated as well. m = 0 is accepted and
-    simply fails every connectivity-dependent case (measured lambda of a
-    disconnected graph), leaving only Petersen in play.
+def check_main_conditions(r: int, m: int, a: int, b: int, n_even: bool) -> frozenset[str]:
+    """The names of the (a,b)-parity-factor sufficient conditions that hold
+    at connectivity m: the Main cases, and for the k-factor specialization
+    a == b also the Gallai, BSW, and even-degree 2k-factor ("Petersen")
+    cases. m = 0 is accepted and simply fails every connectivity-dependent
+    case (measured lambda of a disconnected graph), leaving only Petersen in
+    play.
     """
     if not 1 <= a <= b:
         raise HypothesisViolation(f"need 1 <= a <= b, got a={a}, b={b}")
@@ -58,8 +46,7 @@ def check_main_conditions(r: int, m: int, a: int, b: int, n_even: bool) -> Condi
         raise HypothesisViolation(f"need b < r, got b={b}, r={r}")
     if (a - b) % 2 != 0:
         raise HypothesisViolation(f"a={a} and b={b} must agree in parity")
-    ms = m_star(m)
-    main = _inequalities(r, m, ms, a, b, n_even)
+    main = _inequalities(r, m, m_star(m), a, b, n_even)
     cases = _named(MAIN_CASES, main)
     if a == b:
         # at m = 0 every Gallai inequality fails: r <= 0 or 0 <= -r
@@ -68,7 +55,7 @@ def check_main_conditions(r: int, m: int, a: int, b: int, n_even: bool) -> Condi
         # every 2rho-regular graph has a 2kappa-factor, no connectivity needed
         if r % 2 == 0 and a % 2 == 0 and a >= 2:
             cases |= {"Petersen"}
-    return ConditionReport(r, m, a, b, n_even, ms, Fraction(a, r), Fraction(b, r), cases)
+    return cases
 
 
 def _inequalities(r: int, m: int, m_odd: int, a: int, b: int, n_even: bool) -> tuple[bool, ...]:
@@ -82,20 +69,6 @@ def _inequalities(r: int, m: int, m_odd: int, a: int, b: int, n_even: bool) -> t
 
 def _named(names: tuple[str, ...], holds) -> frozenset[str]:
     return frozenset(compress(names, holds))
-
-
-def check_gallai_conditions(r: int, m: int, k: int, n_even: bool) -> frozenset[str]:
-    if not 1 <= k < r:
-        raise HypothesisViolation(f"need 1 <= k < r, got k={k}, r={r}")
-    if m < 1:
-        raise HypothesisViolation(f"need m >= 1, got {m}")
-    return _named(GALLAI_CASES, _inequalities(r, m, m, k, k, n_even))
-
-
-def check_bsw_conditions(r: int, m: int, k: int) -> frozenset[str]:
-    if not 1 <= k < r:
-        raise HypothesisViolation(f"need 1 <= k < r, got k={k}, r={r}")
-    return _named(BSW_CASES, _inequalities(r, m, m_star(m), k, k, False)[1:])
 
 
 @dataclass(frozen=True)

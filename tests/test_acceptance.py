@@ -73,8 +73,7 @@ def test_criterion_2_soundness_sweep():
             instances += 1
             for a in range(1, min(r, 6)):
                 for b in range(a, min(r, 6), 2):
-                    report = check_main_conditions(r, lam, a, b, n % 2 == 0)
-                    if not report.satisfied_cases:
+                    if not check_main_conditions(r, lam, a, b, n % 2 == 0):
                         continue
                     spec = ParitySpec.constant(a, b, n)
                     factor = find_parity_factor(g, spec)

@@ -167,12 +167,43 @@ def test_closed_stdout_pipe_exits_quietly():
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "") == (141, "")
 
 
+CHECK_CONDITIONS_OUTPUT = {
+    "--r 3 --m 3 --a 1 --b 1 --n-even": (
+        "Main-i: not satisfied\n"
+        "Main-ii: not satisfied\n"
+        "Main-iii: satisfied\n"
+        "Gallai-i: not satisfied\n"
+        "Gallai-ii: not satisfied\n"
+        "Gallai-iii: satisfied\n"
+        "BSW-i: not satisfied\n"
+        "BSW-ii: satisfied\n"
+        "Petersen: not satisfied\n"
+    ),
+    # a != b: only the three Main cases are printed
+    "--r 4 --m 4 --a 1 --b 3 --n-even": (
+        "Main-i: satisfied\n"
+        "Main-ii: not satisfied\n"
+        "Main-iii: not satisfied\n"
+    ),
+    # lambda = 0 fails every connectivity case; Petersen needs none
+    "--r 6 --m 0 --a 2 --b 2 --n-odd": (
+        "Main-i: not satisfied\n"
+        "Main-ii: not satisfied\n"
+        "Main-iii: not satisfied\n"
+        "Gallai-i: not satisfied\n"
+        "Gallai-ii: not satisfied\n"
+        "Gallai-iii: not satisfied\n"
+        "BSW-i: not satisfied\n"
+        "BSW-ii: not satisfied\n"
+        "Petersen: satisfied\n"
+    ),
+}
+
+
 def test_check_conditions():
-    result = run_cli(
-        ["check-conditions", "--r", "4", "--m", "4", "--a", "1", "--b", "3", "--n-even"]
-    )
-    assert result.returncode == 0
-    assert "Main-i: satisfied" in result.stdout
+    for args, expected in CHECK_CONDITIONS_OUTPUT.items():
+        result = run_cli(["check-conditions", *args.split()])
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected, ""), args
 
 
 def test_gen_random_env_seed():
@@ -328,6 +359,22 @@ def test_spec_file_of_wrong_length_is_a_usage_error(tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr == "error: spec covers 2 vertices, graph has 10\n"
+
+
+@pytest.mark.parametrize("bounds", [["--a", "1"], ["--b", "1"], ["--a", "1", "--b", "1"]],
+                         ids=["a", "b", "a-and-b"])
+def test_spec_file_with_constant_bounds_is_a_usage_error(tmp_path, capsys, bounds):
+    # with both given the spec file would silently win: its all-zero bounds
+    # make the empty factor the answer to a perfect-matching question
+    graph_file = tmp_path / "k2.txt"
+    graph_file.write_text("2 1\n0 1\n")
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("0 0\n0 0\n")
+    instance = [str(graph_file), *bounds, "--spec-file", str(spec_file)]
+    for command in (["solve"], ["decide"], ["deficiency"], ["verify-factor", "--factor", "-"],
+                    ["verify-witness", "--witness", "-"]):
+        assert cli.main(command[:1] + instance + command[1:]) == cli.EXIT_USAGE == 2, command
+        assert capsys.readouterr() == ("", "error: --a/--b and --spec-file cannot be combined\n")
 
 
 @pytest.mark.parametrize("text,line", [("1 1 1\n", 1), ("# g f\n1 1\n3\n", 3), ("1 x\n", 1)])

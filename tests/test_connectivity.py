@@ -19,7 +19,6 @@ from paritylab import (
     edge_connectivity,
     edges_between,
     extremal_construction,
-    is_k_edge_connected,
     j_block,
     petersen,
     random_regular,
@@ -44,8 +43,6 @@ def test_petersen_three_connected():
     lam, _ = edge_connectivity(petersen())
     assert lam == 3
     assert lam == brute_edge_connectivity(petersen())[0]
-    assert is_k_edge_connected(petersen(), 3)
-    assert not is_k_edge_connected(petersen(), 4)
 
 
 def test_disconnected_is_zero():
@@ -56,7 +53,9 @@ def test_disconnected_is_zero():
 
 
 def test_zero_always_connected():
-    assert is_k_edge_connected(build_graph(3, []), 0)
+    # every graph is 0-edge-connected; an edgeless one has lambda exactly 0
+    lam, cert = edge_connectivity(build_graph(3, []))
+    assert (lam, cert.cut_size) == (0, 0)
 
 
 def test_too_small():

@@ -11,8 +11,6 @@ from paritylab import (
     ParitySpec,
     VertexSet,
     build_graph,
-    check_bsw_conditions,
-    check_gallai_conditions,
     check_main_conditions,
     complete_graph,
     component_inequality_check,
@@ -36,20 +34,15 @@ def test_m_star():
 
 
 def test_main_case_i_holds():
-    report = check_main_conditions(4, 4, 1, 3, n_even=True)
-    assert "Main-i" in report.satisfied_cases
-    assert report.theta1 == Fraction(1, 4) and report.theta2 == Fraction(3, 4)
+    assert "Main-i" in check_main_conditions(4, 4, 1, 3, n_even=True)
 
 
 def test_main_case_i_fails_in_sharpness_regime():
-    report = check_main_conditions(6, 2, 1, 1, n_even=True)
-    assert "Main-i" not in report.satisfied_cases
+    assert "Main-i" not in check_main_conditions(6, 2, 1, 1, n_even=True)
 
 
 def test_main_case_iii_petersen_parameters():
-    report = check_main_conditions(3, 3, 1, 1, n_even=True)
-    assert "Main-iii" in report.satisfied_cases
-    assert report.m_star == 3
+    assert "Main-iii" in check_main_conditions(3, 3, 1, 1, n_even=True)
 
 
 def test_main_hypothesis_violations():
@@ -62,75 +55,74 @@ def test_main_hypothesis_violations():
 
 
 def test_gallai_cases():
-    assert "Gallai-i" not in check_gallai_conditions(4, 2, 3, n_even=True)
-    assert "Gallai-ii" in check_gallai_conditions(3, 3, 2, n_even=True)
-    assert "Gallai-iii" not in check_gallai_conditions(3, 1, 1, n_even=True)
+    assert "Gallai-i" not in check_main_conditions(4, 2, 3, 3, n_even=True)
+    assert "Gallai-ii" in check_main_conditions(3, 3, 2, 2, n_even=True)
+    assert "Gallai-iii" not in check_main_conditions(3, 1, 1, 1, n_even=True)
 
 
 def test_bsw_cases():
-    assert "BSW-i" in check_bsw_conditions(3, 2, 2)
-    assert "BSW-ii" not in check_bsw_conditions(5, 2, 1)
-    assert "BSW-ii" in check_bsw_conditions(3, 3, 1)
+    assert "BSW-i" in check_main_conditions(3, 2, 2, 2, n_even=True)
+    assert "BSW-ii" not in check_main_conditions(5, 2, 1, 1, n_even=True)
+    assert "BSW-ii" in check_main_conditions(3, 3, 1, 1, n_even=True)
 
 
 def test_k_factor_specialization_includes_named_cases():
-    report = check_main_conditions(3, 3, 1, 1, n_even=True)
-    assert "Gallai-iii" in report.satisfied_cases
-    assert "BSW-ii" in report.satisfied_cases
-    report = check_main_conditions(6, 2, 2, 2, n_even=True)
-    assert "Petersen" in report.satisfied_cases
+    cases = check_main_conditions(3, 3, 1, 1, n_even=True)
+    assert "Gallai-iii" in cases
+    assert "BSW-ii" in cases
+    assert "Petersen" in check_main_conditions(6, 2, 2, 2, n_even=True)
+
+
+def _k_factor_cases(r, m, k, n_even):
+    # Gallai's (1950) and BSW's (1985) k-factor conditions, written out from
+    # the theorems: Gallai's at an m >= 1, BSW's at the odd m*
+    ms = m_star(m)
+    r_odd, k_odd = r % 2 == 1, k % 2 == 1
+    holds = {
+        "Gallai-i": m >= 1 and not r_odd and k_odd and n_even and r <= k * m <= r * (m - 1),
+        "Gallai-ii": m >= 1 and r_odd and not k_odd and k * m <= r * (m - 1),
+        "Gallai-iii": m >= 1 and r_odd and k_odd and r <= k * m,
+        "BSW-i": r_odd and not k_odd and k * ms <= r * (ms - 1),
+        "BSW-ii": r_odd and k_odd and r <= k * ms,
+    }
+    return {name for name in holds if holds[name]}
+
+
+def _k_factor_grid():
+    for r in range(2, 40):
+        for m in range(40):
+            for k in range(1, r):
+                for n_even in (True, False):
+                    yield r, m, k, n_even
 
 
 def test_main_theorem_generalizes_gallai_and_bsw():
     # with a = b = k the main theorem's three cases are BSW's (i) and (ii)
     # and Gallai's (i) exactly, and they contain Gallai's (ii) and (iii):
     # m* >= m only weakens the m-bounds
-    for r in range(2, 40):
-        for m in range(40):
-            for k in range(1, r):
-                bsw = check_bsw_conditions(r, m, k)
-                for n_even in (True, False):
-                    main = check_main_conditions(r, m, k, k, n_even).satisfied_cases
-                    main = main & set(theorems.MAIN_CASES)
-                    gallai = check_gallai_conditions(r, m, k, n_even) if m >= 1 else frozenset()
-                    case = (r, m, k, n_even)
-                    assert ("Gallai-i" in gallai) == ("Main-i" in main), case
-                    assert ("BSW-i" in bsw) == ("Main-ii" in main), case
-                    assert ("BSW-ii" in bsw) == ("Main-iii" in main), case
-                    assert "Gallai-ii" not in gallai or "Main-ii" in main, case
-                    assert "Gallai-iii" not in gallai or "Main-iii" in main, case
+    for case in _k_factor_grid():
+        r, m, k, n_even = case
+        named = _k_factor_cases(*case)
+        main = check_main_conditions(r, m, k, k, n_even) & set(theorems.MAIN_CASES)
+        assert ("Gallai-i" in named) == ("Main-i" in main), case
+        assert ("BSW-i" in named) == ("Main-ii" in main), case
+        assert ("BSW-ii" in named) == ("Main-iii" in main), case
+        assert "Gallai-ii" not in named or "Main-ii" in main, case
+        assert "Gallai-iii" not in named or "Main-iii" in main, case
 
 
 def test_main_theorem_names_exactly_the_gallai_and_bsw_cases():
-    # Main evaluates Gallai's and BSW's inequalities itself, so its names
-    # are pinned against the two public checkers
+    # the Gallai and BSW names check_main_conditions gives at a = b = k are
+    # exactly the written-out inequalities
     named = set(theorems.GALLAI_CASES + theorems.BSW_CASES)
-    for r in range(2, 40):
-        for m in range(40):
-            for k in range(1, r):
-                bsw = check_bsw_conditions(r, m, k)
-                for n_even in (True, False):
-                    main = check_main_conditions(r, m, k, k, n_even).satisfied_cases
-                    gallai = check_gallai_conditions(r, m, k, n_even) if m >= 1 else frozenset()
-                    assert main & named == gallai | bsw, (r, m, k, n_even)
+    for case in _k_factor_grid():
+        r, m, k, n_even = case
+        assert check_main_conditions(r, m, k, k, n_even) & named == _k_factor_cases(*case), case
 
 
 def test_measured_lambda_zero_leaves_only_petersen():
-    report = check_main_conditions(6, 0, 2, 2, n_even=True)
-    assert report.satisfied_cases == {"Petersen"}
-    report = check_main_conditions(6, 0, 1, 1, n_even=True)
-    assert report.satisfied_cases == frozenset()
-
-
-@given(st.integers(2, 12), st.integers(1, 8), st.integers(1, 11), st.integers(0, 5))
-@settings(max_examples=200)
-def test_theta_window(r, m, a, spread):
-    b = a + 2 * spread
-    if not 1 <= a <= b < r:
-        return
-    report = check_main_conditions(r, m, a, b, n_even=True)
-    assert 0 < report.theta1 <= report.theta2 < 1
-    assert report.m_star % 2 == 1 and report.m_star in (m, m + 1)
+    assert check_main_conditions(6, 0, 2, 2, n_even=True) == {"Petersen"}
+    assert check_main_conditions(6, 0, 1, 1, n_even=True) == frozenset()
 
 
 def test_component_check_extremal_blocks():
@@ -243,18 +235,10 @@ def _components(g, spec):
 
 @pytest.mark.parametrize("call,expected", [
     (lambda: m_star(-1), HypothesisViolation("m must be nonnegative, got -1")),
-    (lambda: check_gallai_conditions(4, 2, 0, True),
-     HypothesisViolation("need 1 <= k < r, got k=0, r=4")),
-    (lambda: check_gallai_conditions(4, 2, 4, True),
-     HypothesisViolation("need 1 <= k < r, got k=4, r=4")),
-    (lambda: check_gallai_conditions(4, 0, 1, True), HypothesisViolation("need m >= 1, got 0")),
-    (lambda: check_bsw_conditions(3, 2, 0), HypothesisViolation("need 1 <= k < r, got k=0, r=3")),
-    (lambda: check_bsw_conditions(3, 2, 3), HypothesisViolation("need 1 <= k < r, got k=3, r=3")),
     (_components(complete_graph(4), ParitySpec((1, 1, 1, 1), (1, 1, 1, 3))),
      NotRegular("need a constant (a,b) spec matching the graph")),
     (_components(build_graph(3, []), ParitySpec.constant(0, 0, 3)),
      NotRegular("edgeless graph: the crossing ratios are undefined")),
-], ids=["m-star", "gallai-k-low", "gallai-k-high", "gallai-m", "bsw-k-low", "bsw-k-high",
-        "non-constant-spec", "edgeless"])
+], ids=["m-star", "non-constant-spec", "edgeless"])
 def test_theorems_rejections(call, expected):
     assert_rejects(call, expected)
