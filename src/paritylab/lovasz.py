@@ -9,16 +9,19 @@ machine-checkable infeasibility certificate. All arithmetic is exact integers.
 witness (|T| = 21397) verifies through the CLI in 0.65 s, against 2.43 s when
 every component of G-(S+T) re-checked all of T (README, *Deficiency certificates*).
 ``decide_by_enumeration`` takes the pairs in blocks of one rest mask
-V - (S+T), in descending order, and skips each block whose lower bound on
-delta, rounded up to the parity of f(V), cannot beat the best pair found so
-far (a tie beats it only with a smaller code). It returns the same canonical
-least-code witness as a walk of all 3^n codes (README, *Exhaustive
+V - (S+T), in descending order, and skips each block for which one of three
+lower bounds on delta, rounded up to the parity of f(V), cannot beat the best
+pair found so far (a tie beats it only with a smaller code): two bounds on
+f(S) + sum_T (d - g) - e(S,T) less every component that could be f-odd, and
+a pairwise bound on delta as a whole, tried last. It returns the same
+canonical least-code witness as a walk of all 3^n codes (README, *Exhaustive
 enumeration*).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import lcm
 from typing import Iterable, Optional
 
 from .errors import (
@@ -165,13 +168,34 @@ def decide_by_enumeration(
 
     where base(x) = d(x) - g(x) - f(x) - |N(x) & O|, because e(S,T) =
     sum_T |N(x) & O| - 2 e(G[T]). Either right side less free is a lower
-    bound LB on the block's delta, and LB may be rounded up to the parity of
-    f(V), since delta = f(V) (mod 2). The block's least code is its T = {}
-    pair, so the block is skipped when LB exceeds the best delta found so
-    far, or equals it and that least code exceeds the best code: no pair in
-    it could replace the best. Bound (1) is read from a table built once
-    over all 2^n masks, before the block's own lists; (2) is tried only when
-    (1) fails.
+    bound on the block's delta.
+
+    The pairwise bound (3) takes val and tau together. As e(C,T) = |T & q_C|
+    (mod 2), a free C is odd exactly when |T & q_C| + f(C) is odd, so
+
+        delta >= sum_S a + sum_T b - (edges of G[O] between S and T)
+                 - (odd free C with |q_C| = 2) - c,                 (3)
+
+    where a(x) = f(x) less the free C with q_C = {x} and f(C) odd (odd when
+    x is in S), b(x) = d(x) - g(x) less those with f(C) even (odd when x is
+    in T), a C with q_C = {x, y} is odd when x and y take different sides if
+    f(C) is even and the same side if f(C) is odd, and c counts the other
+    free C (q_C = {}, always odd, and |q_C| >= 3, odd at most once). Each
+    edge and each C with |q_C| = 2 is a pair term on its two ends. A vertex
+    in k(x) > 0 pair terms shares a(x) or b(x) evenly over them, one with
+    none pays min(a, b), and each pair term with its two shares is at least
+    its minimum over the four side choices of its ends; the sum of those
+    minima, rounded up, is the bound. The shares are exact integers in units
+    of 1/lcm(1..max degree), since k(x) <= d(x): each C with x in q_C holds
+    a neighbour of x.
+
+    Each bound LB may be rounded up to the parity of f(V), since delta =
+    f(V) (mod 2). The block's least code is its T = {} pair, so the block is
+    skipped when LB exceeds the best delta found so far, or equals it and
+    that least code exceeds the best code: no pair in it could replace the
+    best. Bound (1) is read from a table built once over all 2^n masks,
+    before the block's own lists; (2) is tried only when (1) fails, and (3),
+    at O(|O| + e(G[O]) + free), only when both fail.
 
     A block that is not skipped gives each x in O a toggle mask: the free
     components that hold an odd number of its neighbours, whose e(C,T)
@@ -191,8 +215,14 @@ def decide_by_enumeration(
     adj_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
     f = spec.f
     f_odd = sum(1 << v for v in range(n) if f[v] & 1)
-    move = [g.degree(v) - spec.g[v] - f[v] for v in range(n)]
+    gap = [g.degree(v) - spec.g[v] for v in range(n)]
+    move = [gap[v] - f[v] for v in range(n)]
+    least = [min(f[v], gap[v]) for v in range(n)]
     pow3 = [3 ** v for v in range(n)]
+    # bound (3)'s neighbours below each vertex, and a unit that every
+    # vertex's count of pair terms (at most its degree) divides
+    below = [[u for u in g.adjacency[v] if u < v] for v in range(n)]
+    unit = lcm(*range(1, max(g.degrees, default=0) + 1))
     # per-mask tables over O, each entry from the one without O's lowest
     # vertex: f(O), the least code sum_O 3^v, and sum_O min(f, d - g) - e(G[O])
     full = (1 << n) - 1
@@ -204,11 +234,7 @@ def decide_by_enumeration(
         v = (o ^ prev).bit_length() - 1
         f_of[o] = f_of[prev] + f[v]
         code_of[o] = code_of[prev] + pow3[v]
-        floor_of[o] = (
-            floor_of[prev]
-            + min(f[v], g.degree(v) - spec.g[v])
-            - (adj_mask[v] & prev).bit_count()
-        )
+        floor_of[o] = floor_of[prev] + least[v] - (adj_mask[v] & prev).bit_count()
     f_parity = spec.f_total & 1
     # the j-th Gray-code step flips bit ruler[j-1]; its first 2^k - 1 entries
     # walk every subset of k positions
@@ -254,7 +280,60 @@ def decide_by_enumeration(
         lb = f_of[out_mask] + sum(b for b in base if b < 0) - len(free)
         if lb + ((lb ^ f_parity) & 1) > limit:
             continue
-        toggles = [sum(bit for q, bit in free if q >> v & 1) for v in outside]
+        # bound (3), the pairwise bound: split each vertex's own terms evenly,
+        # in units of 1/unit, over the pair terms it is in, and minimise each
+        # pair term alone over its four side choices
+        on_s = list(f)
+        on_t = list(gap)
+        k = list(move)  # k[v] - base becomes v's count of pair terms
+        lb = 0
+        # (x, y, f(C) odd) of each free C with q_C = {x, y}: C is odd when x
+        # and y take the same side if f(C) is odd, different ones if not
+        twos = []
+        for q, bit in free:
+            size = q.bit_count()
+            if size == 1:
+                if parity & bit:
+                    on_s[q.bit_length() - 1] -= 1
+                else:
+                    on_t[q.bit_length() - 1] -= 1
+            elif size == 2:
+                x = (q & -q).bit_length() - 1
+                y = q.bit_length() - 1
+                k[x] += 1
+                k[y] += 1
+                twos.append((x, y, parity & bit))
+            else:
+                lb -= 1
+        total = 0
+        for v, b in zip(outside, base):
+            kv = k[v] - b
+            if not kv:
+                lb += min(on_s[v], on_t[v])
+                continue
+            sv = on_s[v] = on_s[v] * unit // kv
+            tv = on_t[v] = on_t[v] * unit // kv
+            for y in below[v]:
+                if out_mask >> y & 1:
+                    sy = on_s[y]
+                    ty = on_t[y]
+                    total += min(sv + sy, tv + ty, sv + ty - unit, tv + sy - unit)
+        for x, y, same in twos:
+            sx, tx, sy, ty = on_s[x], on_t[x], on_s[y], on_t[y]
+            if same:
+                total += min(sx + sy - unit, tx + ty - unit, sx + ty, tx + sy)
+            else:
+                total += min(sx + sy, tx + ty, sx + ty - unit, tx + sy - unit)
+        lb -= total // -unit
+        if lb + ((lb ^ f_parity) & 1) > limit:
+            continue
+        flips = [0] * n
+        for q, bit in free:
+            while q:
+                low = q & -q
+                q ^= low
+                flips[low.bit_length() - 1] |= bit
+        toggles = [flips[v] for v in outside]
         bits = [1 << v for v in outside]
         nbrs = [adj_mask[v] for v in outside]
         digits = [pow3[v] for v in outside]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
@@ -300,7 +302,9 @@ def _sweep_instance(kind, n, size, shape):
 # feasible and infeasible instances, witnesses with S or T nonempty, and
 # f(V) odd (regular 11, sparse 9 and 11 with 17 edges, split 10 and 12) as
 # well as even; every sparse case but the (1, 1) one has a vertex with
-# g(v) > d(v), and three sparse cases and the split graphs are disconnected
+# g(v) > d(v), and three sparse cases and the split graphs are disconnected;
+# in the cycles of regular 9 2 (2, 2), d - g = 0 at every vertex, so all the
+# slack of a block lies in tau
 SWEEP_CASES = [
     ("regular", 9, 4, "vertex"),
     ("regular", 10, 3, (1, 1)),
@@ -315,6 +319,7 @@ SWEEP_CASES = [
     ("split", 10, 6, "vertex"),
     ("split", 11, 6, (2, 2)),
     ("split", 12, 6, "vertex"),
+    ("regular", 9, 2, (2, 2)),
 ]
 
 
@@ -393,11 +398,10 @@ def test_deficiency_matches_an_independent_evaluation(data):
 
 
 # (blocks walked, codes walked) on each of SWEEP_CASES, of 2^n blocks and 3^n
-# codes; computed when the bound was introduced
+# codes; computed when the pairwise bound (3) was introduced
 SWEEP_WORK = [
-    (4, 1025), (165, 30849), (76, 43521), (173, 142465), (118, 6673), (129, 25119),
-    (115, 19555), (70, 29963), (133, 38833), (218, 50369), (174, 27517), (1557, 169545),
-    (174, 119473),
+    (1, 1), (1, 1), (1, 1), (1, 1), (65, 2917), (95, 19487), (56, 11203), (9, 3083),
+    (11, 3265), (23, 511), (37, 6877), (1, 1), (11, 1777), (1, 1),
 ]
 
 
@@ -421,26 +425,59 @@ def test_the_bound_skips_the_pinned_blocks(monkeypatch):
 
 
 def _block_bounds(g, spec, s, t):
-    """Two lower bounds on delta over every pair with S + T = O, from the
-    definitions: each vertex of O pays f or d - g, less e(G[O]); or each pays
-    f, and in T also d - g - f - |N(x) & O|, with e(G[T]) >= 0 left out.
-    Both less the components C of G - O whose e(C,T) + f(C) some T in O
-    could make odd: f(C) is odd, or some x in O has an odd number of
-    neighbours in C."""
+    """Three lower bounds on delta over every pair with S + T = O, from the
+    definitions. The components C of G - O whose e(C,T) + f(C) some T in O
+    could make odd are free: f(C) is odd, or q_C, the x in O with an odd
+    number of neighbours in C, is not empty. The first two bounds are less
+    every free component: each vertex of O pays f or d - g, less e(G[O]); or
+    each pays f, and in T also d - g - f - |N(x) & O|, with e(G[T]) >= 0 left
+    out. The third is the pairwise bound, in exact fractions."""
     inside = [*s, *t]
-    deg_o = [len(set(g.adjacency[x]) & set(inside)) for x in inside]
-    free = sum(
-        1
-        for cvs in components_after_removal(g, VertexSet.of(inside))
-        if spec.f_sum(cvs) % 2 == 1
-        or any(len(set(g.adjacency[x]) & set(cvs)) % 2 == 1 for x in inside)
-    )
+    nbrs = {x: set(g.adjacency[x]) for x in inside}
+    deg_o = [len(nbrs[x] & set(inside)) for x in inside]
+    free = []  # (q_C, whether f(C) is odd) of each free component
+    for cvs in components_after_removal(g, VertexSet.of(inside)):
+        q = [x for x in inside if len(nbrs[x] & set(cvs)) % 2 == 1]
+        odd = spec.f_sum(cvs) % 2 == 1
+        if q or odd:
+            free.append((q, odd))
     first = sum(min(spec.f[x], g.degree(x) - spec.g[x]) for x in inside) - sum(deg_o) // 2
     second = sum(
         spec.f[x] + min(0, g.degree(x) - spec.g[x] - spec.f[x] - k)
         for x, k in zip(inside, deg_o)
     )
-    return first - free, second - free
+    return first - len(free), second - len(free), _pairwise_bound(g, spec, inside, free)
+
+
+def _pairwise_bound(g, spec, inside, free):
+    """delta >= sum of vertex terms, pair terms and constants: x pays f(x) on
+    S and d(x) - g(x) on T, less 1 for each free C with q_C = {x} that x's
+    side makes odd (S if f(C) is odd, T if not); -1 for each edge of G[O]
+    whose ends take different sides, and for each free C with q_C = {x, y}
+    whose e(C,T) + f(C) their sides make odd; -1 for each other free C. Each
+    vertex's term is split evenly over the pair terms it is in, each pair
+    term is minimised alone over its four side choices, and the sum is
+    rounded up."""
+    cost = {x: {"S": Fraction(spec.f[x]), "T": Fraction(g.degree(x) - spec.g[x])} for x in inside}
+    pairs = []  # (x, y, the side choices that cost 1)
+    constant = 0
+    split = {("S", "T"), ("T", "S")}
+    for q, odd in free:
+        if len(q) == 1:
+            cost[q[0]]["S" if odd else "T"] -= 1
+        elif len(q) == 2:
+            pairs.append((*q, {("S", "S"), ("T", "T")} if odd else split))
+        else:
+            constant -= 1
+    pairs += [(x, y, split) for x, y in combinations(inside, 2) if g.has_edge(x, y)]
+    k = {x: sum(x in pair[:2] for pair in pairs) for x in inside}
+    total = constant + sum(min(cost[x].values()) for x in inside if k[x] == 0)
+    for x, y, charged in pairs:
+        total += min(
+            cost[x][a] / k[x] + cost[y][b] / k[y] - ((a, b) in charged)
+            for a in "ST" for b in "ST"
+        )
+    return math.ceil(total)
 
 
 @given(instance_with_disjoint_sets(max_n=7))
