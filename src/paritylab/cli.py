@@ -28,6 +28,7 @@ from .generators import ExtremalParams, extremal_construction, random_regular
 from .graph import Graph, VertexSet, emit_graph, int_pair, parse_graph, text_lines
 from .lovasz import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_ENUMERATION_N,
     ParitySpec,
     decide_by_enumeration,
     deficiency,
@@ -215,13 +216,24 @@ def cmd_experiment(args) -> int:
 
 
 def _cap(text: str) -> int:
-    """An ``--enum-cap`` or ``--edge-cap`` value: an int, 0 or more."""
+    """An ``--edge-cap`` value: an int, 0 or more."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"a cap cannot be negative, got {value}")
+    return value
+
+
+def _enum_cap(text: str) -> int:
+    """An ``--enum-cap`` value: a cap of at most ``MAX_ENUMERATION_N``, the
+    largest n whose 2^n-entry tables the enumeration can hold in memory."""
+    value = _cap(text)
+    if value > MAX_ENUMERATION_N:
+        raise argparse.ArgumentTypeError(
+            f"the enumeration cap is at most {MAX_ENUMERATION_N}, got {value}"
+        )
     return value
 
 
@@ -248,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="construct a parity factor or certify infeasibility")
     _add_instance_args(p)
     p.add_argument("--method", choices=("gadget", "brute"), default="gadget")
-    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--enum-cap", type=_enum_cap, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--edge-cap", type=_cap, default=DEFAULT_EDGE_CAP)
     p.add_argument(
         "--dot", action="store_true",
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="exhaustive feasibility decision (small graphs)")
     _add_instance_args(p)
-    p.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--enum-cap", type=_enum_cap, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("deficiency", help="evaluate delta(S,T) for given sets")

@@ -9,18 +9,22 @@ machine-checkable infeasibility certificate. All arithmetic is exact integers.
 witness (|T| = 21397) verifies through the CLI in 0.65 s, against 2.43 s when
 every component of G-(S+T) re-checked all of T (README, *Deficiency certificates*).
 ``decide_by_enumeration`` takes the pairs in blocks of one rest mask
-V - (S+T), in descending order, and skips each block for which one of three
-lower bounds on delta, rounded up to the parity of f(V), cannot beat the best
-pair found so far (a tie beats it only with a smaller code): two bounds on
-f(S) + sum_T (d - g) - e(S,T) less every component that could be f-odd, and
-a pairwise bound on delta as a whole, tried last. It returns the same
+R = V - (S+T), in descending order, and skips each block for which a lower
+bound on delta, rounded up to the parity of f(V), cannot beat the best pair
+found so far (a tie beats it only with a smaller code). The bounds are tried
+in order of cost. First comes one read from tables alone: each component of
+G[R] has exactly one least vertex, which has no smaller neighbour in R, so
+roots(R), the count of such vertices, is at least the number of components.
+Only a block it does not skip has its components scanned, and then meets two
+bounds on f(S) + sum_T (d - g) - e(S,T) less every component that could be
+f-odd, and a pairwise bound on delta as a whole. It returns the same
 canonical least-code witness as a walk of all 3^n codes (README, *Exhaustive
 enumeration*).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from math import lcm
 from typing import Iterable, Optional
 
@@ -41,6 +45,10 @@ from .graph import (
 )
 
 DEFAULT_ENUMERATION_CAP = 15
+# the largest n that decide_by_enumeration takes, whatever its cap: its three
+# 2^n-entry tables take about 60 bytes a mask under CPython 3.11, so 60 MB at
+# n = 20 and twice as much for each further vertex
+MAX_ENUMERATION_N = 20
 _WITNESS_FIELDS = ("S", "T", "delta", "tau")
 
 
@@ -141,6 +149,56 @@ def deficiency(g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet) -> Defici
     return DeficiencyWitness(s, t, delta, tau)
 
 
+def _mask_tables(
+    adj_mask: list[int], pow3: list[int], least: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Three tables over the 2^n vertex masks, each entry built from the one
+    without the mask's highest vertex h: the least code sum 3^v, the floor
+    sum min(f, d - g) - e(G[mask]) (h adds least[h] less its edges to the
+    rest), and roots, the vertices with no smaller neighbour in the mask (h
+    is one iff it has no neighbour in the rest, and changes no other's)."""
+    code_of, floor_of, roots = [0], [0], [0]
+    for h, adj in enumerate(adj_mask):
+        code_of += [c + pow3[h] for c in code_of]
+        floor_of += [x + least[h] - (adj & m).bit_count() for m, x in enumerate(floor_of)]
+        roots += [x + (not adj & m) for m, x in enumerate(roots)]
+    return code_of, floor_of, roots
+
+
+def _free_components(
+    adj_mask: list[int], f_odd: int, rest: int, out_mask: int
+) -> tuple[list[tuple[int, int]], int]:
+    """The components C of G[rest] that can be f-odd, by ascending least
+    vertex, as (q_C & O, bit) with O = out_mask and one bit each, and the
+    mask of the bits of those with f(C) odd."""
+    free = []
+    parity = 0
+    bit = 1
+    todo = rest
+    while todo:
+        comp = frontier = todo & -todo
+        q = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                adj = adj_mask[low.bit_length() - 1]
+                reach |= adj
+                q ^= adj
+            frontier = reach & todo & ~comp
+            comp |= frontier
+        todo ^= comp
+        q &= out_mask
+        odd = (comp & f_odd).bit_count() & 1
+        if q or odd:
+            free.append((q, bit))
+            if odd:
+                parity |= bit
+            bit <<= 1
+    return free, parity
+
+
 def decide_by_enumeration(
     g: Graph, spec: ParitySpec, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Decision:
@@ -153,12 +211,13 @@ def decide_by_enumeration(
 
     The pairs are grouped into blocks by their rest mask R = V - (S+T), with
     O = V - R = S + T, and the blocks are taken from R = V (the pair of code
-    0) down to R = {}. The components of G[R] are found once per block. A
-    component C has e(C,T) + f(C) odd for some T in O only if f(C) is odd or
-    some x in O has an odd number of neighbours in C (x is in q_C, the XOR
-    of the adjacency masks of C's vertices); free counts those components,
-    so tau <= free over the whole block. With val = f(S) + sum_T (d - g) -
-    e(S,T), so that delta = val - tau, every pair of the block has
+    0) down to R = {}. The components of G[R] are found once per block that
+    the table-only bound below does not skip. A component C has e(C,T) +
+    f(C) odd for some T in O only if f(C) is odd or some x in O has an odd
+    number of neighbours in C (x is in q_C, the XOR of the adjacency masks
+    of C's vertices); free counts those components, so tau <= free over the
+    whole block. With val = f(S) + sum_T (d - g) - e(S,T), so that delta =
+    val - tau, every pair of the block has
 
         val >= sum_O min(f, d - g) - e(G[O]),                       (1)
 
@@ -193,9 +252,18 @@ def decide_by_enumeration(
     f(V) (mod 2). The block's least code is its T = {} pair, so the block is
     skipped when LB exceeds the best delta found so far, or equals it and
     that least code exceeds the best code: no pair in it could replace the
-    best. Bound (1) is read from a table built once over all 2^n masks,
-    before the block's own lists; (2) is tried only when (1) fails, and (3),
-    at O(|O| + e(G[O]) + free), only when both fail.
+    best. The bounds are tried in order of cost, each only when the ones
+    before it fail:
+
+    - the table-only bound, (1) less roots(R) in place of free, where
+      roots(R) counts the vertices of R with no smaller neighbour in R. Each
+      component of G[R] has exactly one least vertex, and that vertex has no
+      smaller neighbour in R, so free <= #components <= roots(R), and this
+      bound skips a subset of the blocks (1) skips. It and the block's least
+      code are read from three tables built once over all 2^n masks;
+    - (1), from the same table and the scan's free count;
+    - (2), at O(|O|);
+    - (3), at O(|O| + e(G[O]) + free).
 
     A block that is not skipped gives each x in O a toggle mask: the free
     components that hold an odd number of its neighbours, whose e(C,T)
@@ -208,76 +276,44 @@ def decide_by_enumeration(
     """
     _check_spec(g, spec)
     n = g.n
-    if n > enumeration_cap:
-        raise GraphTooLargeForEnumeration(
-            f"n = {n} exceeds enumeration cap {enumeration_cap}"
-        )
+    cap = min(enumeration_cap, MAX_ENUMERATION_N)
+    if n > cap:
+        raise GraphTooLargeForEnumeration(f"n = {n} exceeds enumeration cap {cap}")
     adj_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
     f = spec.f
     f_odd = sum(1 << v for v in range(n) if f[v] & 1)
     gap = [g.degree(v) - spec.g[v] for v in range(n)]
     move = [gap[v] - f[v] for v in range(n)]
-    least = [min(f[v], gap[v]) for v in range(n)]
     pow3 = [3 ** v for v in range(n)]
     # bound (3)'s neighbours below each vertex, and a unit that every
     # vertex's count of pair terms (at most its degree) divides
     below = [[u for u in g.adjacency[v] if u < v] for v in range(n)]
     unit = lcm(*range(1, max(g.degrees, default=0) + 1))
-    # per-mask tables over O, each entry from the one without O's lowest
-    # vertex: f(O), the least code sum_O 3^v, and sum_O min(f, d - g) - e(G[O])
+    code_of, floor_of, roots = _mask_tables(
+        adj_mask, pow3, [min(f[v], gap[v]) for v in range(n)]
+    )
     full = (1 << n) - 1
-    f_of = [0] * (full + 1)
-    code_of = [0] * (full + 1)
-    floor_of = [0] * (full + 1)
-    for o in range(1, full + 1):
-        prev = o & (o - 1)
-        v = (o ^ prev).bit_length() - 1
-        f_of[o] = f_of[prev] + f[v]
-        code_of[o] = code_of[prev] + pow3[v]
-        floor_of[o] = floor_of[prev] + least[v] - (adj_mask[v] & prev).bit_count()
     f_parity = spec.f_total & 1
-    # the j-th Gray-code step flips bit ruler[j-1]; its first 2^k - 1 entries
-    # walk every subset of k positions
-    ruler = [(i & -i).bit_length() - 1 for i in range(1, 1 << n)]
     # a pair of the last block, R = {}: T = {}, S = V
     best_delta, best_code = spec.f_total, code_of[full]
     for rest in range(full, -1, -1):
         out_mask = full ^ rest
-        free = []  # (q_C & O, bit) of each component that can be f-odd
-        parity = 0  # bit i set iff free component i has e(C,T) + f(C) odd
-        bit = 1
-        todo = rest
-        while todo:
-            comp = frontier = todo & -todo
-            q = 0
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    adj = adj_mask[low.bit_length() - 1]
-                    reach |= adj
-                    q ^= adj
-                frontier = reach & todo & ~comp
-                comp |= frontier
-            todo ^= comp
-            q &= out_mask
-            odd = (comp & f_odd).bit_count() & 1
-            if q or odd:
-                free.append((q, bit))
-                if odd:
-                    parity |= bit
-                bit <<= 1
         # skip the block when a lower bound on its delta, rounded up to the
         # parity of f(V), exceeds limit; a pair that ties best_delta beats
         # the best only if the block's least code is below best_code
         limit = best_delta - (code_of[out_mask] > best_code)
+        # bound (1) with roots(R) >= free in place of free: tables only
+        lb = floor_of[out_mask] - roots[rest]
+        if lb + ((lb ^ f_parity) & 1) > limit:
+            continue
+        free, parity = _free_components(adj_mask, f_odd, rest, out_mask)
         lb = floor_of[out_mask] - len(free)
         if lb + ((lb ^ f_parity) & 1) > limit:
             continue
         outside = [v for v in range(n) if out_mask >> v & 1]
         base = [move[v] - (adj_mask[v] & out_mask).bit_count() for v in outside]
-        lb = f_of[out_mask] + sum(b for b in base if b < 0) - len(free)
+        f_out = sum(f[v] for v in outside)
+        lb = f_out + sum(b for b in base if b < 0) - len(free)
         if lb + ((lb ^ f_parity) & 1) > limit:
             continue
         # bound (3), the pairwise bound: split each vertex's own terms evenly,
@@ -338,12 +374,15 @@ def decide_by_enumeration(
         nbrs = [adj_mask[v] for v in outside]
         digits = [pow3[v] for v in outside]
         # start from T = {}, S = O
-        val = f_of[out_mask]
+        val = f_out
         code = code_of[out_mask]
         t_mask = 0
         d_val = val - parity.bit_count()
         if d_val <= best_delta and (d_val < best_delta or code < best_code):
             best_delta, best_code = d_val, code
+        # step i of the Gray code flips position ruler[i - 1], the lowest set
+        # bit of i; its first 2^k - 1 steps walk every subset of k positions
+        ruler = ((i & -i).bit_length() - 1 for i in count(1))
         for j in islice(ruler, (1 << len(outside)) - 1):
             x = bits[j]
             step = base[j] + 2 * (nbrs[j] & t_mask).bit_count()

@@ -10,7 +10,12 @@ import pytest
 from paritylab import ParitySpec, cli, emit_graph, generators, lovasz, parse_graph, random_regular
 from paritylab.errors import SelfCheckFailed
 from paritylab.experiment import parse_config
-from paritylab.lovasz import DEFAULT_ENUMERATION_CAP, parse_witness, serialize_witness
+from paritylab.lovasz import (
+    DEFAULT_ENUMERATION_CAP,
+    MAX_ENUMERATION_N,
+    parse_witness,
+    serialize_witness,
+)
 from paritylab.solver import Factor, parse_factor
 
 import reference_lovasz
@@ -323,6 +328,19 @@ def test_negative_cap_is_a_usage_error(args):
     result = run_cli(args, stdin_text="2 1\n0 1\n")
     assert (result.returncode, result.stdout) == (2, "")
     assert f"argument {args[-2]}: a cap cannot be negative, got {args[-1]}" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["decide", "solve"])
+def test_enum_cap_above_the_memory_limit_is_a_usage_error(command):
+    # the 2^n-entry tables fit in memory only up to MAX_ENUMERATION_N; the
+    # largest accepted cap still decides K2 without building a large table
+    top = MAX_ENUMERATION_N
+    args = [command, "-", "--a", "1", "--b", "1", "--enum-cap"]
+    result = run_cli([*args, str(top + 1)], stdin_text="2 1\n0 1\n")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert f"argument --enum-cap: the enumeration cap is at most {top}, got {top + 1}" in result.stderr
+    result = run_cli([*args, str(top)], stdin_text="2 1\n0 1\n")
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_zero_cap_is_still_a_cap():

@@ -155,6 +155,25 @@ def test_decide_enumeration_cap():
         decide_by_enumeration(g, ParitySpec.constant(1, 1, 5), enumeration_cap=4)
 
 
+def test_enumeration_cap_is_bounded_whatever_the_caller_asks(monkeypatch):
+    # the sweep's 2^n-entry tables fit in memory only up to MAX_ENUMERATION_N;
+    # a stub in place of the table builder shows where each call stops
+    # without allocating any table
+    class ReachedTables(Exception):
+        pass
+
+    def stub(*tables):
+        raise ReachedTables
+
+    monkeypatch.setattr(lovasz, "_mask_tables", stub)
+    top = lovasz.MAX_ENUMERATION_N
+    with pytest.raises(ReachedTables):
+        decide_by_enumeration(build_graph(top, []), ParitySpec.constant(0, 0, top), top + 20)
+    with pytest.raises(GraphTooLargeForEnumeration) as info:
+        decide_by_enumeration(build_graph(top + 1, []), ParitySpec.constant(0, 0, top + 1), top + 20)
+    assert str(info.value) == f"n = {top + 1} exceeds enumeration cap {top}"
+
+
 def test_verify_witness_rejects_nonnegative_delta():
     k2 = complete_graph(2)
     spec = ParitySpec.constant(1, 1, 2)
@@ -403,35 +422,56 @@ SWEEP_WORK = [
     (1, 1), (1, 1), (1, 1), (1, 1), (65, 2917), (95, 19487), (56, 11203), (9, 3083),
     (11, 3265), (23, 511), (37, 6877), (1, 1), (11, 1777), (1, 1),
 ]
+# blocks whose components are scanned on each of SWEEP_CASES, of 2^n; computed
+# when the table-only bound, read before the scan, was introduced (every
+# block was scanned before it)
+SWEEP_SCANS = [20, 418, 707, 2707, 190, 319, 403, 105, 214, 316, 314, 1941, 275, 512]
 
 
 def test_the_bound_skips_the_pinned_blocks(monkeypatch):
-    # each walked block takes one islice of the Gray-code ruler; a change to
-    # the bound, its parity round-up or its tie rule moves these counts even
-    # where the decision stays the same
-    walked = []
+    # each scanned block makes one component scan, and each walked block
+    # takes one islice of the Gray-code ruler; a change to a bound, its
+    # parity round-up or its tie rule moves these counts even where the
+    # decision stays the same
+    scanned, walked = [], []
+    scan = lovasz._free_components
 
-    def spy(ruler, steps):
+    def scan_spy(*block):
+        scanned.append(block)
+        return scan(*block)
+
+    def walk_spy(ruler, steps):
         walked.append(steps + 1)
         return islice(ruler, steps)
 
-    monkeypatch.setattr(lovasz, "islice", spy)
-    work = []
+    monkeypatch.setattr(lovasz, "_free_components", scan_spy)
+    monkeypatch.setattr(lovasz, "islice", walk_spy)
+    scans, work = [], []
     for case in SWEEP_CASES:
+        scanned.clear()
         walked.clear()
         decide_by_enumeration(*_sweep_instance(*case))
+        scans.append(len(scanned))
         work.append((len(walked), sum(walked)))
     assert work == SWEEP_WORK
+    assert scans == SWEEP_SCANS
+
+
+def _roots(g, rest):
+    """The vertices of rest with no smaller neighbour in rest."""
+    return sum(not any(u < v and u in rest for u in g.adjacency[v]) for v in rest)
 
 
 def _block_bounds(g, spec, s, t):
-    """Three lower bounds on delta over every pair with S + T = O, from the
+    """Four lower bounds on delta over every pair with S + T = O, from the
     definitions. The components C of G - O whose e(C,T) + f(C) some T in O
     could make odd are free: f(C) is odd, or q_C, the x in O with an odd
     number of neighbours in C, is not empty. The first two bounds are less
     every free component: each vertex of O pays f or d - g, less e(G[O]); or
     each pays f, and in T also d - g - f - |N(x) & O|, with e(G[T]) >= 0 left
-    out. The third is the pairwise bound, in exact fractions."""
+    out. The third is the pairwise bound, in exact fractions. The fourth is
+    the first with the roots of G - O, its vertices with no smaller
+    neighbour outside O, in place of the free components."""
     inside = [*s, *t]
     nbrs = {x: set(g.adjacency[x]) for x in inside}
     deg_o = [len(nbrs[x] & set(inside)) for x in inside]
@@ -446,7 +486,13 @@ def _block_bounds(g, spec, s, t):
         spec.f[x] + min(0, g.degree(x) - spec.g[x] - spec.f[x] - k)
         for x, k in zip(inside, deg_o)
     )
-    return first - len(free), second - len(free), _pairwise_bound(g, spec, inside, free)
+    rest = set(range(g.n)) - set(inside)
+    return (
+        first - len(free),
+        second - len(free),
+        _pairwise_bound(g, spec, inside, free),
+        first - _roots(g, rest),
+    )
 
 
 def _pairwise_bound(g, spec, inside, free):
@@ -485,9 +531,35 @@ def _pairwise_bound(g, spec, inside, free):
 def test_block_lower_bounds_hold(data):
     g, spec, s, t = data
     delta = deficiency(g, spec, s, t).delta
-    for bound in _block_bounds(g, spec, s, t):
+    bounds = _block_bounds(g, spec, s, t)
+    for bound in bounds:
         # delta = f(V) (mod 2), so the bound may be rounded up to that parity
         assert delta >= bound + (bound - spec.f_total) % 2
+    # the table-only bound skips a subset of the blocks that bound (1) skips
+    assert bounds[3] <= bounds[0]
+
+
+@given(graph_with_spec(max_n=8))
+@settings(max_examples=100)
+def test_mask_tables_match_their_definitions(data):
+    # every component of G[R] has one least vertex, which has no smaller
+    # neighbour in R, so roots(R) is at least the number of components
+    g, spec = data
+    n = g.n
+    adj_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+    least = [min(spec.f[v], g.degree(v) - spec.g[v]) for v in range(n)]
+    code_of, floor_of, roots = lovasz._mask_tables(adj_mask, [3 ** v for v in range(n)], least)
+    assert len(code_of) == len(floor_of) == len(roots) == 1 << n
+    for mask in range(1 << n):
+        members = [v for v in range(n) if mask >> v & 1]
+        inside = set(members)
+        outside = VertexSet.of(v for v in range(n) if v not in inside)
+        assert code_of[mask] == sum(3 ** v for v in members)
+        assert floor_of[mask] == sum(least[v] for v in members) - sum(
+            u in inside for v in members for u in g.adjacency[v]
+        ) // 2
+        assert roots[mask] == _roots(g, inside)
+        assert roots[mask] >= len(components_after_removal(g, outside))
 
 
 # ---- rejections with their full messages
