@@ -12,9 +12,11 @@ every vertex is next to D, so the searches stay local.
 
 The cut side comes from the smallest sink t with flow(0, t) = lambda: the
 vertices the last, failed search of that flow reaches from vertex 0, the
-smallest source side of a minimum 0-t cut. Flows are Edmonds-Karp, neighbours
-in ascending order; carried[v] holds the neighbours w with a unit on v -> w,
-that arc is usable iff w is not in it, and a push against a unit cancels it.
+smallest source side of a minimum 0-t cut. When lambda = deg(0) no flow is
+run: flow(0, 1) = deg(0) saturates every edge at 0, so that sink is 1 and
+the side is {0}. Flows are Edmonds-Karp, neighbours in ascending order;
+carried[v] holds the neighbours w with a unit on v -> w, that arc is usable
+iff w is not in it, and a push against a unit cancels it.
 """
 from __future__ import annotations
 
@@ -111,9 +113,12 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
     for t in _dominating_set(adj)[1:]:
         best = _set_flow(adj, source, t, best)[0]
         source.add(t)
-    # no flow from vertex 0 is below best, and the first sink's to end at it gives the side
-    sides = (_max_flow(adj, 0, t, best + 1)[1] for t in range(1, g.n))
-    side = next(reached for reached in sides if reached is not None)
+    if best == len(adj[0]):
+        side = VertexSet((0,))  # {0} is a minimum 0-1 cut, and the smallest
+    else:
+        # no flow from vertex 0 is below best, and the first sink's to end at it gives the side
+        sides = (_max_flow(adj, 0, t, best + 1)[1] for t in range(1, g.n))
+        side = next(reached for reached in sides if reached is not None)
     cert = CutCertificate(side, best)
     # certificate self-consistency is cheap; keep it as a hard guarantee
     crossing = edges_between(g, side, VertexSet.of(set(range(g.n)) - side._as_set))

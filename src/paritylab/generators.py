@@ -19,7 +19,7 @@ from .errors import (
     ParityViolation,
     RetriesExhausted,
 )
-from .graph import Graph, VertexSet, build_graph
+from .graph import Graph, VertexSet, _from_canonical, build_graph
 
 DEFAULT_SAMPLING_RETRIES = 10000
 
@@ -62,7 +62,8 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
     for _ in range(DEFAULT_SAMPLING_RETRIES):
         edges = _pairing_attempt(n, r, rng)
         if edges is not None:
-            return build_graph(n, edges)
+            # the pairs are in range, loop-free and ordered u < v already
+            return _from_canonical(n, list(edges))
     raise RetriesExhausted(f"no simple {r}-regular graph found in {DEFAULT_SAMPLING_RETRIES} attempts")
 
 

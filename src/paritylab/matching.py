@@ -69,8 +69,16 @@ disjoint and no later augmentation touches one, by construction. Every
 vertex exposed at the end rooted a search that failed, since a matched
 vertex never becomes exposed again, so the concatenation of the failed
 searches' queues is D under the final matching. ``max_matching`` returns it
-sorted as ``Matching.D``. The solver reads ``Matching.mate`` and ``D`` (the
-Tutte barrier is N(D) - D).
+sorted as ``Matching.D``.
+
+The Tutte barrier A = N(D) - D, from the same trees. A failed search appends
+to A the vertices it labelled odd that no contraction made even. Each has an
+even parent in its tree, so it is in N(D); no later search queues a pruned
+vertex, so it is in no other tree and not in D; and every edge from an even
+vertex of T stays inside T, so N(D) is within D and these vertices. Each
+is matched to the vertex its search queued after labelling it, so into D,
+as Gallai–Edmonds says. ``max_matching`` returns A sorted as
+``Matching.A``, and the solver projects it onto the graph.
 
 Cost per call: O(n + m) to allocate the four arrays and seed, then, for each
 exposed root, the edges its search scans plus, per contraction, its blossom
@@ -102,6 +110,8 @@ class Matching:
     mate: tuple[int, ...]
     # the Gallai-Edmonds set: vertices left exposed by some maximum matching
     D: tuple[int, ...] = ()
+    # N(D) - D, a Tutte barrier: the odd vertices of the failed searches
+    A: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return (len(self.mate) - self.mate.count(-1)) // 2
@@ -124,17 +134,19 @@ def max_matching(g: Adjacency) -> Matching:
     stamp = [0] * n  # per base, the last contraction tick that marked it
     clock = [0]  # the last tick used in this call
     d: list[int] = []
+    barrier: list[int] = []
     for v in range(n):
         if match[v] < 0:
-            even = _try_augment(adj, match, parent, base, in_queue, stamp, clock, v)
+            even = _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, v)
             if even is not None:
                 d.extend(even)
-    return Matching(tuple(match), tuple(sorted(d)))
+    return Matching(tuple(match), tuple(sorted(d)), tuple(sorted(barrier)))
 
 
-def _try_augment(adj, match, parent, base, in_queue, stamp, clock, root) -> list[int] | None:
+def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root) -> list[int] | None:
     """Search for an augmenting path from an exposed root; apply it if found.
-    Returns None after augmenting, or the even vertices of the failed search.
+    Returns None after augmenting, or the even vertices of the failed search;
+    a failed search also appends to ``barrier`` the vertices that stayed odd.
 
     On entry, every live vertex (one in no earlier failed search's tree)
     holds the initial values of ``parent``, ``base`` and ``in_queue`` (-1,
@@ -218,6 +230,7 @@ def _try_augment(adj, match, parent, base, in_queue, stamp, clock, root) -> list
                 nxt = match[to]
                 in_queue[nxt] = True
                 queue.append(nxt)
+    barrier += [u for u in odd if not in_queue[u]]  # the odd vertices no blossom took in
     for u in queue:  # odd vertices already have a parent
         parent[u] = root
         in_queue[u] = False

@@ -130,8 +130,9 @@ def find_parity_factor(g: Graph, spec: ParitySpec) -> Optional[Factor]:
 def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
     """One gadget matching: the verified factor, else the deficiency witness
     read off the gadget's Tutte barrier A = N(D) - D, D the matcher's
-    Gallai-Edmonds set. A lower bound above a vertex's degree is certified
-    with T = those vertices, without a gadget.
+    Gallai-Edmonds set. The matcher returns A as ``Matching.A``: the
+    vertices its failed searches left odd. A lower bound above a vertex's
+    degree is certified with T = those vertices, without a gadget.
 
     A vertex with f(v) <= d(v) goes to S if it has outer nodes, all in A; any
     other vertex goes to T if all its core nodes are in A. The pair attains
@@ -146,8 +147,7 @@ def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
     m = max_matching(gm)
     match = m.mate
     if -1 in match:
-        d = set(m.D)
-        barrier = {y for x in d for y in gm.adjacency[x]} - d
+        barrier = set(m.A)
         s, t = [], []
         for v in range(g.n):
             # S charges f(v), H only the clamped f'(v): they differ iff f(v) > d(v)

@@ -256,8 +256,11 @@ def _sinks_swept(monkeypatch, g):
     return sinks
 
 
-def test_random_regular_cut_side_takes_one_flow(monkeypatch):
-    assert _sinks_swept(monkeypatch, random_regular(2000, 4, 1)) == [1]
+def test_random_regular_cut_side_takes_no_flow(monkeypatch):
+    # lambda = deg(0): the side is {0}, read without a flow
+    g = random_regular(2000, 4, 1)
+    assert _sinks_swept(monkeypatch, g) == []
+    assert edge_connectivity(g)[1].cut_side.members == (0,)
 
 
 @pytest.mark.parametrize("r,m", [(8, 2), (12, 4), (16, 2)])

@@ -133,8 +133,11 @@ def test_extremal_matchings_are_pinned():
     count = 0
     for g, spec in extremal_instances(max_r=12):
         if spec.g[0] % 2:  # the odd (a, b) specs, not the feasible (2, 2)
-            m = max_matching(build_parity_gadget(g, spec))
+            h = build_parity_gadget(g, spec)
+            m = max_matching(h)
             digest.update(repr((m.mate, m.D)).encode())
+            assert m.A
+            check_barrier(h, m)
             count += 1
     assert count == 24
     assert digest.hexdigest() == EXTREMAL_MATCHINGS_SHA256
@@ -176,6 +179,14 @@ def without_vertex(g, x):
     return build_graph(g.n, [e for e in g.edges if x not in e])
 
 
+def check_barrier(g, m):
+    """The Tutte barrier A read off the failed searches is N(D) - D, and, by
+    Gallai-Edmonds, every vertex of A is matched into D."""
+    d = set(m.D)
+    assert m.A == tuple(sorted({y for x in d for y in g.adjacency[x]} - d))
+    assert all(m.mate[a] in d for a in m.A)
+
+
 @given(graphs(max_n=9))
 @settings(max_examples=150, deadline=None)
 def test_d_matches_brute_force_on_small_graphs(g):
@@ -192,6 +203,7 @@ def test_d_matches_removal_oracle_on_gadgets(data):
     expected = tuple(x for x in range(h.n) if len(max_matching(without_vertex(h, x))) == len(m))
     assert m.D == expected
     assert (m.D == ()) == (2 * len(m) == h.n)
+    check_barrier(h, m)
 
 
 # A failed search prunes its tree: later searches skip it, so the even lists
@@ -270,3 +282,4 @@ def test_pairs_and_d_match_reference_on_deficient_graphs(g):
         x for x in range(g.n) if len(reference_max_matching(without_vertex(g, x))) == len(m)
     )
     assert m.D == expected
+    check_barrier(g, m)

@@ -29,7 +29,7 @@ from paritylab import (
 )
 from paritylab import solver
 from paritylab.experiment import is_paper_certificate
-from paritylab.lovasz import serialize_witness
+from paritylab.lovasz import deficiency, serialize_witness
 from paritylab.errors import (
     GraphSyntaxError,
     InvalidParitySpec,
@@ -469,6 +469,32 @@ def test_nonnegative_projected_delta_is_a_self_check_failure(monkeypatch):
         factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
 
 
+def neighbourhood_projection(g, spec):
+    """The barrier witness with A = N(D) - D walked from D's adjacency, the
+    projection the solver made before the matcher returned A."""
+    gm = build_parity_gadget(g, spec)
+    d = set(max_matching(gm).D)
+    barrier = {y for x in d for y in gm.adjacency[x]} - d
+    s, t = [], []
+    for v in range(g.n):
+        if gm.outer[v] and spec.f[v] <= g.degree(v) and barrier.issuperset(gm.outer[v]):
+            s.append(v)
+        elif barrier.issuperset(gm.core[v]):
+            t.append(v)
+    return deficiency(g, spec, VertexSet.of(s), VertexSet.of(t))
+
+
+@given(graph_with_gadget_spec(max_n=9))
+@settings(max_examples=300, deadline=None)
+def test_barrier_witness_matches_the_neighbourhood_projection(data):
+    result = factor_or_witness(*data)
+    if isinstance(result, Factor):
+        event("feasible")
+        return
+    event("infeasible")
+    assert result == neighbourhood_projection(*data)
+
+
 @pytest.mark.parametrize("r", [4, 6, 8, 10])
 def test_certifier_returns_the_paper_certificate_on_the_extremal_family(r):
     count = 0
@@ -477,8 +503,10 @@ def test_certifier_returns_the_paper_certificate_on_the_extremal_family(r):
         for b in range(1, r, 2):
             for a in range(1, b + 1, 2):
                 if b * m < r:
-                    result = factor_or_witness(g, ParitySpec.constant(a, b, g.n))
+                    spec = ParitySpec.constant(a, b, g.n)
+                    result = factor_or_witness(g, spec)
                     assert is_paper_certificate(result, hubs, r, m, b), (m, a, b, result)
+                    assert result == neighbourhood_projection(g, spec)
                     count += 1
     assert count == {4: 1, 6: 2, 8: 5, 10: 6}[r]
 
