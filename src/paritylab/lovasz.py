@@ -8,18 +8,20 @@ machine-checkable infeasibility certificate. All arithmetic is exact integers.
 ``deficiency`` checks S and T once and costs O(n + m): a 40000-vertex barrier
 witness (|T| = 21397) verifies through the CLI in 0.65 s, against 2.43 s when
 every component of G-(S+T) re-checked all of T (README, *Deficiency certificates*).
-``decide_by_enumeration`` takes the pairs in blocks of one rest mask
-R = V - (S+T), in descending order, and skips each block for which a lower
-bound on delta, rounded up to the parity of f(V), cannot beat the best pair
-found so far (a tie beats it only with a smaller code). The bounds are tried
-in order of cost. First comes one read from tables alone: each component of
-G[R] has exactly one least vertex, which has no smaller neighbour in R, so
-roots(R), the count of such vertices, is at least the number of components.
-Only a block it does not skip has its components scanned, and then meets two
-bounds on f(S) + sum_T (d - g) - e(S,T) less every component that could be
-f-odd, and a pairwise bound on delta as a whole. It returns the same
-canonical least-code witness as a walk of all 3^n codes (README, *Exhaustive
-enumeration*).
+``decide_by_enumeration`` numbers the vertices breadth-first, takes the
+pairs in blocks of one rest mask R = V - (S+T), in descending order, and
+skips each block for which a lower bound on delta, rounded up to the parity
+of f(V), cannot beat the best pair found so far (a tie beats it only with a
+smaller code). The bounds are tried in order of cost. Two bounds on f(S) +
+sum_T (d - g) - e(S,T) come first, less roots(R), the vertices of R with no
+neighbour in R earlier in the numbering: each component of G[R] has exactly
+one earliest vertex, which is such a vertex, so roots(R) is at least the
+number of components, and in breadth-first order it is close to it. Only a
+block they do not skip has its components scanned, and then meets the same
+two bounds less every component that could be f-odd, and a pairwise bound on
+delta as a whole. The codes stay in vertex ids, so it returns the same
+canonical least-code witness as a walk of all 3^n codes (README,
+*Exhaustive enumeration*).
 """
 from __future__ import annotations
 
@@ -209,10 +211,15 @@ def decide_by_enumeration(
     vertex i = code // 3**i % 3, with 0 = neither, 1 = S, 2 = T), which makes
     the output canonical.
 
-    The pairs are grouped into blocks by their rest mask R = V - (S+T), with
-    O = V - R = S + T, and the blocks are taken from R = V (the pair of code
-    0) down to R = {}. The components of G[R] are found once per block that
-    the table-only bound below does not skip. A component C has e(C,T) +
+    The sweep numbers the vertices breadth-first: from vertex 0, with
+    neighbours in ascending id, and each further component from its least
+    unnumbered vertex. Masks, adjacency and the per-vertex lists below are in
+    that numbering; only the codes 3^v stay in vertex ids, so the walk, the
+    tie rule and the witness read the same codes as in id order. The pairs
+    are grouped into blocks by their rest mask R = V - (S+T), with O = V - R
+    = S + T, and the blocks are taken from R = V (the pair of code 0) down to
+    R = {}. The components of G[R] are found once per block that the two
+    pre-scan bounds below do not skip. A component C has e(C,T) +
     f(C) odd for some T in O only if f(C) is odd or some x in O has an odd
     number of neighbours in C (x is in q_C, the XOR of the adjacency masks
     of C's vertices); free counts those components, so tau <= free over the
@@ -252,18 +259,26 @@ def decide_by_enumeration(
     f(V) (mod 2). The block's least code is its T = {} pair, so the block is
     skipped when LB exceeds the best delta found so far, or equals it and
     that least code exceeds the best code: no pair in it could replace the
-    best. The bounds are tried in order of cost, each only when the ones
-    before it fail:
+    best. The best delta has the parity of f(V) as well, so LB rounded up
+    exceeds it iff LB > best_delta, and reaches it iff LB > best_delta - 2:
+    every bound is tested against one cut per block. The bounds are tried in
+    order of cost, each only when the ones before it fail:
 
     - the table-only bound, (1) less roots(R) in place of free, where
-      roots(R) counts the vertices of R with no smaller neighbour in R. Each
-      component of G[R] has exactly one least vertex, and that vertex has no
-      smaller neighbour in R, so free <= #components <= roots(R), and this
-      bound skips a subset of the blocks (1) skips. It and the block's least
-      code are read from three tables built once over all 2^n masks;
-    - (1), from the same table and the scan's free count;
-    - (2), at O(|O|);
-    - (3), at O(|O| + e(G[O]) + free).
+      roots(R) counts the vertices of R with no neighbour in R earlier in
+      the numbering. Each component of G[R] has exactly one earliest vertex,
+      and it has no earlier neighbour in R, so free <= #components <=
+      roots(R), and this bound skips a subset of the blocks (1) skips. In
+      breadth-first order every vertex but the first of each component of G
+      has an earlier neighbour, so roots(V) is the number of components of
+      G. The bound and the block's least code are read from three tables
+      built once over all 2^n masks;
+    - (2) less roots(R), from one pass over O that builds base and reads
+      f(O) and the list of O as two entries each, from tables over the low
+      and the high half of the mask, at O(|O|);
+    - (1) and (2), with the scan's free count in place of roots(R);
+    - (3), at O(|O| + e(G[O]) + free), its vertex terms and pair-term
+      counts held in three lists per call, reset on O in each block.
 
     A block that is not skipped gives each x in O a toggle mask: the free
     components that hold an odd number of its neighbours, whose e(C,T)
@@ -279,49 +294,77 @@ def decide_by_enumeration(
     cap = min(enumeration_cap, MAX_ENUMERATION_N)
     if n > cap:
         raise GraphTooLargeForEnumeration(f"n = {n} exceeds enumeration cap {cap}")
-    adj_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
-    f = spec.f
-    f_odd = sum(1 << v for v in range(n) if f[v] & 1)
-    gap = [g.degree(v) - spec.g[v] for v in range(n)]
-    move = [gap[v] - f[v] for v in range(n)]
-    pow3 = [3 ** v for v in range(n)]
-    # bound (3)'s neighbours below each vertex, and a unit that every
+    # number the vertices in breadth-first order, each component from its
+    # least vertex: position i holds vertex order[i]; codes stay in vertex ids
+    order: list[int] = []
+    placed = [False] * n
+    for root in range(n):
+        if not placed[root]:
+            placed[root] = True
+            queue = [root]
+            for v in queue:
+                for u in g.adjacency[v]:
+                    if not placed[u]:
+                        placed[u] = True
+                        queue.append(u)
+            order += queue
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    adj_mask = [sum(1 << rank[u] for u in g.adjacency[v]) for v in order]
+    f = [spec.f[v] for v in order]
+    f_odd = sum(1 << i for i in range(n) if f[i] & 1)
+    gap = [g.degree(v) - spec.g[v] for v in order]
+    move = [gap[i] - f[i] for i in range(n)]
+    pow3 = [3 ** v for v in order]
+    # bound (3)'s neighbours below each position, and a unit that every
     # vertex's count of pair terms (at most its degree) divides
-    below = [[u for u in g.adjacency[v] if u < v] for v in range(n)]
+    below = [[rank[u] for u in g.adjacency[v] if rank[u] < i] for i, v in enumerate(order)]
     unit = lcm(*range(1, max(g.degrees, default=0) + 1))
     code_of, floor_of, roots = _mask_tables(
-        adj_mask, pow3, [min(f[v], gap[v]) for v in range(n)]
+        adj_mask, pow3, [min(f[i], gap[i]) for i in range(n)]
     )
     full = (1 << n) - 1
-    f_parity = spec.f_total & 1
+    # the positions in O and f(O), each the sum of two entries, one from a
+    # table over the low half of the mask and one over the high half
+    half = n // 2
+    low_bits = (1 << half) - 1
+    low_out, high_out, low_f, high_f = [[]], [[]], [0], [0]
+    for v in range(n):
+        out, f_of = (low_out, low_f) if v < half else (high_out, high_f)
+        out += [vs + [v] for vs in out]
+        f_of += [x + f[v] for x in f_of]
     # a pair of the last block, R = {}: T = {}, S = V
     best_delta, best_code = spec.f_total, code_of[full]
-    for rest in range(full, -1, -1):
-        out_mask = full ^ rest
-        # skip the block when a lower bound on its delta, rounded up to the
-        # parity of f(V), exceeds limit; a pair that ties best_delta beats
+    # bound (3)'s vertex terms and pair-term counts, reset on O in each block
+    on_s, on_t, k = [0] * n, [0] * n, [0] * n
+    # the blocks by ascending O, so R = V - O = full - out_mask descends
+    for out_mask, code, first, roots_r in zip(count(), code_of, floor_of, reversed(roots)):
+        # skip the block when a lower bound on its delta exceeds cut: delta =
+        # f(V) = best_delta (mod 2), so a bound above best_delta rounds up
+        # past it, and one above best_delta - 2 reaches it, a tie that beats
         # the best only if the block's least code is below best_code
-        limit = best_delta - (code_of[out_mask] > best_code)
-        # bound (1) with roots(R) >= free in place of free: tables only
-        lb = floor_of[out_mask] - roots[rest]
-        if lb + ((lb ^ f_parity) & 1) > limit:
+        cut = best_delta - 2 if code > best_code else best_delta
+        # bounds (1) and (2) with roots(R) >= free in place of free, before
+        # the component scan
+        if first - roots_r > cut:
             continue
-        free, parity = _free_components(adj_mask, f_odd, rest, out_mask)
-        lb = floor_of[out_mask] - len(free)
-        if lb + ((lb ^ f_parity) & 1) > limit:
-            continue
-        outside = [v for v in range(n) if out_mask >> v & 1]
+        outside = low_out[out_mask & low_bits] + high_out[out_mask >> half]
         base = [move[v] - (adj_mask[v] & out_mask).bit_count() for v in outside]
-        f_out = sum(f[v] for v in outside)
-        lb = f_out + sum(b for b in base if b < 0) - len(free)
-        if lb + ((lb ^ f_parity) & 1) > limit:
+        f_out = low_f[out_mask & low_bits] + high_f[out_mask >> half]
+        second = f_out + sum([b for b in base if b < 0])
+        if second - roots_r > cut:
+            continue
+        free, parity = _free_components(adj_mask, f_odd, full ^ out_mask, out_mask)
+        if first - len(free) > cut or second - len(free) > cut:
             continue
         # bound (3), the pairwise bound: split each vertex's own terms evenly,
         # in units of 1/unit, over the pair terms it is in, and minimise each
         # pair term alone over its four side choices
-        on_s = list(f)
-        on_t = list(gap)
-        k = list(move)  # k[v] - base becomes v's count of pair terms
+        for v in outside:
+            on_s[v] = f[v]
+            on_t[v] = gap[v]
+            k[v] = move[v]  # k[v] - base becomes v's count of pair terms
         lb = 0
         # (x, y, f(C) odd) of each free C with q_C = {x, y}: C is odd when x
         # and y take the same side if f(C) is odd, different ones if not
@@ -360,8 +403,7 @@ def decide_by_enumeration(
                 total += min(sx + sy - unit, tx + ty - unit, sx + ty, tx + sy)
             else:
                 total += min(sx + sy, tx + ty, sx + ty - unit, tx + sy - unit)
-        lb -= total // -unit
-        if lb + ((lb ^ f_parity) & 1) > limit:
+        if lb - total // -unit > cut:
             continue
         flips = [0] * n
         for q, bit in free:
@@ -373,9 +415,8 @@ def decide_by_enumeration(
         bits = [1 << v for v in outside]
         nbrs = [adj_mask[v] for v in outside]
         digits = [pow3[v] for v in outside]
-        # start from T = {}, S = O
+        # start from T = {}, S = O, the pair of the block's least code
         val = f_out
-        code = code_of[out_mask]
         t_mask = 0
         d_val = val - parity.bit_count()
         if d_val <= best_delta and (d_val < best_delta or code < best_code):

@@ -68,8 +68,7 @@ No later search queues a vertex of a pruned tree, so the failed trees are
 disjoint and no later augmentation touches one, by construction. Every
 vertex exposed at the end rooted a search that failed, since a matched
 vertex never becomes exposed again, so the concatenation of the failed
-searches' queues is D under the final matching. ``max_matching`` returns it
-sorted as ``Matching.D``.
+searches' queues is D under the final matching.
 
 The Tutte barrier A = N(D) - D, from the same trees. A failed search appends
 to A the vertices it labelled odd that no contraction made even. Each has an
@@ -78,7 +77,10 @@ vertex, so it is in no other tree and not in D; and every edge from an even
 vertex of T stays inside T, so N(D) is within D and these vertices. Each
 is matched to the vertex its search queued after labelling it, so into D,
 as Gallai–Edmonds says. ``max_matching`` returns A sorted as
-``Matching.A``, and the solver projects it onto the graph.
+``Matching.A``, and the solver projects it onto the graph. D is not
+returned: it is the union of the components of H - A that hold an exposed
+vertex or a vertex matched into A, since the other components of H - A,
+those of V - D - A, are perfectly matched within themselves.
 
 Cost per call: O(n + m) to allocate the four arrays and seed, then, for each
 exposed root, the edges its search scans plus, per contraction, its blossom
@@ -108,9 +110,9 @@ class Adjacency(Protocol):
 class Matching:
     # mate[v] = v's partner, or -1 if v is exposed
     mate: tuple[int, ...]
-    # the Gallai-Edmonds set: vertices left exposed by some maximum matching
-    D: tuple[int, ...] = ()
-    # N(D) - D, a Tutte barrier: the odd vertices of the failed searches
+    # N(D) - D, a Tutte barrier: the odd vertices of the failed searches. D,
+    # the Gallai-Edmonds set, holds the vertices that some maximum matching
+    # leaves exposed
     A: tuple[int, ...] = ()
 
     def __len__(self) -> int:
@@ -133,14 +135,11 @@ def max_matching(g: Adjacency) -> Matching:
     in_queue = [False] * n
     stamp = [0] * n  # per base, the last contraction tick that marked it
     clock = [0]  # the last tick used in this call
-    d: list[int] = []
     barrier: list[int] = []
     for v in range(n):
         if match[v] < 0:
-            even = _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, v)
-            if even is not None:
-                d.extend(even)
-    return Matching(tuple(match), tuple(sorted(d)), tuple(sorted(barrier)))
+            _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, v)
+    return Matching(tuple(match), tuple(sorted(barrier)))
 
 
 def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root) -> list[int] | None:

@@ -164,7 +164,7 @@ def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
         for idx, (a, b) in enumerate(gm.edge_nodes)
         if match[a] == b
     ]
-    factor = Factor(g.n, tuple(sorted(chosen)))
+    factor = Factor(g.n, tuple(chosen))
     ok, reason = verify_factor(g, spec, factor)
     if not ok:
         raise SelfCheckFailed(f"recovered factor fails verification: {reason}")

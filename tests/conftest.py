@@ -140,6 +140,29 @@ def brute_max_matching_size(g: Graph) -> int:
     return best(0, 0)
 
 
+def gallai_edmonds_d(h, m) -> tuple[int, ...]:
+    """The Gallai-Edmonds set D of the graph h (a Graph or a GadgetMap) from
+    a maximum matching m and its barrier A = m.A: the vertices of the
+    components of h - A that hold an exposed vertex or a vertex matched into
+    A. The other components of h - A are perfectly matched within."""
+    a = set(m.A)
+    seen = set(a)
+    d = []
+    for start in range(h.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for v in comp:
+            for w in h.adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        if any(m.mate[v] < 0 or m.mate[v] in a for v in comp):
+            d += comp
+    return tuple(sorted(d))
+
+
 def brute_edge_connectivity(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exhaustive sweep over proper subsets containing vertex 0; returns the
     minimum crossing count and the lexicographically smallest attaining side."""

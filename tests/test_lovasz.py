@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -300,8 +301,10 @@ def test_enumeration_matches_reference_on_tie_heavy_graphs(n, edges, a, b):
 def _sweep_instance(kind, n, size, shape):
     """A seeded graph and spec: "regular" graphs from the sampler, "sparse"
     ones with size edges drawn uniformly, "split" ones a random cubic graph on
-    size vertices beside a cycle on the other n - size; shape is a constant
-    (a, b) or "vertex" for a per-vertex window."""
+    size vertices beside a cycle on the other n - size, "shuffled" ones a
+    split graph with its vertex ids permuted at random, and "scattered" ones a
+    random cubic graph on size vertices drawn at random, the other n - size
+    isolated; shape is a constant (a, b) or "vertex" for a per-vertex window."""
     rng = random.Random(f"gray-sweep/{kind}/{n}/{size}/{shape}")
     if kind == "regular":
         g = random_regular(n, size, seed=rng.randrange(2 ** 32))
@@ -310,8 +313,13 @@ def _sweep_instance(kind, n, size, shape):
         g = build_graph(n, rng.sample(pairs, size))
     else:
         cubic = random_regular(size, 3, seed=rng.randrange(2 ** 32))
-        cycle = [(size + i, size + (i + 1) % (n - size)) for i in range(n - size)]
-        g = build_graph(n, [*cubic.edges, *cycle])
+        if kind == "scattered":
+            ids = rng.sample(range(n), size)
+            g = build_graph(n, [(ids[u], ids[v]) for u, v in cubic.edges])
+        else:
+            cycle = [(size + i, size + (i + 1) % (n - size)) for i in range(n - size)]
+            ids = rng.sample(range(n), n) if kind == "shuffled" else range(n)
+            g = build_graph(n, [(ids[u], ids[v]) for u, v in [*cubic.edges, *cycle]])
     if shape == "vertex":
         low = [rng.choice((0, 1, 1, 2)) for _ in range(n)]
         return g, ParitySpec(tuple(low), tuple(x + 2 * rng.randint(0, 1) for x in low))
@@ -323,7 +331,10 @@ def _sweep_instance(kind, n, size, shape):
 # well as even; every sparse case but the (1, 1) one has a vertex with
 # g(v) > d(v), and three sparse cases and the split graphs are disconnected;
 # in the cycles of regular 9 2 (2, 2), d - g = 0 at every vertex, so all the
-# slack of a block lies in tau
+# slack of a block lies in tau; the shuffled graph has two components, and
+# the scattered one two isolated vertices beside a cubic graph, with their
+# vertex ids interleaved, so the sweep's breadth-first numbering spans several
+# components and differs from the vertex ids
 SWEEP_CASES = [
     ("regular", 9, 4, "vertex"),
     ("regular", 10, 3, (1, 1)),
@@ -339,6 +350,8 @@ SWEEP_CASES = [
     ("split", 11, 6, (2, 2)),
     ("split", 12, 6, "vertex"),
     ("regular", 9, 2, (2, 2)),
+    ("shuffled", 12, 8, "vertex"),
+    ("scattered", 12, 10, "vertex"),
 ]
 
 
@@ -417,15 +430,14 @@ def test_deficiency_matches_an_independent_evaluation(data):
 
 
 # (blocks walked, codes walked) on each of SWEEP_CASES, of 2^n blocks and 3^n
-# codes; computed when the pairwise bound (3) was introduced
+# codes; computed when the sweep took to numbering the vertices breadth-first
 SWEEP_WORK = [
-    (1, 1), (1, 1), (1, 1), (1, 1), (65, 2917), (95, 19487), (56, 11203), (9, 3083),
-    (11, 3265), (23, 511), (37, 6877), (1, 1), (11, 1777), (1, 1),
+    (1, 1), (1, 1), (1, 1), (1, 1), (65, 2917), (98, 19999), (56, 11203), (21, 4379),
+    (16, 3873), (23, 511), (37, 6877), (1, 1), (11, 1777), (1, 1), (3, 13), (36, 3353),
 ]
 # blocks whose components are scanned on each of SWEEP_CASES, of 2^n; computed
-# when the table-only bound, read before the scan, was introduced (every
-# block was scanned before it)
-SWEEP_SCANS = [20, 418, 707, 2707, 190, 319, 403, 105, 214, 316, 314, 1941, 275, 512]
+# when bound (2) with roots(R) in place of free, read before the scan, came in
+SWEEP_SCANS = [4, 201, 79, 187, 182, 371, 115, 160, 197, 580, 232, 1883, 281, 509, 345, 1261]
 
 
 def test_the_bound_skips_the_pinned_blocks(monkeypatch):
@@ -457,21 +469,41 @@ def test_the_bound_skips_the_pinned_blocks(monkeypatch):
     assert scans == SWEEP_SCANS
 
 
-def _roots(g, rest):
-    """The vertices of rest with no smaller neighbour in rest."""
-    return sum(not any(u < v and u in rest for u in g.adjacency[v]) for v in rest)
+def _roots(g, rest, rank=None):
+    """The vertices of rest with no neighbour in rest ranked below them; the
+    rank is the vertex id unless given."""
+    rank = rank or range(g.n)
+    return sum(not any(rank[u] < rank[v] and u in rest for u in g.adjacency[v]) for v in rest)
+
+
+def _bfs_rank(g):
+    """Each vertex's place in the sweep's breadth-first numbering: from
+    vertex 0, neighbours in ascending id, each further component from its
+    least unnumbered vertex."""
+    rank = {}
+    for root in range(g.n):
+        if root not in rank:
+            rank[root] = len(rank)
+            queue = deque([root])
+            while queue:
+                for u in g.adjacency[queue.popleft()]:
+                    if u not in rank:
+                        rank[u] = len(rank)
+                        queue.append(u)
+    return [rank[v] for v in range(g.n)]
 
 
 def _block_bounds(g, spec, s, t):
-    """Four lower bounds on delta over every pair with S + T = O, from the
+    """Five lower bounds on delta over every pair with S + T = O, from the
     definitions. The components C of G - O whose e(C,T) + f(C) some T in O
     could make odd are free: f(C) is odd, or q_C, the x in O with an odd
     number of neighbours in C, is not empty. The first two bounds are less
     every free component: each vertex of O pays f or d - g, less e(G[O]); or
     each pays f, and in T also d - g - f - |N(x) & O|, with e(G[T]) >= 0 left
-    out. The third is the pairwise bound, in exact fractions. The fourth is
-    the first with the roots of G - O, its vertices with no smaller
-    neighbour outside O, in place of the free components."""
+    out. The third is the pairwise bound, in exact fractions. The fourth and
+    fifth are the first and second with the roots of G - O in place of the
+    free components: its vertices with no neighbour outside O that comes
+    before them in the sweep's breadth-first numbering."""
     inside = [*s, *t]
     nbrs = {x: set(g.adjacency[x]) for x in inside}
     deg_o = [len(nbrs[x] & set(inside)) for x in inside]
@@ -486,12 +518,13 @@ def _block_bounds(g, spec, s, t):
         spec.f[x] + min(0, g.degree(x) - spec.g[x] - spec.f[x] - k)
         for x, k in zip(inside, deg_o)
     )
-    rest = set(range(g.n)) - set(inside)
+    roots = _roots(g, set(range(g.n)) - set(inside), _bfs_rank(g))
     return (
         first - len(free),
         second - len(free),
         _pairwise_bound(g, spec, inside, free),
-        first - _roots(g, rest),
+        first - roots,
+        second - roots,
     )
 
 
@@ -530,13 +563,19 @@ def _pairwise_bound(g, spec, inside, free):
 @settings(max_examples=300)
 def test_block_lower_bounds_hold(data):
     g, spec, s, t = data
-    delta = deficiency(g, spec, s, t).delta
+    inside = [*s, *t]
+    least = min(
+        deficiency(g, spec, VertexSet.of(set(inside) - set(side)), VertexSet.of(side)).delta
+        for k in range(len(inside) + 1)
+        for side in combinations(inside, k)
+    )
     bounds = _block_bounds(g, spec, s, t)
     for bound in bounds:
         # delta = f(V) (mod 2), so the bound may be rounded up to that parity
-        assert delta >= bound + (bound - spec.f_total) % 2
-    # the table-only bound skips a subset of the blocks that bound (1) skips
-    assert bounds[3] <= bounds[0]
+        assert least >= bound + (bound - spec.f_total) % 2
+    # the bounds read before the scan skip subsets of the blocks that bounds
+    # (1) and (2) skip
+    assert bounds[3] <= bounds[0] and bounds[4] <= bounds[1]
 
 
 @given(graph_with_spec(max_n=8))

@@ -22,6 +22,7 @@ from paritylab import matching
 from conftest import (
     brute_max_matching_size,
     extremal_instances,
+    gallai_edmonds_d,
     graph_with_gadget_spec,
     graphs,
     random_regular_instances,
@@ -123,9 +124,9 @@ def test_pairs_match_reference_on_extremal_gadgets():
 
 # The full-scan reference is too slow past r = 8, so the matchings of the
 # larger extremal gadgets are pinned by digest instead: one sha256 over
-# repr((mate, D)) per gadget, every even r <= 12, even m <= r - 2 and odd
+# repr((mate, A)) per gadget, every even r <= 12, even m <= r - 2 and odd
 # a <= b with b*m < r, in that order (24 gadgets, the largest 3,818 nodes).
-EXTREMAL_MATCHINGS_SHA256 = "03f8ee788288f92a8b6c312f361b104d59b1b5591cbf70fbbaa55db7e5b2491b"
+EXTREMAL_MATCHINGS_SHA256 = "48e3ee20c5c8664d2b624e919b64ef8d70a2e7a0949082f4fdfb1722ff5784a0"
 
 
 def test_extremal_matchings_are_pinned():
@@ -135,7 +136,7 @@ def test_extremal_matchings_are_pinned():
         if spec.g[0] % 2:  # the odd (a, b) specs, not the feasible (2, 2)
             h = build_parity_gadget(g, spec)
             m = max_matching(h)
-            digest.update(repr((m.mate, m.D)).encode())
+            digest.update(repr((m.mate, m.A)).encode())
             assert m.A
             check_barrier(h, m)
             count += 1
@@ -171,8 +172,9 @@ def test_size_matches_networkx_on_gadgets():
         assert len(max_matching(g)) == len(nx.max_weight_matching(h, maxcardinality=True))
 
 
-# The Gallai-Edmonds set D read off the failed searches must be the set of
-# vertices x with nu(H - x) = nu(H): those some maximum matching leaves exposed.
+# The Gallai-Edmonds set D, read back from the matching and the barrier A off
+# the failed searches, must be the set of vertices x with nu(H - x) = nu(H):
+# those some maximum matching leaves exposed.
 
 
 def without_vertex(g, x):
@@ -182,7 +184,7 @@ def without_vertex(g, x):
 def check_barrier(g, m):
     """The Tutte barrier A read off the failed searches is N(D) - D, and, by
     Gallai-Edmonds, every vertex of A is matched into D."""
-    d = set(m.D)
+    d = set(gallai_edmonds_d(g, m))
     assert m.A == tuple(sorted({y for x in d for y in g.adjacency[x]} - d))
     assert all(m.mate[a] in d for a in m.A)
 
@@ -192,7 +194,7 @@ def check_barrier(g, m):
 def test_d_matches_brute_force_on_small_graphs(g):
     nu = brute_max_matching_size(g)
     expected = tuple(x for x in range(g.n) if brute_max_matching_size(without_vertex(g, x)) == nu)
-    assert max_matching(g).D == expected
+    assert gallai_edmonds_d(g, max_matching(g)) == expected
 
 
 @given(graph_with_gadget_spec())
@@ -201,8 +203,8 @@ def test_d_matches_removal_oracle_on_gadgets(data):
     h = build_parity_gadget(*data).h
     m = max_matching(h)
     expected = tuple(x for x in range(h.n) if len(max_matching(without_vertex(h, x))) == len(m))
-    assert m.D == expected
-    assert (m.D == ()) == (2 * len(m) == h.n)
+    assert gallai_edmonds_d(h, m) == expected
+    assert (expected == ()) == (2 * len(m) == h.n)
     check_barrier(h, m)
 
 
@@ -238,7 +240,7 @@ def test_failed_search_trees_are_disjoint_and_make_up_d(h, monkeypatch):
     assert len(failed) == h.n - 2 * len(m) >= 2
     union = [v for even in failed for v in even]
     assert len(union) == len(set(union))
-    assert tuple(sorted(union)) == m.D
+    assert tuple(sorted(union)) == gallai_edmonds_d(h, m)
 
 
 @st.composite
@@ -281,5 +283,5 @@ def test_pairs_and_d_match_reference_on_deficient_graphs(g):
     expected = tuple(
         x for x in range(g.n) if len(reference_max_matching(without_vertex(g, x))) == len(m)
     )
-    assert m.D == expected
+    assert gallai_edmonds_d(g, m) == expected
     check_barrier(g, m)

@@ -43,6 +43,7 @@ from paritylab.solver import normalized_upper, parse_factor, serialize_factor
 from conftest import (
     assert_rejects,
     extremal_instances,
+    gallai_edmonds_d,
     graph_with_gadget_spec,
     graph_with_spec,
     graphs,
@@ -298,7 +299,7 @@ def test_solver_reads_the_public_matcher(monkeypatch):
         result = factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
         assert isinstance(result, Factor) == feasible
         assert len(calls) == 1
-        assert (-1 in calls[0].mate) == bool(calls[0].D) == (not feasible)
+        assert (-1 in calls[0].mate) == bool(calls[0].A) == (not feasible)
     calls.clear()
     factor_or_witness(cycle(4), ParitySpec.constant(3, 3, 4))  # g > d: no gadget
     assert calls == []
@@ -473,7 +474,7 @@ def neighbourhood_projection(g, spec):
     """The barrier witness with A = N(D) - D walked from D's adjacency, the
     projection the solver made before the matcher returned A."""
     gm = build_parity_gadget(g, spec)
-    d = set(max_matching(gm).D)
+    d = set(gallai_edmonds_d(gm, max_matching(gm)))
     barrier = {y for x in d for y in gm.adjacency[x]} - d
     s, t = [], []
     for v in range(g.n):
