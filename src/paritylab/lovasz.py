@@ -16,12 +16,17 @@ smaller code). The bounds are tried in order of cost. Two bounds on f(S) +
 sum_T (d - g) - e(S,T) come first, less roots(R), the vertices of R with no
 neighbour in R earlier in the numbering: each component of G[R] has exactly
 one earliest vertex, which is such a vertex, so roots(R) is at least the
-number of components, and in breadth-first order it is close to it. Only a
-block they do not skip has its components scanned, and then meets the same
-two bounds less every component that could be f-odd, and a pairwise bound on
-delta as a whole. The codes stay in vertex ids, so it returns the same
-canonical least-code witness as a walk of all 3^n codes (README,
-*Exhaustive enumeration*).
+number of components, and in breadth-first order it is close to it. Between
+them comes a one-sided charge at two popcounts: an f-odd component with a
+neighbour in S is charged to one of its edges to S, so each vertex of S pays
+at least f - d and each of T at least d - g, and an f-odd component with no
+neighbour in S has d + f odd in sum, so R alone bounds their count. When
+g <= d <= f and d = f (mod 2) everywhere, that bound is 0, and every block
+after R = V is skipped. Only a block they do not skip has its components
+scanned, and then meets the first two bounds less every component that could
+be f-odd, and a pairwise bound on delta as a whole. The codes stay in vertex
+ids, so it returns the same canonical least-code witness as a walk of all
+3^n codes (README, *Exhaustive enumeration*).
 """
 from __future__ import annotations
 
@@ -218,7 +223,7 @@ def decide_by_enumeration(
     tie rule and the witness read the same codes as in id order. The pairs
     are grouped into blocks by their rest mask R = V - (S+T), with O = V - R
     = S + T, and the blocks are taken from R = V (the pair of code 0) down to
-    R = {}. The components of G[R] are found once per block that the two
+    R = {}. The components of G[R] are found once per block that the three
     pre-scan bounds below do not skip. A component C has e(C,T) +
     f(C) odd for some T in O only if f(C) is odd or some x in O has an odd
     number of neighbours in C (x is in q_C, the XOR of the adjacency masks
@@ -255,6 +260,25 @@ def decide_by_enumeration(
     of 1/lcm(1..max degree), since k(x) <= d(x): each C with x in q_C holds
     a neighbour of x.
 
+    The one-sided charge (4) needs no scan. Charge each f-odd component C
+    with a neighbour in S to one of its edges to S; distinct components take
+    distinct edges, so e(S,T) + (those C) <= sum_S d and
+
+        delta >= sum_S (f - d) + sum_T (d - g) - tau_0
+              >= |O & N| * m - min(roots(R), |R & P|),              (4)
+
+    where tau_0 counts the f-odd C with no neighbour in S, N holds the
+    vertices with min(f - d, d - g) < 0, m is the least such value (0 if N
+    is empty), and P holds the vertices with d + f odd. Such a C has every
+    neighbour outside it in T, so e(C,T) = sum_C d - 2 e(G[C]), and C is
+    f-odd iff sum_C (d + f) is odd: then C holds a vertex of P and a root of
+    R. N, m and P are built once per call. When g <= d <= f and f = d (mod
+    2) at every vertex, N and P are empty and (4) is 0, so every block after
+    R = V, whose pair gives delta = 0 at code 0, is skipped unscanned. The
+    mirror bound, charging components to their edges to T with min(f, -g)
+    and P = {f odd}, is left out: beside (4) it skipped one more scan over
+    the 16 pinned sweep cases.
+
     Each bound LB may be rounded up to the parity of f(V), since delta =
     f(V) (mod 2). The block's least code is its T = {} pair, so the block is
     skipped when LB exceeds the best delta found so far, or equals it and
@@ -273,6 +297,7 @@ def decide_by_enumeration(
       has an earlier neighbour, so roots(V) is the number of components of
       G. The bound and the block's least code are read from three tables
       built once over all 2^n masks;
+    - (4), from two popcounts and a product;
     - (2) less roots(R), from one pass over O that builds base and reads
       f(O) and the list of O as two entries each, from tables over the low
       and the high half of the mask, at O(|O|);
@@ -314,8 +339,17 @@ def decide_by_enumeration(
     adj_mask = [sum(1 << rank[u] for u in g.adjacency[v]) for v in order]
     f = [spec.f[v] for v in order]
     f_odd = sum(1 << i for i in range(n) if f[i] & 1)
-    gap = [g.degree(v) - spec.g[v] for v in order]
+    deg = [g.degree(v) for v in order]
+    gap = [deg[i] - spec.g[v] for i, v in enumerate(order)]
     move = [gap[i] - f[i] for i in range(n)]
+    # the one-sided charge: each x in O pays at least min(f - d, d - g), which
+    # is below 0 only on short, and at least worst there; the f-odd
+    # components with no neighbour in S hold an odd number of the vertices
+    # with d + f odd
+    charge = [min(f[i] - deg[i], gap[i]) for i in range(n)]
+    short = sum(1 << i for i in range(n) if charge[i] < 0)
+    worst = min([0, *charge])
+    odd_sum = sum(1 << i for i in range(n) if (deg[i] + f[i]) & 1)
     pow3 = [3 ** v for v in order]
     # bound (3)'s neighbours below each position, and a unit that every
     # vertex's count of pair terms (at most its degree) divides
@@ -345,9 +379,13 @@ def decide_by_enumeration(
         # past it, and one above best_delta - 2 reaches it, a tie that beats
         # the best only if the block's least code is below best_code
         cut = best_delta - 2 if code > best_code else best_delta
-        # bounds (1) and (2) with roots(R) >= free in place of free, before
-        # the component scan
+        # bounds (1), (4) and (2), with roots(R) >= free in place of free,
+        # before the component scan
         if first - roots_r > cut:
+            continue
+        # bound (4), the one-sided charge, from two popcounts
+        odd_rest = ((full ^ out_mask) & odd_sum).bit_count()
+        if (out_mask & short).bit_count() * worst - min(roots_r, odd_rest) > cut:
             continue
         outside = low_out[out_mask & low_bits] + high_out[out_mask >> half]
         base = [move[v] - (adj_mask[v] & out_mask).bit_count() for v in outside]

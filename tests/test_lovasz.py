@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritylab import (
+    Decision,
     DeficiencyWitness,
     ExtremalParams,
     ParitySpec,
@@ -330,7 +331,7 @@ def _sweep_instance(kind, n, size, shape):
 # f(V) odd (regular 11, sparse 9 and 11 with 17 edges, split 10 and 12) as
 # well as even; every sparse case but the (1, 1) one has a vertex with
 # g(v) > d(v), and three sparse cases and the split graphs are disconnected;
-# in the cycles of regular 9 2 (2, 2), d - g = 0 at every vertex, so all the
+# in the 9-cycle of regular 9 2 (2, 2), d - g = 0 at every vertex, so all the
 # slack of a block lies in tau; the shuffled graph has two components, and
 # the scattered one two isolated vertices beside a cubic graph, with their
 # vertex ids interleaved, so the sweep's breadth-first numbering spans several
@@ -436,8 +437,8 @@ SWEEP_WORK = [
     (16, 3873), (23, 511), (37, 6877), (1, 1), (11, 1777), (1, 1), (3, 13), (36, 3353),
 ]
 # blocks whose components are scanned on each of SWEEP_CASES, of 2^n; computed
-# when bound (2) with roots(R) in place of free, read before the scan, came in
-SWEEP_SCANS = [4, 201, 79, 187, 182, 371, 115, 160, 197, 580, 232, 1883, 281, 509, 345, 1261]
+# when bound (4), the one-sided charge read before the scan, came in
+SWEEP_SCANS = [4, 201, 79, 187, 182, 356, 115, 160, 197, 572, 232, 1882, 281, 1, 342, 1261]
 
 
 def test_the_bound_skips_the_pinned_blocks(monkeypatch):
@@ -469,6 +470,36 @@ def test_the_bound_skips_the_pinned_blocks(monkeypatch):
     assert scans == SWEEP_SCANS
 
 
+@st.composite
+def graph_with_slack_window(draw, max_n=9):
+    """A graph and a per-vertex window with g <= d <= f and f = d (mod 2), so
+    that the whole edge set is a factor."""
+    g = draw(graphs(min_n=0, max_n=max_n))
+    degrees = g.degrees
+    low = tuple(d - 2 * draw(st.integers(0, d // 2)) for d in degrees)
+    return g, ParitySpec(low, tuple(d + 2 * draw(st.integers(0, 2)) for d in degrees))
+
+
+@given(graph_with_slack_window())
+@settings(max_examples=200)
+def test_slack_windows_are_decided_by_one_scan(data):
+    # min(f - d, d - g) >= 0 and d + f is even at every vertex, so the
+    # one-sided charge is 0 on every block: the first block, R = V, gives
+    # delta = 0 with code 0, and every later block is skipped unscanned
+    g, spec = data
+    scanned = []
+    scan = lovasz._free_components
+
+    def scan_spy(*block):
+        scanned.append(block)
+        return scan(*block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lovasz, "_free_components", scan_spy)
+        assert decide_by_enumeration(g, spec) == Decision(True, None)
+    assert len(scanned) == 1
+
+
 def _roots(g, rest, rank=None):
     """The vertices of rest with no neighbour in rest ranked below them; the
     rank is the vertex id unless given."""
@@ -494,7 +525,7 @@ def _bfs_rank(g):
 
 
 def _block_bounds(g, spec, s, t):
-    """Five lower bounds on delta over every pair with S + T = O, from the
+    """Seven lower bounds on delta over every pair with S + T = O, from the
     definitions. The components C of G - O whose e(C,T) + f(C) some T in O
     could make odd are free: f(C) is odd, or q_C, the x in O with an odd
     number of neighbours in C, is not empty. The first two bounds are less
@@ -503,7 +534,13 @@ def _block_bounds(g, spec, s, t):
     out. The third is the pairwise bound, in exact fractions. The fourth and
     fifth are the first and second with the roots of G - O in place of the
     free components: its vertices with no neighbour outside O that comes
-    before them in the sweep's breadth-first numbering."""
+    before them in the sweep's breadth-first numbering. The sixth is the
+    one-sided charge: each vertex of O pays min(f - d, d - g), less the
+    components of G - O with d + f odd in sum, the only ones that can be
+    f-odd with no neighbour in S. The seventh is the sixth as the sweep reads
+    it: |O & N| times the least of those payments, N the vertices where it
+    is below 0, less the smaller of the roots and the vertices of G - O with
+    d + f odd."""
     inside = [*s, *t]
     nbrs = {x: set(g.adjacency[x]) for x in inside}
     deg_o = [len(nbrs[x] & set(inside)) for x in inside]
@@ -518,13 +555,22 @@ def _block_bounds(g, spec, s, t):
         spec.f[x] + min(0, g.degree(x) - spec.g[x] - spec.f[x] - k)
         for x, k in zip(inside, deg_o)
     )
-    roots = _roots(g, set(range(g.n)) - set(inside), _bfs_rank(g))
+    rest = set(range(g.n)) - set(inside)
+    roots = _roots(g, rest, _bfs_rank(g))
+    charge = [min(spec.f[v] - g.degree(v), g.degree(v) - spec.g[v]) for v in range(g.n)]
+    worst = min([0, *charge])
+    odd_sum = {v for v in range(g.n) if (g.degree(v) + spec.f[v]) % 2 == 1}
+    tau_0 = sum(
+        len(odd_sum & set(cvs)) % 2 for cvs in components_after_removal(g, VertexSet.of(inside))
+    )
     return (
         first - len(free),
         second - len(free),
         _pairwise_bound(g, spec, inside, free),
         first - roots,
         second - roots,
+        sum(charge[x] for x in inside) - tau_0,
+        sum(charge[x] < 0 for x in inside) * worst - min(roots, len(odd_sum & rest)),
     )
 
 
@@ -574,8 +620,10 @@ def test_block_lower_bounds_hold(data):
         # delta = f(V) (mod 2), so the bound may be rounded up to that parity
         assert least >= bound + (bound - spec.f_total) % 2
     # the bounds read before the scan skip subsets of the blocks that bounds
-    # (1) and (2) skip
+    # (1) and (2) skip, and the sweep's one-sided charge a subset of those
+    # that its exact form skips
     assert bounds[3] <= bounds[0] and bounds[4] <= bounds[1]
+    assert bounds[6] <= bounds[5]
 
 
 @given(graph_with_spec(max_n=8))
