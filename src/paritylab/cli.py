@@ -45,7 +45,7 @@ from .solver import (
     serialize_factor,
     verify_factor,
 )
-from .theorems import ALL_CASES, check_main_conditions
+from .theorems import ALL_CASES, MAIN_CASES, check_main_conditions
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -199,8 +199,7 @@ def cmd_gen_random(args) -> int:
 
 def cmd_check_conditions(args) -> int:
     satisfied = check_main_conditions(args.r, args.m, args.a, args.b, args.n_even)
-    relevant = [c for c in ALL_CASES if c.startswith("Main")] if args.a != args.b else list(ALL_CASES)
-    for case in relevant:
+    for case in MAIN_CASES if args.a != args.b else ALL_CASES:
         status = "satisfied" if case in satisfied else "not satisfied"
         sys.stdout.write(f"{case}: {status}\n")
     return EXIT_OK

@@ -14,9 +14,10 @@ The cut side comes from the smallest sink t with flow(0, t) = lambda: the
 vertices the last, failed search of that flow reaches from vertex 0, the
 smallest source side of a minimum 0-t cut. When lambda = deg(0) no flow is
 run: flow(0, 1) = deg(0) saturates every edge at 0, so that sink is 1 and
-the side is {0}. Flows are Edmonds-Karp, neighbours in ascending order;
-carried[v] holds the neighbours w with a unit on v -> w, that arc is usable
-iff w is not in it, and a push against a unit cancels it.
+the side is {0}. _set_flow is the one flow routine, for the sweep and the
+side alike: Edmonds-Karp, neighbours in ascending order; carried[v] holds
+the neighbours w with a unit on v -> w, that arc is usable iff w is not in
+it, and a push against a unit cancels it.
 """
 from __future__ import annotations
 
@@ -34,18 +35,6 @@ class CutCertificate:
 
     cut_side: VertexSet
     cut_size: int
-
-
-def _max_flow(
-    adj: tuple[tuple[int, ...], ...], s: int, t: int, cap_at: int
-) -> tuple[int, VertexSet | None]:
-    """Unit-capacity s-t max-flow, stopped once the flow reaches ``cap_at``.
-
-    Returns ``(flow, None)`` if it stopped at ``cap_at``, else the maximum flow
-    and the smallest source side of a minimum s-t cut, the same for every
-    maximum flow: run as the t-s flow, its failed search from s reaches it.
-    """
-    return _set_flow(adj, {t}, s, cap_at)
 
 
 def _set_flow(
@@ -116,8 +105,11 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
     if best == len(adj[0]):
         side = VertexSet((0,))  # {0} is a minimum 0-1 cut, and the smallest
     else:
-        # no flow from vertex 0 is below best, and the first sink's to end at it gives the side
-        sides = (_max_flow(adj, 0, t, best + 1)[1] for t in range(1, g.n))
+        # no flow from vertex 0 is below best, and the first sink's to end at
+        # it gives the side: run as the t-0 flow, its failed search from 0
+        # reaches the smallest 0-side of a minimum 0-t cut, the same for
+        # every maximum flow
+        sides = (_set_flow(adj, {t}, 0, best + 1)[1] for t in range(1, g.n))
         side = next(reached for reached in sides if reached is not None)
     cert = CutCertificate(side, best)
     # certificate self-consistency is cheap; keep it as a hard guarantee

@@ -8,25 +8,14 @@ machine-checkable infeasibility certificate. All arithmetic is exact integers.
 ``deficiency`` checks S and T once and costs O(n + m): a 40000-vertex barrier
 witness (|T| = 21397) verifies through the CLI in 0.65 s, against 2.43 s when
 every component of G-(S+T) re-checked all of T (README, *Deficiency certificates*).
-``decide_by_enumeration`` numbers the vertices breadth-first, takes the
-pairs in blocks of one rest mask R = V - (S+T), in descending order, and
-skips each block for which a lower bound on delta, rounded up to the parity
-of f(V), cannot beat the best pair found so far (a tie beats it only with a
-smaller code). The bounds are tried in order of cost. Two bounds on f(S) +
-sum_T (d - g) - e(S,T) come first, less roots(R), the vertices of R with no
-neighbour in R earlier in the numbering: each component of G[R] has exactly
-one earliest vertex, which is such a vertex, so roots(R) is at least the
-number of components, and in breadth-first order it is close to it. Between
-them comes a one-sided charge at two popcounts: an f-odd component with a
-neighbour in S is charged to one of its edges to S, so each vertex of S pays
-at least f - d and each of T at least d - g, and an f-odd component with no
-neighbour in S has d + f odd in sum, so R alone bounds their count. When
-g <= d <= f and d = f (mod 2) everywhere, that bound is 0, and every block
-after R = V is skipped. Only a block they do not skip has its components
-scanned, and then meets the first two bounds less every component that could
-be f-odd, and a pairwise bound on delta as a whole. The codes stay in vertex
-ids, so it returns the same canonical least-code witness as a walk of all
-3^n codes (README, *Exhaustive enumeration*).
+``decide_by_enumeration`` takes the pairs in blocks of one rest mask
+R = V - (S+T) and skips each block for which a lower bound on delta cannot
+beat the best pair found so far. The bounds are tried in order of cost: a
+table-only bound, the one-sided charge and a one-pass bound before the
+component scan; after it, the one-pass bound with the scan's free count and
+the pairwise bound. Its docstring derives each of them. The codes stay in
+vertex ids, so it returns the same canonical least-code witness as a walk of
+all 3^n codes (README, *Exhaustive enumeration*).
 """
 from __future__ import annotations
 
@@ -301,9 +290,17 @@ def decide_by_enumeration(
     - (2) less roots(R), from one pass over O that builds base and reads
       f(O) and the list of O as two entries each, from tables over the low
       and the high half of the mask, at O(|O|);
-    - (1) and (2), with the scan's free count in place of roots(R);
+    - (2), with the scan's free count in place of roots(R);
     - (3), at O(|O| + e(G[O]) + free), its vertex terms and pair-term
       counts held in three lists per call, reset on O in each block.
+
+    (1) less free is not tried after the scan: (3) is never below it. Each
+    pair term is at least its two ends' smaller shares less 1; a vertex's
+    shares add up to a(x) and b(x), so its smaller shares add up to
+    min(a, b), which a vertex in no pair term pays itself; and min(a, b) >=
+    min(f, d - g) less the vertex's free C with |q_C| = 1. With -1 for each
+    other free C, (3) >= sum_O min(f, d - g) - e(G[O]) - free. (2) less
+    free has no such bound: on some blocks it exceeds (3), even rounded.
 
     A block that is not skipped gives each x in O a toggle mask: the free
     components that hold an odd number of its neighbours, whose e(C,T)
@@ -394,7 +391,7 @@ def decide_by_enumeration(
         if second - roots_r > cut:
             continue
         free, parity = _free_components(adj_mask, f_odd, full ^ out_mask, out_mask)
-        if first - len(free) > cut or second - len(free) > cut:
+        if second - len(free) > cut:
             continue
         # bound (3), the pairwise bound: split each vertex's own terms evenly,
         # in units of 1/unit, over the pair terms it is in, and minimise each

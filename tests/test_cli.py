@@ -51,6 +51,21 @@ def test_construct_solve_pipeline_emits_hub_witness():
     assert "delta: -4" in solve.stdout
 
 
+def test_construct_dot_marks_the_hubs(capsys):
+    # the DOT drawing fills exactly the hubs, and draws every edge of the
+    # plain text once
+    assert cli.main(["construct", "--r", "4", "--m", "2"]) == cli.EXIT_OK
+    plain = capsys.readouterr().out.splitlines()
+    assert plain[-1] == "# hubs: 20 21"
+    assert cli.main(["construct", "--r", "4", "--m", "2", "--dot"]) == cli.EXIT_OK
+    dot = capsys.readouterr().out.splitlines()
+    marked = [line.split()[0] for line in dot if "fillcolor=lightgray" in line]
+    assert marked == ["20", "21"]
+    edge_lines = [line for line in dot if " -- " in line]
+    assert edge_lines == [f"  {line.replace(' ', ' -- ')};" for line in plain[1:-1]]
+    assert len(edge_lines) == int(plain[0].split()[1])
+
+
 @pytest.mark.parametrize("trailer", ["-1", "x"])
 def test_malformed_hub_trailer_is_ignored(trailer):
     # '#' starts a comment: a trailer that names no vertices is not a usage

@@ -24,7 +24,7 @@ from paritylab import (
     random_regular,
 )
 from paritylab import connectivity
-from paritylab.connectivity import _max_flow, _set_flow
+from paritylab.connectivity import _set_flow
 from paritylab.errors import SelfCheckFailed, TooSmall
 
 import reference_connectivity
@@ -190,7 +190,7 @@ def test_matches_reference_on_pendant_block(r):
         g = pendant_block(N, r, k, seed)
         assert g.degrees == [r] * g.n
         # the flow to sink 1 reaches the minimum degree: it cannot show the cut
-        assert _max_flow(g.adjacency, 0, 1, g.n)[0] == r
+        assert _set_flow(g.adjacency, {1}, 0, g.n)[0] == r
         assert edge_connectivity(g)[0] == k
         _same_as_reference(g)
 
@@ -244,14 +244,17 @@ def test_set_flow_matches_contracted_reference(case):
 
 
 def _sinks_swept(monkeypatch, g):
+    # only the cut-side sweep runs flows into vertex 0, each from its sink t
+    # as the source; the Matula sweep's sinks are later dominators, never 0
     sinks = []
-    max_flow = connectivity._max_flow
+    set_flow = connectivity._set_flow
 
-    def spy(adj, s, t, cap_at):
-        sinks.append(t)
-        return max_flow(adj, s, t, cap_at)
+    def spy(adj, source, t, cap):
+        if t == 0:
+            sinks.extend(source)
+        return set_flow(adj, source, t, cap)
 
-    monkeypatch.setattr(connectivity, "_max_flow", spy)
+    monkeypatch.setattr(connectivity, "_set_flow", spy)
     edge_connectivity(g)
     return sinks
 

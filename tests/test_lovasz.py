@@ -624,6 +624,23 @@ def test_block_lower_bounds_hold(data):
     # that its exact form skips
     assert bounds[3] <= bounds[0] and bounds[4] <= bounds[1]
     assert bounds[6] <= bounds[5]
+    # the pairwise bound is never below (1) less free, so the sweep does not
+    # test (1) after the scan
+    assert bounds[0] <= bounds[2]
+
+
+def test_the_pairwise_bound_can_fall_below_bound_two():
+    # (2) less free is not dominated by (3): on this block (3)'s even split of
+    # vertex 0's terms sends it to S in one pair term and to T in another,
+    # and (2), rounded up to the parity of f(V) = 3, exceeds (3) rounded, so
+    # the sweep keeps its post-scan test of (2)
+    g = build_graph(7, [
+        (0, 1), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3),
+        (1, 4), (2, 4), (3, 4), (3, 5), (4, 6),
+    ])
+    spec = ParitySpec((1, 0, 1, 1, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0))
+    bounds = _block_bounds(g, spec, VertexSet.of([0]), VertexSet.of([3, 4, 6]))
+    assert (bounds[1], bounds[2], spec.f_total) == (0, -1, 3)
 
 
 @given(graph_with_spec(max_n=8))
