@@ -82,7 +82,7 @@ def _default_seed() -> int:
 
 
 def _dot_graph(g: Graph, bold_edges=(), marked_vertices=()) -> str:
-    bold = {tuple(sorted(e)) for e in bold_edges}
+    bold = set(bold_edges)
     marked = set(marked_vertices)
     lines = ["graph G {"]
     for v in range(g.n):
@@ -246,9 +246,8 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
-    ``main`` call: ``parse_args`` leaves it unchanged. The ``cmd_*`` functions
-    and the defaults are bound here; the library functions a command calls
-    are looked up when it runs."""
+    ``main`` call: ``parse_args`` leaves it unchanged. It holds syntax only;
+    ``main`` looks each command's ``cmd_*`` handler up by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="paritylab",
         description="Decide, construct, and certify parity factors in undirected graphs.",
@@ -265,45 +264,37 @@ def build_parser() -> argparse.ArgumentParser:
         "--dot", action="store_true",
         help="draw a found factor as DOT; an infeasible instance still prints its witness block",
     )
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("decide", help="exhaustive feasibility decision (small graphs)")
     _add_instance_args(p)
     p.add_argument("--enum-cap", type=_enum_cap, default=DEFAULT_ENUMERATION_CAP)
-    p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("deficiency", help="evaluate delta(S,T) for given sets")
     _add_instance_args(p)
     p.add_argument("--S", default="", help="space-separated vertex ids")
     p.add_argument("--T", default="", help="space-separated vertex ids")
-    p.set_defaults(fn=cmd_deficiency)
 
     p = sub.add_parser("verify-factor", help="check a factor block against a graph")
     _add_instance_args(p)
     p.add_argument("--factor", required=True, help="factor block file or '-'")
-    p.set_defaults(fn=cmd_verify_factor)
 
     p = sub.add_parser("verify-witness", help="check an infeasibility witness block")
     _add_instance_args(p)
     p.add_argument("--witness", required=True, help="witness block file or '-'")
-    p.set_defaults(fn=cmd_verify_witness)
 
     p = sub.add_parser("connectivity", help="exact edge-connectivity with a cut")
     p.add_argument("graph")
-    p.set_defaults(fn=cmd_connectivity)
 
     p = sub.add_parser("construct", help="emit the sharpness construction")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--dot", action="store_true")
-    p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("gen-random", help="seeded random regular graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to PARITYLAB_SEED, then 0")
-    p.set_defaults(fn=cmd_gen_random)
 
     p = sub.add_parser("check-conditions", help="evaluate the theorem conditions")
     p.add_argument("--r", type=int, required=True)
@@ -313,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n-even", dest="n_even", action="store_true")
     group.add_argument("--n-odd", dest="n_even", action="store_false")
-    p.set_defaults(fn=cmd_check_conditions)
 
     p = sub.add_parser("experiment", help="run a verification experiment config")
     p.add_argument("config", help="key=value config file or '-'")
     p.add_argument("--csv", default=None, help="also write the machine-readable CSV here")
-    p.set_defaults(fn=cmd_experiment)
 
     return parser
 
@@ -327,7 +316,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.fn(args)
+        status = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return status
     except (GraphTooLargeForEnumeration, TooManyEdges) as exc:

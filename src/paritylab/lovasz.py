@@ -402,7 +402,8 @@ def decide_by_enumeration(
             k[v] = move[v]  # k[v] - base becomes v's count of pair terms
         lb = 0
         # (x, y, f(C) odd) of each free C with q_C = {x, y}: C is odd when x
-        # and y take the same side if f(C) is odd, different ones if not
+        # and y take the same side if f(C) is odd, different ones if not, so it
+        # is priced as an edge, with y's sides swapped if f(C) is odd
         twos = []
         for q, bit in free:
             size = q.bit_count()
@@ -433,11 +434,9 @@ def decide_by_enumeration(
                     ty = on_t[y]
                     total += min(sv + sy, tv + ty, sv + ty - unit, tv + sy - unit)
         for x, y, same in twos:
-            sx, tx, sy, ty = on_s[x], on_t[x], on_s[y], on_t[y]
-            if same:
-                total += min(sx + sy - unit, tx + ty - unit, sx + ty, tx + sy)
-            else:
-                total += min(sx + sy, tx + ty, sx + ty - unit, tx + sy - unit)
+            sx, tx = on_s[x], on_t[x]
+            ty, sy = (on_s[y], on_t[y]) if same else (on_t[y], on_s[y])
+            total += min(sx + sy, tx + ty, sx + ty - unit, tx + sy - unit)
         if lb - total // -unit > cut:
             continue
         flips = [0] * n

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -489,7 +490,7 @@ def test_main_reuses_one_parser_safely(tmp_path, monkeypatch, capsys):
     assert got == [(r.returncode, r.stdout, r.stderr) for r in alone]
     assert [code for code, _, _ in got] == [1, 2, 0, 0, 1]
     assert got[0][1] == "S: 42 43\nT:\ndelta: -4\ntau: 6\n"
-    # the cached parser binds cmd_solve, which looks factor_or_witness up per call
+    # main looks cmd_solve up per call, and cmd_solve looks up factor_or_witness
     calls = []
     real = cli.factor_or_witness
 
@@ -499,6 +500,54 @@ def test_main_reuses_one_parser_safely(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "factor_or_witness", spy)
     assert in_process(solve) == got[0] and calls == [44]
+
+
+def test_every_subcommand_names_its_handler():
+    # main runs cmd_<name>, with each '-' of the subcommand's name read as '_'
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 10
+    for name in sub.choices:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+
+
+def test_a_patched_handler_is_the_one_main_runs(tmp_path, monkeypatch, capsys):
+    # the memoised parser binds no handler, so a patch made after it was
+    # built still takes effect
+    cli.build_parser()
+    graph_file = tmp_path / "k2.g"
+    graph_file.write_text("2 1\n0 1\n")
+    seen = []
+
+    def fake(args):
+        seen.append(args.graph)
+        return cli.EXIT_INFEASIBLE
+
+    monkeypatch.setattr(cli, "cmd_connectivity", fake)
+    assert cli.main(["connectivity", str(graph_file)]) == cli.EXIT_INFEASIBLE
+    assert seen == [str(graph_file)] and capsys.readouterr().out == ""
+
+
+def test_solve_with_enum_cap_zero_prints_the_barrier_witness(tmp_path, capsys):
+    # n = 15 is within the default cap, where solve prints decide's canonical
+    # witness; --enum-cap 0 takes the gadget's barrier witness instead: the
+    # same delta, another text, and verify-witness accepts it
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(emit_graph(random_regular(15, 4, seed=1)))
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(
+        "2 2\n3 5\n1 3\n1 3\n1 3\n1 1\n1 3\n0 0\n1 3\n1 3\n0 0\n2 4\n2 2\n0 0\n0 2\n"
+    )
+    instance = [str(graph_file), "--spec-file", str(spec_file)]
+    assert cli.main(["solve", *instance, "--enum-cap", "0"]) == cli.EXIT_INFEASIBLE
+    barrier = capsys.readouterr().out
+    assert barrier == "S: 7 10 13\nT: 1 12\ndelta: -2\ntau: 0\n"
+    witness_file = tmp_path / "w.txt"
+    witness_file.write_text(barrier)
+    assert cli.main(["verify-witness", *instance, "--witness", str(witness_file)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "verified: infeasibility certificate accepted\n"
+    assert cli.main(["decide", *instance]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().out == "S: 7 13\nT: 1\ndelta: -2\ntau: 1\n"
 
 
 def test_oracle_disagreement_in_solve_is_an_internal_error(tmp_path, monkeypatch, capsys):
