@@ -17,6 +17,7 @@ from pathlib import Path
 from . import __version__
 from .connectivity import edge_connectivity
 from .errors import (
+    CounterexampleError,
     GraphSyntaxError,
     GraphTooLargeForEnumeration,
     ParityLabError,
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
     except SelfCheckFailed as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except CounterexampleError as exc:  # the harness failed to verify a theorem
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except ParityLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

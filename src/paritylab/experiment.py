@@ -19,11 +19,29 @@ returns with its (min, max) degree, and before it solves a satisfied (a, b)
 takes the first kept factor, or complement, whose range fits and that
 ``verify_factor`` accepts; only on a miss does it solve. A complement's range
 is (r - max, r - min): its edges are built only when that range fits, so
-``verify_factor`` runs only on a candidate that fits. The rows are those of
-solving every window afresh, and the soundness sweep at --trials 2 makes 150
-solver calls in place of 340. The harness no longer catches a solver that
-wrongly returns None for a window a kept factor already serves; the solver's
-own differential and golden tests cover that.
+``verify_factor`` runs only on a candidate that fits.
+
+A fresh solve takes the smaller of the window and its complement: (a, b) if
+a + b >= r, else (r - b, r - a). The gadget gives each vertex d - g core
+nodes and a d x (d - g) outer-by-core block, so (a, b) costs r - a core nodes
+per vertex and (r - b, r - a) costs b, fewer exactly when a + b < r. The row is
+then served by the new factor or its complement, which ``verify_factor`` must
+accept for the row's own (a, b); a rejection is ``SelfCheckFailed``. The
+extremal tuples have b*m < r with m >= 2, so a + b < r: the harness solves
+(r - b, r - a), where the paper's certificate reads S empty and T = hubs,
+and recomputes delta_(a,b)(hubs, empty) from it. The swap is exact: on an
+r-regular graph delta_(a,b)(S, T) = delta_(r-b,r-a)(T, S), tau included.
+  f(S) + sum_T (d - g) is b|S| + (r - a)|T| under both readings, e(S, T) too;
+  a component C of G - S - T has e(C,S) + e(C,T) = r|C| - 2e(C), so
+  e(C,S) + (r - a)|C| = e(C,T) + b|C| (mod 2), as a = b (mod 2).
+
+The rows are those of solving every window afresh, and the soundness sweep at
+--trials 2 makes 150 solver calls in place of 340. What is lost: the harness
+no longer catches a solver that wrongly returns None for a window a kept
+factor already serves, it runs no (a, b) gadget with a + b < r, and on the
+extremal family it reads the barrier witness with the hubs on T only, never
+on S. The solver's own differential, golden and extremal-family tests cover
+all three.
 """
 from __future__ import annotations
 
@@ -33,10 +51,10 @@ import random
 from dataclasses import dataclass, field
 
 from .connectivity import edge_connectivity
-from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation
+from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation, SelfCheckFailed
 from .generators import ExtremalParams, extremal_construction, random_regular
 from .graph import Graph, VertexSet, emit_graph, text_lines
-from .lovasz import DeficiencyWitness, ParitySpec
+from .lovasz import DeficiencyWitness, ParitySpec, deficiency
 from .solver import Factor, factor_or_witness, find_parity_factor, verify_factor
 from .theorems import check_main_conditions
 
@@ -158,11 +176,15 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
     for r, m, a, b in config.extremal:
         g, hubs = extremal_construction(ExtremalParams(r, m))
         lam, _ = edge_connectivity(g)
-        result = factor_or_witness(g, ParitySpec.constant(a, b, g.n))
-        if not is_paper_certificate(result, hubs, r, m, b) or lam != m:
+        # b*m < r and m >= 2 put a + b below r: solve the complement window,
+        # where the hubs are T, and swap them back to S under (a, b)
+        result = factor_or_witness(g, ParitySpec.constant(r - b, r - a, g.n))
+        swapped = deficiency(g, ParitySpec.constant(a, b, g.n), hubs, VertexSet.empty())
+        if lam != m or not (is_paper_certificate(result, hubs, r, m, b, "T")
+                            and is_paper_certificate(swapped, hubs, r, m, b, "S")):
             raise CounterexampleError(
                 f"extremal instance (r={r}, m={m}, a={a}, b={b}) did not certify: "
-                f"lambda={lam}, solver returned {result!r}",
+                f"lambda={lam}, solver returned {result!r} under ({r - b},{r - a})",
                 emit_graph(g),
             )
         rows.append(
@@ -186,13 +208,9 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
             rows.append(Row(seed, n, r, lam, a, b, "-", "no-case"))
             continue
         spec = ParitySpec.constant(a, b, n)
-        if not any(
-            _fits(a, b, lo, hi) and verify_factor(g, spec, f)[0]
-            or _fits(a, b, r - hi, r - lo)
-            and verify_factor(g, spec, Factor(n, tuple(set(g.edges) - set(f.edges))))[0]
-            for lo, hi, f in solved
-        ):
-            factor = find_parity_factor(g, spec)
+        if not any(_serves(g, spec, r, *kept) for kept in solved):
+            window = (a, b) if a + b >= r else (r - b, r - a)
+            factor = find_parity_factor(g, ParitySpec.constant(*window, n))
             if factor is None:
                 raise CounterexampleError(
                     f"satisfied cases {sorted(cases)} at "
@@ -202,9 +220,24 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
                 )
             deg = factor.degrees
             solved.append((min(deg), max(deg), factor))
+            if not _serves(g, spec, r, *solved[-1]):
+                raise SelfCheckFailed(
+                    f"the {window} factor of seed {seed} and its complement "
+                    f"fail verification for ({a},{b})"
+                )
         for case in sorted(cases):
             rows.append(Row(seed, n, r, lam, a, b, case, "found"))
     return rows
+
+
+def _serves(g: Graph, spec: ParitySpec, r: int, lo: int, hi: int, f: Factor) -> bool:
+    """Whether ``verify_factor`` accepts f, whose degrees span [lo, hi], or
+    its complement for the constant window of ``spec``; the complement is
+    built only if its range (r - hi, r - lo) fits."""
+    a, b = spec.g[0], spec.f[0]
+    return (_fits(a, b, lo, hi) and verify_factor(g, spec, f)[0]
+            or _fits(a, b, r - hi, r - lo)
+            and verify_factor(g, spec, Factor(g.n, tuple(set(g.edges) - set(f.edges))))[0])
 
 
 def _fits(a: int, b: int, lo: int, hi: int) -> bool:
@@ -212,8 +245,13 @@ def _fits(a: int, b: int, lo: int, hi: int) -> bool:
     return a <= lo and hi <= b and (b - hi) % 2 == 0
 
 
-def is_paper_certificate(result, hubs: VertexSet, r: int, m: int, b: int) -> bool:
-    """Whether a ``factor_or_witness`` result on the (r, m) extremal instance
-    under an odd upper bound b is the paper's certificate: S = hubs, T empty,
-    delta = b*m - r and one odd component per block (tau = r)."""
-    return result == DeficiencyWitness(hubs, VertexSet.empty(), b * m - r, r)
+def is_paper_certificate(result, hubs: VertexSet, r: int, m: int, charge: int, side: str) -> bool:
+    """Whether a ``factor_or_witness`` or ``deficiency`` result on the (r, m)
+    extremal instance is the paper's certificate: the hubs on ``side`` ("S"
+    or "T"), the other side empty, delta = charge*m - r and one odd component
+    per block (tau = r). ``charge`` is each hub's term in delta, f on side S
+    and d - g on side T: it is b both for S under (a, b) and for T under the
+    complement window (r - b, r - a)."""
+    empty = VertexSet.empty()
+    s, t = (hubs, empty) if side == "S" else (empty, hubs)
+    return result == DeficiencyWitness(s, t, charge * m - r, r)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from paritylab import ParitySpec, cli, emit_graph, generators, lovasz, parse_graph, random_regular
+from paritylab import ParitySpec, cli, emit_graph, experiment, generators, lovasz, parse_graph, random_regular
 from paritylab.errors import SelfCheckFailed
 from paritylab.experiment import parse_config
 from paritylab.lovasz import (
@@ -622,6 +622,23 @@ def test_experiment_subcommand(tmp_path):
     result = run_cli(["experiment", str(cfg), "--csv", str(out_csv)])
     assert result.returncode == 0
     assert out_csv.read_text().splitlines()[0] == "seed,n,r,lambda,a,b,case,outcome,delta"
+
+
+def test_experiment_counterexample_exits_1_with_the_replay_instance(tmp_path, monkeypatch, capsys):
+    # a satisfied case without a factor fails the theorem's verification: it
+    # is exit 1, as in the grid script, not a usage error; stdout stays empty
+    # and stderr carries the sampled graph for replay
+    monkeypatch.setattr(experiment, "find_parity_factor", lambda g, spec: None)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=7\nn=10\nr=3\ntrials=1\nab=1:1\n")
+    assert cli.main(["experiment", str(cfg)]) == cli.EXIT_INFEASIBLE == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: satisfied cases ")
+    head, sep, instance = err.partition("--- instance for replay ---\n")
+    assert sep and "no verified (1,1)-parity factor" in head
+    g = parse_graph(instance)
+    assert g.n == 10 and {g.degree(v) for v in range(g.n)} == {3}
 
 
 @pytest.mark.parametrize("line", ["ab=1", "ab=1:1:1", "extremal=6:2"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -17,8 +18,12 @@ from paritylab.experiment import (
     parse_config,
     run_verification_experiment,
 )
-from paritylab.generators import random_regular
-from paritylab.solver import verify_factor
+from paritylab.generators import ExtremalParams, extremal_construction, random_regular
+from paritylab.graph import VertexSet
+from paritylab.lovasz import DeficiencyWitness, ParitySpec, deficiency
+from paritylab.solver import Factor, find_parity_factor, verify_factor
+
+from conftest import disjoint_sets
 
 
 def _load_script(name: str):
@@ -166,8 +171,34 @@ def solver_calls(monkeypatch):
     return calls
 
 
+@contextmanager
 def _reject_every_cached_factor():
-    return mock.patch.object(experiment, "verify_factor", lambda g, spec, f: (False, "planted"))
+    """The harness's ``verify_factor`` rejects every factor kept from an
+    earlier window: it checks only the latest solve's factor for the solved
+    window, or that factor's complement for the complement window, and only
+    once, so every satisfied (a, b) is solved afresh."""
+    solve, latest = experiment.find_parity_factor, []
+
+    def solve_spy(g, spec):
+        factor = solve(g, spec)
+        latest[:] = [] if factor is None else [(g, spec, factor)]
+        return factor
+
+    def verify_latest(g, spec, f):
+        if latest:
+            solved_g, window, factor = latest[0]
+            r = g.degree(0)
+            complement = ParitySpec.constant(r - window.f[0], r - window.g[0], g.n)
+            if g is solved_g and (
+                spec == window and f == factor
+                or spec == complement and set(f.edges) == set(g.edges) - set(factor.edges)
+            ):
+                latest.clear()
+                return verify_factor(g, spec, f)
+        return False, "planted"
+
+    with mock.patch.multiple(experiment, find_parity_factor=solve_spy, verify_factor=verify_latest):
+        yield
 
 
 def _sweep_csv_digest() -> str:
@@ -189,13 +220,15 @@ def test_rejected_cached_factors_fall_back_to_the_solver(solver_calls):
 
 
 def test_a_factor_and_its_complement_serve_the_eight_sweep_specs(solver_calls):
-    # on this 6-regular graph (2,4) has no satisfied case; the (1,1) factor
-    # serves (1,3) and its complement (5,5), the (2,2) factor's complement
-    # serves (4,4), and the (3,3) factor serves (3,5)
+    # on this 6-regular graph (2,4) has no satisfied case; (1,1) and (2,2)
+    # have a + b < 6, so they are solved as their complement windows (5,5)
+    # and (4,4), whose complements serve them; (3,3) has a + b = 6 and is
+    # solved as itself; the three factors and their complements serve the
+    # other four satisfied specs
     cfg = ExperimentConfig(seed=7, n_values=(20,), r_values=(6,), trials=1, specs=SWEEP_SPECS)
     rows = run_verification_experiment(cfg).rows
     assert {(row.a, row.b) for row in rows if row.outcome == "found"} == set(SWEEP_SPECS) - {(2, 4)}
-    assert [(spec.g[0], spec.f[0]) for spec in solver_calls] == [(1, 1), (2, 2), (3, 3)]
+    assert [(spec.g[0], spec.f[0]) for spec in solver_calls] == [(5, 5), (4, 4), (3, 3)]
 
 
 def test_every_found_row_rests_on_a_verified_factor(monkeypatch):
@@ -270,3 +303,73 @@ def test_sharpness_grid_exits_1_on_a_witness_off_by_one(monkeypatch, capsys):
         _run_grid(monkeypatch, 4)
     assert exc.value.code == 1
     assert "extremal instance (r=4, m=2, a=1, b=1) did not certify" in capsys.readouterr().err
+
+
+def test_an_unswapped_flipped_witness_is_a_counterexample(monkeypatch):
+    # the complement window's certificate has the hubs on T; the same
+    # numbers with the hubs on S prove nothing there
+    solve = experiment.factor_or_witness
+
+    def unswapped(g, spec):
+        witness = solve(g, spec)
+        return replace(witness, S=witness.T, T=witness.S)
+
+    monkeypatch.setattr(experiment, "factor_or_witness", unswapped)
+    cfg = ExperimentConfig(n_values=(), r_values=(), trials=0, extremal=((4, 2, 1, 1),))
+    with pytest.raises(CounterexampleError, match=r"^extremal instance \(r=4, m=2, a=1, b=1\) did not certify"):
+        run_verification_experiment(cfg)
+
+
+def test_extremal_tuples_are_certified_on_the_complement_window(monkeypatch, capsys):
+    # every sharpness tuple with r <= 12 is solved under (r - b, r - a),
+    # whose barrier witness is T = hubs, S empty, delta = b*m - r, tau = r
+    solved = []
+    solve = experiment.factor_or_witness
+
+    def spy(g, spec):
+        result = solve(g, spec)
+        solved.append((g, spec, result))
+        return result
+
+    monkeypatch.setattr(experiment, "factor_or_witness", spy)
+    _run_grid(monkeypatch, 4, 6, 8, 10, 12)
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:-1]]
+    assert len(rows) == len(solved) > 20
+    for (_, n, r, lam, a, b, _, _, delta), (g, spec, result) in zip(rows, solved):
+        r, m, a, b = int(r), int(lam), int(a), int(b)
+        graph, hubs = extremal_construction(ExtremalParams(r, m))
+        assert (g.edges, spec) == (graph.edges, ParitySpec.constant(r - b, r - a, g.n))
+        assert result == DeficiencyWitness(VertexSet.empty(), hubs, b * m - r, r)
+        assert int(delta) == result.delta
+
+
+@st.composite
+def regular_graphs_with_windows(draw):
+    """A random r-regular graph with n <= 14 and 3 <= r <= 7, a window
+    a <= b < r with a = b (mod 2), and disjoint S and T."""
+    r = draw(st.integers(3, 7))
+    n = draw(st.integers(r + 1, 14))
+    n += n * r % 2  # n odd only if r is even; else n < 14
+    g = random_regular(n, r, draw(st.integers(0, 2 ** 32)))
+    a = draw(st.integers(0, r - 1))
+    b = draw(st.sampled_from(range(a, r, 2)))
+    s, t = draw(disjoint_sets(n))
+    return g, r, a, b, s, t
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(regular_graphs_with_windows())
+def test_a_window_and_its_complement_are_one_problem(data):
+    # on an r-regular graph F is an (a, b)-parity factor iff E - F is an
+    # (r - b, r - a)-parity factor, and delta_(a,b)(S, T) equals
+    # delta_(r-b,r-a)(T, S) with the same tau: the harness's solves rest on it
+    g, r, a, b, s, t = data
+    spec, flipped = ParitySpec.constant(a, b, g.n), ParitySpec.constant(r - b, r - a, g.n)
+    factors = find_parity_factor(g, spec), find_parity_factor(g, flipped)
+    assert (factors[0] is None) == (factors[1] is None)
+    for factor, other in zip(factors, (flipped, spec)):
+        if factor is not None:
+            complement = Factor(g.n, tuple(sorted(set(g.edges) - set(factor.edges))))
+            assert verify_factor(g, other, complement) == (True, "ok")
+    w, w_flipped = deficiency(g, spec, s, t), deficiency(g, flipped, t, s)
+    assert (w.delta, w.tau) == (w_flipped.delta, w_flipped.tau)

@@ -506,7 +506,7 @@ def test_certifier_returns_the_paper_certificate_on_the_extremal_family(r):
                 if b * m < r:
                     spec = ParitySpec.constant(a, b, g.n)
                     result = factor_or_witness(g, spec)
-                    assert is_paper_certificate(result, hubs, r, m, b), (m, a, b, result)
+                    assert is_paper_certificate(result, hubs, r, m, b, "S"), (m, a, b, result)
                     assert result == neighbourhood_projection(g, spec)
                     count += 1
     assert count == {4: 1, 6: 2, 8: 5, 10: 6}[r]
