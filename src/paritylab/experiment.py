@@ -14,20 +14,28 @@ Each sampled graph is solved once per factor, not once per (a, b). A factor
 whose degrees lie in [a', b'], all of the parity of b', serves every (a, b)
 with a <= a', b' <= b and b = b' (mod 2); on an r-regular graph the
 complement E(G) - F of an (a, b)-parity factor is an (r - b, r - a)-parity
-factor. So ``_check_graph`` keeps, per graph, every factor ``find_parity_factor``
-returns with its (min, max) degree, and before it solves a satisfied (a, b)
+factor. So ``_check_graph`` keeps, per graph, every factor it solves for
+with its (min, max) degree, and before it solves a satisfied (a, b)
 takes the first kept factor, or complement, whose range fits and that
 ``verify_factor`` accepts; only on a miss does it solve. A complement's range
 is (r - max, r - min): its edges are built only when that range fits, so
 ``verify_factor`` runs only on a candidate that fits.
 
-A fresh solve takes the smaller of the window and its complement: (a, b) if
-a + b >= r, else (r - b, r - a). The gadget gives each vertex d - g core
-nodes and a d x (d - g) outer-by-core block, so (a, b) costs r - a core nodes
-per vertex and (r - b, r - a) costs b, fewer exactly when a + b < r. The row is
-then served by the new factor or its complement, which ``verify_factor`` must
-accept for the row's own (a, b); a rejection is ``SelfCheckFailed``. The
-extremal tuples have b*m < r with m >= 2, so a + b < r: the harness solves
+A fresh solve (``_fresh_factor``) takes the smaller of the window and its
+complement: (a, b) if a + b >= r, else (r - b, r - a). The gadget gives each
+vertex d - g core nodes and a d x (d - g) outer-by-core block, so (a, b)
+costs r - a core nodes per vertex and (r - b, r - a) costs b, fewer exactly
+when a + b < r. The window (r - 1, r - 1), from the row (1, 1) or from
+(r - 1, r - 1) itself, skips the gadget: a (1, 1)-parity factor is exactly a
+perfect matching (Tutte 1947), so ``max_matching`` runs on g itself, with n
+nodes and rn/2 edges in place of the gadget's (r + 1)n nodes and about
+3rn/2 edges, and a perfect matching M is kept as the factor (1, 1, M), its
+complement being the (r - 1, r - 1)-factor; a matching that is not perfect
+means no factor. The solver verifies a factor of the row's own window before
+it returns it, so that one serves the row at once; M, or a factor of the
+complement window, serves it only if ``verify_factor`` accepts it, or its
+complement, for the row's own (a, b), and a rejection is ``SelfCheckFailed``.
+The extremal tuples have b*m < r with m >= 2, so a + b < r: the harness solves
 (r - b, r - a), where the paper's certificate reads S empty and T = hubs,
 and recomputes delta_(a,b)(hubs, empty) from it. The swap is exact: on an
 r-regular graph delta_(a,b)(S, T) = delta_(r-b,r-a)(T, S), tau included.
@@ -36,12 +44,13 @@ r-regular graph delta_(a,b)(S, T) = delta_(r-b,r-a)(T, S), tau included.
   e(C,S) + (r - a)|C| = e(C,T) + b|C| (mod 2), as a = b (mod 2).
 
 The rows are those of solving every window afresh, and the soundness sweep at
---trials 2 makes 150 solver calls in place of 340. What is lost: the harness
-no longer catches a solver that wrongly returns None for a window a kept
-factor already serves, it runs no (a, b) gadget with a + b < r, and on the
-extremal family it reads the barrier witness with the hubs on T only, never
-on S. The solver's own differential, golden and extremal-family tests cover
-all three.
+--trials 2 makes 150 fresh solves in place of 340: 60 perfect matchings of
+the sampled graph and 90 gadget solves. What is lost: the harness no longer
+catches a solver that wrongly returns None for a window a kept factor
+already serves; it runs no (a, b) gadget with a + b < r, and no
+(r - 1, r - 1) gadget on a sampled graph; and on the extremal family it
+reads the barrier witness with the hubs on T only, never on S. The solver's
+own differential, golden and extremal-family tests cover all three.
 """
 from __future__ import annotations
 
@@ -55,6 +64,7 @@ from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation, 
 from .generators import ExtremalParams, extremal_construction, random_regular
 from .graph import Graph, VertexSet, emit_graph, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec, deficiency
+from .matching import max_matching
 from .solver import Factor, factor_or_witness, find_parity_factor, verify_factor
 from .theorems import check_main_conditions
 
@@ -209,25 +219,49 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
             continue
         spec = ParitySpec.constant(a, b, n)
         if not any(_serves(g, spec, r, *kept) for kept in solved):
-            window = (a, b) if a + b >= r else (r - b, r - a)
-            factor = find_parity_factor(g, ParitySpec.constant(*window, n))
-            if factor is None:
+            kept = _fresh_factor(g, r, spec, seed)
+            if kept is None:
                 raise CounterexampleError(
                     f"satisfied cases {sorted(cases)} at "
                     f"lambda={lam} but no verified ({a},{b})-parity factor "
                     f"(seed {seed})",
                     emit_graph(g),
                 )
-            deg = factor.degrees
-            solved.append((min(deg), max(deg), factor))
-            if not _serves(g, spec, r, *solved[-1]):
-                raise SelfCheckFailed(
-                    f"the {window} factor of seed {seed} and its complement "
-                    f"fail verification for ({a},{b})"
-                )
+            solved.append(kept)
         for case in sorted(cases):
             rows.append(Row(seed, n, r, lam, a, b, case, "found"))
     return rows
+
+
+def _fresh_factor(g: Graph, r: int, spec: ParitySpec, seed: int) -> tuple[int, int, Factor] | None:
+    """A new (min degree, max degree, factor) entry that serves the constant
+    window (a, b) of ``spec`` on the r-regular graph g drawn from ``seed``, or
+    None if g has no (a, b)-parity factor. It solves the cheaper of (a, b)
+    and (r - b, r - a): (r - 1, r - 1) as a perfect matching M of g, kept as
+    (1, 1, M), any other window through ``find_parity_factor``. The solver
+    has verified a factor of the row's own window; M, or a factor of the
+    complement window, must pass ``_serves``, else ``SelfCheckFailed``."""
+    a, b = spec.g[0], spec.f[0]
+    window = (a, b) if a + b >= r else (r - b, r - a)
+    if window == (r - 1, r - 1):
+        mate = max_matching(g).mate
+        if -1 in mate:
+            return None
+        kept = (1, 1, Factor(g.n, tuple((v, w) for v, w in enumerate(mate) if v < w)))
+    else:
+        factor = find_parity_factor(g, ParitySpec.constant(*window, g.n))
+        if factor is None:
+            return None
+        deg = factor.degrees
+        kept = (min(deg), max(deg), factor)
+        if window == (a, b):
+            return kept
+    if not _serves(g, spec, r, *kept):
+        raise SelfCheckFailed(
+            f"the {window} factor of seed {seed} and its complement "
+            f"fail verification for ({a},{b})"
+        )
+    return kept
 
 
 def _serves(g: Graph, spec: ParitySpec, r: int, lo: int, hi: int, f: Factor) -> bool:

@@ -628,7 +628,7 @@ def test_experiment_counterexample_exits_1_with_the_replay_instance(tmp_path, mo
     # a satisfied case without a factor fails the theorem's verification: it
     # is exit 1, as in the grid script, not a usage error; stdout stays empty
     # and stderr carries the sampled graph for replay
-    monkeypatch.setattr(experiment, "find_parity_factor", lambda g, spec: None)
+    monkeypatch.setattr(experiment, "_fresh_factor", lambda g, r, spec, seed: None)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seed=7\nn=10\nr=3\ntrials=1\nab=1:1\n")
     assert cli.main(["experiment", str(cfg)]) == cli.EXIT_INFEASIBLE == 1

@@ -8,11 +8,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritylab import experiment
-from paritylab.errors import CounterexampleError, GraphSyntaxError, HypothesisViolation
+from paritylab.errors import CounterexampleError, GraphSyntaxError, HypothesisViolation, SelfCheckFailed
 from paritylab.experiment import (
     ExperimentConfig,
     parse_config,
@@ -21,6 +21,7 @@ from paritylab.experiment import (
 from paritylab.generators import ExtremalParams, extremal_construction, random_regular
 from paritylab.graph import VertexSet
 from paritylab.lovasz import DeficiencyWitness, ParitySpec, deficiency
+from paritylab.matching import Matching
 from paritylab.solver import Factor, find_parity_factor, verify_factor
 
 from conftest import disjoint_sets
@@ -40,8 +41,11 @@ sharpness_grid = _load_script("run_sharpness_grid")
 # run_soundness_sweep.py --trials 2 --csv: 662 rows, computed on CPython 3.11
 # before factors were reused; reuse changes no byte of it
 SWEEP_CSV_SHA256 = "8a47db99f3252906e3a1294a5e73f5830489767493d50759a9507dd12e06d581"
-# gadget solves on that config when every satisfied (a, b) is solved afresh
+# fresh solves on that config, perfect matchings of the sampled graph and
+# gadget solves together, when every satisfied (a, b) is solved afresh
 SWEEP_FRESH_SOLVES = 340
+# (matchings, gadget solves) on that config when kept factors are reused
+SWEEP_SOLVES = (60, 90)
 SWEEP_SPECS = soundness_sweep.sweep_config(0, 1).specs
 
 
@@ -105,9 +109,34 @@ def test_odd_nr_products_are_skipped():
 
 
 def test_satisfied_case_without_factor_is_a_counterexample(monkeypatch):
-    monkeypatch.setattr(experiment, "find_parity_factor", lambda g, spec: None)
+    monkeypatch.setattr(experiment, "_fresh_factor", lambda g, r, spec, seed: None)
     cfg = ExperimentConfig(seed=7, n_values=(10,), r_values=(3,), trials=1, specs=((1, 1),))
     with pytest.raises(CounterexampleError, match="satisfied cases"):
+        run_verification_experiment(cfg)
+
+
+def test_a_matching_that_is_not_perfect_is_a_counterexample(monkeypatch):
+    # (1,1) at r = 3 is solved as a matching of the graph: an exposed
+    # vertex means no factor, as a None from the solver does
+    monkeypatch.setattr(experiment, "max_matching", lambda g: Matching((-1,) * g.n))
+    cfg = ExperimentConfig(seed=7, n_values=(10,), r_values=(3,), trials=1, specs=((1, 1),))
+    with pytest.raises(CounterexampleError, match=r"no verified \(1,1\)-parity factor"):
+        run_verification_experiment(cfg)
+
+
+@pytest.mark.parametrize("spec", [(1, 1), (3, 3)])
+def test_a_matching_off_the_graph_fails_the_self_check(monkeypatch, spec):
+    # nothing verifies the matcher's output before the harness does: a
+    # perfect pairing that uses a non-edge serves neither (1,1) nor, through
+    # its complement, (r - 1, r - 1)
+    def off_graph(g):
+        mate = tuple(v ^ 1 for v in range(g.n))
+        assert not all(g.has_edge(v, v + 1) for v in range(0, g.n, 2))
+        return Matching(mate)
+
+    monkeypatch.setattr(experiment, "max_matching", off_graph)
+    cfg = ExperimentConfig(seed=7, n_values=(10,), r_values=(4,), trials=1, specs=(spec,))
+    with pytest.raises(SelfCheckFailed, match=rf"fail verification for \({spec[0]},{spec[1]}\)"):
         run_verification_experiment(cfg)
 
 
@@ -159,45 +188,45 @@ def test_ab_pair_above_r_is_skipped_for_that_r_only():
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """The specs handed to ``experiment.find_parity_factor``, in call order."""
-    calls = []
-    solve = experiment.find_parity_factor
+    """Per call of ``experiment._fresh_factor``, in call order, the one solve
+    it made: "matching" for a maximum matching of the sampled graph, else
+    the window (lo, hi) handed to ``find_parity_factor``."""
+    calls, made = [], []
+    fresh, match, solve = experiment._fresh_factor, experiment.max_matching, experiment.find_parity_factor
 
-    def spy(g, spec):
-        calls.append(spec)
-        return solve(g, spec)
+    def fresh_spy(g, r, spec, seed):
+        made.clear()
+        kept = fresh(g, r, spec, seed)
+        (call,) = made
+        calls.append(call)
+        return kept
 
-    monkeypatch.setattr(experiment, "find_parity_factor", spy)
+    monkeypatch.setattr(experiment, "_fresh_factor", fresh_spy)
+    monkeypatch.setattr(experiment, "max_matching", lambda g: made.append("matching") or match(g))
+    monkeypatch.setattr(experiment, "find_parity_factor",
+                        lambda g, spec: made.append((spec.g[0], spec.f[0])) or solve(g, spec))
     return calls
 
 
 @contextmanager
 def _reject_every_cached_factor():
     """The harness's ``verify_factor`` rejects every factor kept from an
-    earlier window: it checks only the latest solve's factor for the solved
-    window, or that factor's complement for the complement window, and only
-    once, so every satisfied (a, b) is solved afresh."""
-    solve, latest = experiment.find_parity_factor, []
+    earlier window: it checks factors only inside ``_fresh_factor``, which
+    checks only the factor it has just solved for, or that factor's
+    complement, so every satisfied (a, b) is solved afresh."""
+    fresh, solving = experiment._fresh_factor, []
 
-    def solve_spy(g, spec):
-        factor = solve(g, spec)
-        latest[:] = [] if factor is None else [(g, spec, factor)]
-        return factor
+    def fresh_spy(*args):
+        solving.append(True)
+        try:
+            return fresh(*args)
+        finally:
+            solving.pop()
 
-    def verify_latest(g, spec, f):
-        if latest:
-            solved_g, window, factor = latest[0]
-            r = g.degree(0)
-            complement = ParitySpec.constant(r - window.f[0], r - window.g[0], g.n)
-            if g is solved_g and (
-                spec == window and f == factor
-                or spec == complement and set(f.edges) == set(g.edges) - set(factor.edges)
-            ):
-                latest.clear()
-                return verify_factor(g, spec, f)
-        return False, "planted"
+    def verify_fresh(g, spec, f):
+        return verify_factor(g, spec, f) if solving else (False, "planted")
 
-    with mock.patch.multiple(experiment, find_parity_factor=solve_spy, verify_factor=verify_latest):
+    with mock.patch.multiple(experiment, _fresh_factor=fresh_spy, verify_factor=verify_fresh):
         yield
 
 
@@ -211,6 +240,8 @@ def test_soundness_sweep_csv_is_pinned(solver_calls):
     assert _sweep_csv_digest() == SWEEP_CSV_SHA256
     # an earlier factor of the same graph, or its complement, answers the rest
     assert len(solver_calls) <= SWEEP_FRESH_SOLVES // 2
+    matchings = solver_calls.count("matching")
+    assert (matchings, len(solver_calls) - matchings) == SWEEP_SOLVES
 
 
 def test_rejected_cached_factors_fall_back_to_the_solver(solver_calls):
@@ -221,14 +252,15 @@ def test_rejected_cached_factors_fall_back_to_the_solver(solver_calls):
 
 def test_a_factor_and_its_complement_serve_the_eight_sweep_specs(solver_calls):
     # on this 6-regular graph (2,4) has no satisfied case; (1,1) and (2,2)
-    # have a + b < 6, so they are solved as their complement windows (5,5)
-    # and (4,4), whose complements serve them; (3,3) has a + b = 6 and is
-    # solved as itself; the three factors and their complements serve the
-    # other four satisfied specs
+    # have a + b < 6, so their windows are the complements (5,5) and (4,4):
+    # (5,5) = (r - 1, r - 1) is solved as a perfect matching of the graph,
+    # which serves (1,1) itself, and the (4,4) factor's complement serves
+    # (2,2); (3,3) has a + b = 6 and is solved as itself; the three factors
+    # and their complements serve the other four satisfied specs
     cfg = ExperimentConfig(seed=7, n_values=(20,), r_values=(6,), trials=1, specs=SWEEP_SPECS)
     rows = run_verification_experiment(cfg).rows
     assert {(row.a, row.b) for row in rows if row.outcome == "found"} == set(SWEEP_SPECS) - {(2, 4)}
-    assert [(spec.g[0], spec.f[0]) for spec in solver_calls] == [(5, 5), (4, 4), (3, 3)]
+    assert solver_calls == ["matching", (4, 4), (3, 3)]
 
 
 def test_every_found_row_rests_on_a_verified_factor(monkeypatch):
@@ -344,13 +376,20 @@ def test_extremal_tuples_are_certified_on_the_complement_window(monkeypatch, cap
 
 
 @st.composite
-def regular_graphs_with_windows(draw):
-    """A random r-regular graph with n <= 14 and 3 <= r <= 7, a window
-    a <= b < r with a = b (mod 2), and disjoint S and T."""
+def regular_graphs(draw):
+    """A random r-regular graph with n <= 14 and 3 <= r <= 7."""
     r = draw(st.integers(3, 7))
     n = draw(st.integers(r + 1, 14))
     n += n * r % 2  # n odd only if r is even; else n < 14
-    g = random_regular(n, r, draw(st.integers(0, 2 ** 32)))
+    return random_regular(n, r, draw(st.integers(0, 2 ** 32)))
+
+
+@st.composite
+def regular_graphs_with_windows(draw):
+    """A graph of ``regular_graphs``, a window a <= b < r with
+    a = b (mod 2), and disjoint S and T."""
+    g = draw(regular_graphs())
+    n, r = g.n, g.degree(0)
     a = draw(st.integers(0, r - 1))
     b = draw(st.sampled_from(range(a, r, 2)))
     s, t = draw(disjoint_sets(n))
@@ -373,3 +412,24 @@ def test_a_window_and_its_complement_are_one_problem(data):
             assert verify_factor(g, other, complement) == (True, "ok")
     w, w_flipped = deficiency(g, spec, s, t), deficiency(g, flipped, t, s)
     assert (w.delta, w.tau) == (w_flipped.delta, w_flipped.tau)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(regular_graphs())
+@example(extremal_construction(ExtremalParams(4, 2))[0])  # no 1-factor
+def test_the_matching_path_agrees_with_the_gadget(g):
+    # the harness solves the window (r - 1, r - 1), from the row (1,1) or
+    # (r - 1, r - 1), as a perfect matching M of g: M exists iff the gadget
+    # finds an (r - 1, r - 1)-parity factor, and then M is a (1,1)-parity
+    # factor and E - M an (r - 1, r - 1)-parity factor
+    r = g.degree(0)
+    one, top = ParitySpec.constant(1, 1, g.n), ParitySpec.constant(r - 1, r - 1, g.n)
+    kept = experiment._fresh_factor(g, r, one, 0)
+    assert experiment._fresh_factor(g, r, top, 0) == kept
+    assert (kept is None) == (find_parity_factor(g, top) is None)
+    if kept is not None:
+        lo, hi, matching = kept
+        assert (lo, hi) == (1, 1)
+        complement = Factor(g.n, tuple(sorted(set(g.edges) - set(matching.edges))))
+        assert verify_factor(g, one, matching) == (True, "ok")
+        assert verify_factor(g, top, complement) == (True, "ok")
