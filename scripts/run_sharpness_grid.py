@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Reproduce the sharpness grid: for each even r, even m <= r-2, and odd
-a <= b with b*m < r, certify the extremal instance through the verification
-harness and print its table. Exits 1 at the first instance that is not
-infeasible with lambda = m and the paper's witness: S = hubs, T empty,
-delta = b*m - r, tau = r."""
+"""Reproduce the sharpness grid: for each given r, certify every extremal
+tuple (r, m, a, b) that ``paritylab.generators.sharpness_certificate`` admits
+through the verification harness and print its table. Exits 1 at the first
+instance that is not infeasible with lambda = m and that witness."""
 from __future__ import annotations
 
 import argparse
 import sys
 import time
 
-from paritylab import ExperimentConfig, run_verification_experiment
+from paritylab import ExperimentConfig, run_verification_experiment, sharpness_certificate
 from paritylab.errors import CounterexampleError
 
 
@@ -21,10 +20,8 @@ def main() -> None:
 
     grid = tuple(
         (r, m, a, b)
-        for r in args.r if r % 2 == 0
-        for m in range(2, r - 1, 2)
-        for b in range(1, r, 2) if b * m < r
-        for a in range(1, b + 1, 2)
+        for r in args.r for m in range(r) for b in range(r) for a in range(b + 1)
+        if sharpness_certificate(r, m, a, b) is not None
     )
     t0 = time.time()
     try:

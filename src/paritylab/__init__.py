@@ -5,13 +5,13 @@ __version__ = "0.1.0"
 from .connectivity import CutCertificate, edge_connectivity
 from .experiment import ExperimentConfig, run_verification_experiment
 from .generators import (
-    ExtremalParams,
     complete_graph,
     cycle,
     extremal_construction,
     j_block,
     petersen,
     random_regular,
+    sharpness_certificate,
 )
 from .graph import (
     Graph,
@@ -52,7 +52,6 @@ __all__ = [
     "Decision",
     "DeficiencyWitness",
     "ExperimentConfig",
-    "ExtremalParams",
     "Factor",
     "GadgetMap",
     "Graph",
@@ -83,6 +82,7 @@ __all__ = [
     "petersen",
     "random_regular",
     "run_verification_experiment",
+    "sharpness_certificate",
     "verify_factor",
     "verify_witness",
 ]

@@ -25,7 +25,7 @@ from .errors import (
     TooManyEdges,
 )
 from .experiment import parse_config, run_verification_experiment
-from .generators import ExtremalParams, extremal_construction, random_regular
+from .generators import extremal_construction, random_regular
 from .graph import Graph, VertexSet, emit_graph, int_pair, parse_graph, text_lines
 from .lovasz import (
     DEFAULT_ENUMERATION_CAP,
@@ -182,7 +182,7 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    g, hubs = extremal_construction(ExtremalParams(args.r, args.m))
+    g, hubs = extremal_construction(args.r, args.m)
     if args.dot:
         sys.stdout.write(_dot_graph(g, marked_vertices=list(hubs)))
     else:

@@ -8,7 +8,8 @@ the theorems are proven, so a failure is an implementation bug to preserve.
 
 ``_check_graph`` checks one sampled regular graph at its measured lambda;
 ``run_verification_experiment`` validates the config, samples the graphs and
-certifies the extremal tuples (lambda = m and the paper's certificate).
+certifies the extremal tuples: lambda = m and the witness of
+``generators.sharpness_certificate``, which also defines their domain.
 
 Each sampled graph is solved once per factor, not once per (a, b). A factor
 whose degrees lie in [a', b'], all of the parity of b', serves every (a, b)
@@ -35,9 +36,9 @@ means no factor. The solver verifies a factor of the row's own window before
 it returns it, so that one serves the row at once; M, or a factor of the
 complement window, serves it only if ``verify_factor`` accepts it, or its
 complement, for the row's own (a, b), and a rejection is ``SelfCheckFailed``.
-The extremal tuples have b*m < r with m >= 2, so a + b < r: the harness solves
-(r - b, r - a), where the paper's certificate reads S empty and T = hubs,
-and recomputes delta_(a,b)(hubs, empty) from it. The swap is exact: on an
+Every extremal tuple has a + b < r: the harness solves (r - b, r - a), where
+the certificate's S and T trade places, and recomputes the certificate under
+(a, b) with ``deficiency``. The swap is exact: on an
 r-regular graph delta_(a,b)(S, T) = delta_(r-b,r-a)(T, S), tau included.
   f(S) + sum_T (d - g) is b|S| + (r - a)|T| under both readings, e(S, T) too;
   a component C of G - S - T has e(C,S) + e(C,T) = r|C| - 2e(C), so
@@ -57,13 +58,13 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .connectivity import edge_connectivity
 from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation, SelfCheckFailed
-from .generators import ExtremalParams, extremal_construction, random_regular
-from .graph import Graph, VertexSet, emit_graph, text_lines
-from .lovasz import DeficiencyWitness, ParitySpec, deficiency
+from .generators import extremal_construction, random_regular, sharpness_certificate
+from .graph import Graph, emit_graph, text_lines
+from .lovasz import ParitySpec, deficiency
 from .matching import max_matching
 from .solver import Factor, factor_or_witness, find_parity_factor, verify_factor
 from .theorems import check_main_conditions
@@ -166,10 +167,7 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"need 1 <= a <= b with a = b (mod 2)"
             )
     for r, m, a, b in config.extremal:
-        # the construction exists only for these (r, m) and defeats only
-        # these bounds; others may well be feasible
-        if not (r % 2 == m % 2 == 0 and 2 <= m <= r - 2
-                and a % 2 == b % 2 == 1 and 1 <= a <= b and b * m < r):
+        if sharpness_certificate(r, m, a, b) is None:
             raise HypothesisViolation(
                 f"extremal tuple (r={r}, m={m}, a={a}, b={b}) is outside the "
                 f"sharpness domain: need even r >= 4, even 2 <= m <= r-2 and "
@@ -184,14 +182,14 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
                 if (n * r) % 2 == 0 and r < n:
                     rows += _check_graph(random_regular(n, r, instance_seed), instance_seed, config.specs)
     for r, m, a, b in config.extremal:
-        g, hubs = extremal_construction(ExtremalParams(r, m))
+        g, _ = extremal_construction(r, m)
+        cert = sharpness_certificate(r, m, a, b)
         lam, _ = edge_connectivity(g)
-        # b*m < r and m >= 2 put a + b below r: solve the complement window,
-        # where the hubs are T, and swap them back to S under (a, b)
+        # every extremal tuple has a + b < r: solve the complement window,
+        # where S and T trade places, and recompute the witness under (a, b)
         result = factor_or_witness(g, ParitySpec.constant(r - b, r - a, g.n))
-        swapped = deficiency(g, ParitySpec.constant(a, b, g.n), hubs, VertexSet.empty())
-        if lam != m or not (is_paper_certificate(result, hubs, r, m, b, "T")
-                            and is_paper_certificate(swapped, hubs, r, m, b, "S")):
+        if (lam != m or result != replace(cert, S=cert.T, T=cert.S)
+                or deficiency(g, ParitySpec.constant(a, b, g.n), cert.S, cert.T) != cert):
             raise CounterexampleError(
                 f"extremal instance (r={r}, m={m}, a={a}, b={b}) did not certify: "
                 f"lambda={lam}, solver returned {result!r} under ({r - b},{r - a})",
@@ -277,15 +275,3 @@ def _serves(g: Graph, spec: ParitySpec, r: int, lo: int, hi: int, f: Factor) -> 
 def _fits(a: int, b: int, lo: int, hi: int) -> bool:
     """Whether degrees in [lo, hi], all of hi's parity, suit the (a, b) window."""
     return a <= lo and hi <= b and (b - hi) % 2 == 0
-
-
-def is_paper_certificate(result, hubs: VertexSet, r: int, m: int, charge: int, side: str) -> bool:
-    """Whether a ``factor_or_witness`` or ``deficiency`` result on the (r, m)
-    extremal instance is the paper's certificate: the hubs on ``side`` ("S"
-    or "T"), the other side empty, delta = charge*m - r and one odd component
-    per block (tau = r). ``charge`` is each hub's term in delta, f on side S
-    and d - g on side T: it is b both for S under (a, b) and for T under the
-    complement window (r - b, r - a)."""
-    empty = VertexSet.empty()
-    s, t = (hubs, empty) if side == "S" else (empty, hubs)
-    return result == DeficiencyWitness(s, t, charge * m - r, r)

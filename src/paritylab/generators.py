@@ -3,14 +3,13 @@
 The extremal family: take r disjoint copies of the block J(r,m) (K_{r+1} minus
 a matching of size m/2), add m hub vertices, and give each hub one edge into
 every block at a distinct deficient block vertex. The result is r-regular with
-edge-connectivity exactly m, and for odd a <= b with b*m < r it has no
-(a,b)-parity factor, certified by S = hubs, T = empty.
+edge-connectivity exactly m. ``sharpness_certificate`` is the one statement
+of when it has no (a,b)-parity factor, and of the paper's witness.
 """
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import (
     BadOrder,
@@ -20,6 +19,7 @@ from .errors import (
     RetriesExhausted,
 )
 from .graph import Graph, VertexSet, _from_canonical, build_graph
+from .lovasz import DeficiencyWitness
 
 DEFAULT_SAMPLING_RETRIES = 10000
 
@@ -99,18 +99,6 @@ def _can_place(edges, leftover) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
-    r: int
-    m: int
-
-    def __post_init__(self):
-        if self.r % 2 != 0 or self.r < 4:
-            raise ParamDomain(f"r must be even and >= 4, got {self.r}")
-        if self.m % 2 != 0 or not 2 <= self.m <= self.r - 2:
-            raise ParamDomain(f"m must be even with 2 <= m <= r-2, got m={self.m}, r={self.r}")
-
-
 def j_block(r: int, m: int) -> Graph:
     """K_{r+1} minus the canonical matching {0,1},...,{m-2,m-1}; vertices
     0..m-1 end up with degree r-1, the rest keep degree r."""
@@ -130,13 +118,23 @@ def j_block(r: int, m: int) -> Graph:
     return build_graph(r + 1, edges)
 
 
-def extremal_construction(params: ExtremalParams) -> tuple[Graph, VertexSet]:
+def _extremal_domain_error(r: int, m: int) -> str | None:
+    """Why the (r, m) extremal construction does not exist, or None if it does."""
+    if r % 2 != 0 or r < 4:
+        return f"r must be even and >= 4, got {r}"
+    if m % 2 != 0 or not 2 <= m <= r - 2:
+        return f"m must be even with 2 <= m <= r-2, got m={m}, r={r}"
+    return None
+
+
+def extremal_construction(r: int, m: int) -> tuple[Graph, VertexSet]:
     """The sharpness instance: r blocks of J(r,m) plus m hub vertices.
 
     Hub j takes the j-th deficient vertex of every block, so all degrees come
     out to exactly r. Returns the graph and the hub set (the certificate's S).
     """
-    r, m = params.r, params.m
+    if error := _extremal_domain_error(r, m):
+        raise ParamDomain(error)
     block = j_block(r, m)
     size = r + 1
     edges: list[tuple[int, int]] = []
@@ -149,3 +147,16 @@ def extremal_construction(params: ExtremalParams) -> tuple[Graph, VertexSet]:
             edges.append((i * size + j, hub_base + j))
     g = build_graph(hub_base + m, edges)
     return g, VertexSet.of(range(hub_base, hub_base + m))
+
+
+def sharpness_certificate(r: int, m: int, a: int, b: int) -> DeficiencyWitness | None:
+    """The paper's witness that the (r, m) extremal instance has no
+    (a,b)-parity factor: S = hubs, T = empty, delta = b*m - r and one odd
+    component per block (tau = r). None outside the sharpness domain: where
+    the construction does not exist, or unless a, b are odd with
+    1 <= a <= b and b*m < r."""
+    if (_extremal_domain_error(r, m) is not None
+            or not (a % 2 == b % 2 == 1 and 1 <= a <= b and b * m < r)):
+        return None
+    hubs = VertexSet.of(range(r * (r + 1), r * (r + 1) + m))
+    return DeficiencyWitness(hubs, VertexSet.empty(), b * m - r, r)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import strategies as st
 
 from paritylab import (
-    ExtremalParams,
     Graph,
     ParitySpec,
     VertexSet,
@@ -229,7 +228,7 @@ def extremal_instances(max_r):
     specs with odd a <= b and b*m < r, plus the feasible (2,2)."""
     for r in range(4, max_r + 1, 2):
         for m in range(2, r - 1, 2):
-            g, _ = extremal_construction(ExtremalParams(r, m))
+            g, _ = extremal_construction(r, m)
             abs_ = [(a, b) for a in range(1, r, 2) for b in range(a, r, 2) if b * m < r]
             for a, b in abs_ + [(2, 2)]:
                 yield g, ParitySpec.constant(a, b, g.n)

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from paritylab import (
-    ExtremalParams,
     ParitySpec,
     VertexSet,
     brute_force_factor,
@@ -44,7 +43,7 @@ def test_criterion_1_sharpness_reproduction():
                 if b * m >= r:
                     continue
                 for a in range(1, b + 1, 2):
-                    g, hubs = extremal_construction(ExtremalParams(r, m))
+                    g, hubs = extremal_construction(r, m)
                     assert set(g.degrees) == {r}
                     assert edge_connectivity(g)[0] == m
                     spec = ParitySpec.constant(a, b, g.n)

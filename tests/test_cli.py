@@ -67,6 +67,17 @@ def test_construct_dot_marks_the_hubs(capsys):
     assert len(edge_lines) == int(plain[0].split()[1])
 
 
+@pytest.mark.parametrize("r,m,message", [
+    ("5", "2", "r must be even and >= 4, got 5"),
+    ("6", "6", "m must be even with 2 <= m <= r-2, got m=6, r=6"),
+    ("6", "3", "m must be even with 2 <= m <= r-2, got m=3, r=6"),
+    ("3", "2", "r must be even and >= 4, got 3"),
+], ids=["odd-r", "m-above-r-2", "odd-m", "r-below-4"])
+def test_construct_outside_the_domain_is_a_usage_error(capsys, r, m, message):
+    assert cli.main(["construct", "--r", r, "--m", m]) == cli.EXIT_USAGE == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("trailer", ["-1", "x"])
 def test_malformed_hub_trailer_is_ignored(trailer):
     # '#' starts a comment: a trailer that names no vertices is not a usage

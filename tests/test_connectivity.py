@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritylab import (
-    ExtremalParams,
     VertexSet,
     build_graph,
     complete_graph,
@@ -65,7 +64,7 @@ def test_too_small():
 
 @pytest.mark.parametrize("r,m", [(4, 2), (6, 2), (6, 4)])
 def test_extremal_connectivity_is_m(r, m):
-    g, _ = extremal_construction(ExtremalParams(r, m))
+    g, _ = extremal_construction(r, m)
     assert edge_connectivity(g)[0] == m
 
 
@@ -137,7 +136,7 @@ def test_matches_reference_on_random_regular(r):
 @pytest.mark.parametrize("r", [4, 6, 8, 10])
 def test_matches_reference_on_extremal(r):
     for m in range(2, r - 1, 2):
-        _same_as_reference(extremal_construction(ExtremalParams(r, m))[0])
+        _same_as_reference(extremal_construction(r, m)[0])
 
 
 # the flow to sink 1 pushes a unit against one already on an edge at vertex 2;
@@ -268,5 +267,5 @@ def test_random_regular_cut_side_takes_no_flow(monkeypatch):
 
 @pytest.mark.parametrize("r,m", [(8, 2), (12, 4), (16, 2)])
 def test_extremal_cut_side_sweep_stops_at_sink_r_plus_1(monkeypatch, r, m):
-    g, _ = extremal_construction(ExtremalParams(r, m))
+    g, _ = extremal_construction(r, m)
     assert _sinks_swept(monkeypatch, g) == list(range(1, r + 2))

@@ -18,7 +18,7 @@ from paritylab.experiment import (
     parse_config,
     run_verification_experiment,
 )
-from paritylab.generators import ExtremalParams, extremal_construction, random_regular
+from paritylab.generators import extremal_construction, random_regular
 from paritylab.graph import VertexSet
 from paritylab.lovasz import DeficiencyWitness, ParitySpec, deficiency
 from paritylab.matching import Matching
@@ -352,6 +352,21 @@ def test_an_unswapped_flipped_witness_is_a_counterexample(monkeypatch):
         run_verification_experiment(cfg)
 
 
+def test_a_recomputed_certificate_off_by_one_is_a_counterexample(monkeypatch):
+    # the solver's witness is right, but the certificate recomputed under
+    # (a, b) with deficiency must match sharpness_certificate as well
+    recompute = experiment.deficiency
+
+    def off_by_one(g, spec, s, t):
+        witness = recompute(g, spec, s, t)
+        return replace(witness, delta=witness.delta + 1)
+
+    monkeypatch.setattr(experiment, "deficiency", off_by_one)
+    cfg = ExperimentConfig(n_values=(), r_values=(), trials=0, extremal=((4, 2, 1, 1),))
+    with pytest.raises(CounterexampleError, match=r"^extremal instance \(r=4, m=2, a=1, b=1\) did not certify"):
+        run_verification_experiment(cfg)
+
+
 def test_extremal_tuples_are_certified_on_the_complement_window(monkeypatch, capsys):
     # every sharpness tuple with r <= 12 is solved under (r - b, r - a),
     # whose barrier witness is T = hubs, S empty, delta = b*m - r, tau = r
@@ -369,7 +384,7 @@ def test_extremal_tuples_are_certified_on_the_complement_window(monkeypatch, cap
     assert len(rows) == len(solved) > 20
     for (_, n, r, lam, a, b, _, _, delta), (g, spec, result) in zip(rows, solved):
         r, m, a, b = int(r), int(lam), int(a), int(b)
-        graph, hubs = extremal_construction(ExtremalParams(r, m))
+        graph, hubs = extremal_construction(r, m)
         assert (g.edges, spec) == (graph.edges, ParitySpec.constant(r - b, r - a, g.n))
         assert result == DeficiencyWitness(VertexSet.empty(), hubs, b * m - r, r)
         assert int(delta) == result.delta
@@ -416,7 +431,7 @@ def test_a_window_and_its_complement_are_one_problem(data):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(regular_graphs())
-@example(extremal_construction(ExtremalParams(4, 2))[0])  # no 1-factor
+@example(extremal_construction(4, 2)[0])  # no 1-factor
 def test_the_matching_path_agrees_with_the_gadget(g):
     # the harness solves the window (r - 1, r - 1), from the row (1,1) or
     # (r - 1, r - 1), as a perfect matching M of g: M exists iff the gadget

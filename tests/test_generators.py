@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from paritylab import (
-    ExtremalParams,
+    DeficiencyWitness,
     ParitySpec,
     VertexSet,
     complete_graph,
@@ -18,6 +18,7 @@ from paritylab import (
     j_block,
     petersen,
     random_regular,
+    sharpness_certificate,
 )
 from paritylab.errors import (
     BadOrder,
@@ -97,29 +98,54 @@ def test_j_block_4_4():
 
 
 def test_params_domain():
-    with pytest.raises(ParamDomain):
-        ExtremalParams(5, 2)  # odd r
-    with pytest.raises(ParamDomain):
-        ExtremalParams(6, 3)  # odd m
-    with pytest.raises(ParamDomain):
-        ExtremalParams(6, 6)  # m > r - 2
+    assert_rejects(lambda: extremal_construction(5, 2),  # odd r
+                   ParamDomain("r must be even and >= 4, got 5"))
+    assert_rejects(lambda: extremal_construction(6, 3),  # odd m
+                   ParamDomain("m must be even with 2 <= m <= r-2, got m=3, r=6"))
+    assert_rejects(lambda: extremal_construction(6, 6),  # m > r - 2
+                   ParamDomain("m must be even with 2 <= m <= r-2, got m=6, r=6"))
+
+
+def _reference_sharpness_domain(r, m, a, b):
+    # the verification harness's own predicate before the domain moved into
+    # generators, kept verbatim as an independent oracle
+    return (r % 2 == m % 2 == 0 and 2 <= m <= r - 2
+            and a % 2 == b % 2 == 1 and 1 <= a <= b and b * m < r)
+
+
+def test_sharpness_certificate_matches_the_reference_domain():
+    admitted = 0
+    for r in range(-1, 25):
+        for m in range(-1, r + 2):
+            hubs = VertexSet.of(range(r * (r + 1), r * (r + 1) + m))
+            for a in range(r + 1):
+                for b in range(r + 1):
+                    cert = sharpness_certificate(r, m, a, b)
+                    if not _reference_sharpness_domain(r, m, a, b):
+                        assert cert is None, (r, m, a, b)
+                        continue
+                    assert cert == DeficiencyWitness(hubs, VertexSet.empty(), b * m - r, r)
+                    if r <= 12:
+                        assert cert.S == extremal_construction(r, m)[1], (r, m)
+                    admitted += r <= 20
+    assert admitted == 101  # even r in 4..20: the CI grid
 
 
 @pytest.mark.parametrize("r,m", [(4, 2), (4, 2), (6, 2), (6, 4), (8, 4)])
 def test_extremal_is_regular_with_right_order(r, m):
-    g, hubs = extremal_construction(ExtremalParams(r, m))
+    g, hubs = extremal_construction(r, m)
     assert g.n == r * (r + 1) + m
     assert set(g.degrees) == {r}
     assert len(hubs) == m
 
 
 def test_extremal_6_2_counts():
-    g, _ = extremal_construction(ExtremalParams(6, 2))
+    g, _ = extremal_construction(6, 2)
     assert g.n == 44 and g.edge_count == 132
 
 
 def test_extremal_hub_wiring():
-    g, hubs = extremal_construction(ExtremalParams(4, 2))
+    g, hubs = extremal_construction(4, 2)
     blocks = components_after_removal(g, hubs)
     assert len(blocks) == 4
     for block in blocks:
@@ -129,7 +155,7 @@ def test_extremal_hub_wiring():
 
 
 def test_extremal_infeasibility_certificate():
-    g, hubs = extremal_construction(ExtremalParams(4, 2))
+    g, hubs = extremal_construction(4, 2)
     spec = ParitySpec.constant(1, 1, g.n)
     w = deficiency(g, spec, hubs, VertexSet.empty())
     assert w.delta == 1 * 2 - 4 and w.tau == 4

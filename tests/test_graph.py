@@ -12,7 +12,6 @@ from paritylab import (
     edges_between,
     emit_graph,
     extremal_construction,
-    ExtremalParams,
     parse_graph,
     petersen,
 )
@@ -168,7 +167,7 @@ def test_components_identity_case():
 
 
 def test_components_extremal_blocks():
-    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    g, hubs = extremal_construction(6, 2)
     comps = components_after_removal(g, hubs)
     assert len(comps) == 6
     assert all(len(c) == 7 for c in comps)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from paritylab import (
     Decision,
     DeficiencyWitness,
-    ExtremalParams,
     ParitySpec,
     VertexSet,
     build_graph,
@@ -66,7 +65,7 @@ def test_constant_spec():
 
 
 def test_f_odd_components_extremal():
-    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    g, hubs = extremal_construction(6, 2)
     spec = ParitySpec.constant(1, 1, g.n)
     tau, comps = f_odd_components(g, spec, hubs, VertexSet.empty())
     assert tau == 6
@@ -88,7 +87,7 @@ def test_f_odd_requires_disjoint():
 
 
 def test_deficiency_extremal_hub_witness():
-    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    g, hubs = extremal_construction(6, 2)
     spec = ParitySpec.constant(1, 1, g.n)
     w = deficiency(g, spec, hubs, VertexSet.empty())
     assert w.delta == -4  # b*m - r with b=1, m=2, r=6
@@ -185,7 +184,7 @@ def test_verify_witness_rejects_nonnegative_delta():
 
 
 def test_verify_witness_rejects_tampered_delta():
-    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    g, hubs = extremal_construction(6, 2)
     spec = ParitySpec.constant(1, 1, g.n)
     w = deficiency(g, spec, hubs, VertexSet.empty())
     tampered = DeficiencyWitness(w.S, w.T, -2, w.tau)
@@ -213,7 +212,7 @@ def test_verify_witness_does_not_hide_a_library_fault(monkeypatch):
 
 
 def test_witness_serialization_round_trip():
-    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    g, hubs = extremal_construction(6, 2)
     spec = ParitySpec.constant(1, 1, g.n)
     w = deficiency(g, spec, hubs, VertexSet.empty())
     text = serialize_witness(w)
@@ -367,7 +366,7 @@ def test_pruned_sweep_matches_the_gray_sweep(kind, n, size, shape):
 # ---- delta(S,T) checks S and T once, on entry, and counts e(C,T) directly
 
 def _hub_witness(r):
-    g, hubs = extremal_construction(ExtremalParams(r, 2))
+    g, hubs = extremal_construction(r, 2)
     return g, ParitySpec.constant(1, 1, g.n), hubs, VertexSet.empty()
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritylab import (
-    ExtremalParams,
     ParitySpec,
     build_graph,
     build_parity_gadget,
@@ -219,7 +218,7 @@ def star(leaves):
 def extremal_gadgets_at_one_one(max_r):
     for r in range(4, max_r + 1, 2):
         for m in range(2, r - 1, 2):
-            g, _ = extremal_construction(ExtremalParams(r, m))
+            g, _ = extremal_construction(r, m)
             h = build_parity_gadget(g, ParitySpec.constant(1, 1, g.n)).h
             yield pytest.param(h, id=f"extremal-r{r}-m{m}")
 

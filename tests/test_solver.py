@@ -8,7 +8,6 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from paritylab import (
-    ExtremalParams,
     Factor,
     ParitySpec,
     brute_force_factor,
@@ -24,11 +23,11 @@ from paritylab import (
     find_parity_factor,
     petersen,
     random_regular,
+    sharpness_certificate,
     verify_factor,
     verify_witness,
 )
 from paritylab import solver
-from paritylab.experiment import is_paper_certificate
 from paritylab.lovasz import deficiency, serialize_witness
 from paritylab.errors import (
     GraphSyntaxError,
@@ -101,7 +100,7 @@ def test_find_k4_odd_factor():
 
 
 def test_find_extremal_infeasible():
-    g, _ = extremal_construction(ExtremalParams(6, 2))
+    g, _ = extremal_construction(6, 2)
     assert find_parity_factor(g, ParitySpec.constant(1, 1, g.n)) is None
 
 
@@ -247,14 +246,14 @@ def test_factor_matches_golden_digest_at_scale(n, r, seed, a, b, digest):
 
 
 def test_extremal_witness_matches_golden_at_r12():
-    g, _ = extremal_construction(ExtremalParams(12, 2))
+    g, _ = extremal_construction(12, 2)
     witness = factor_or_witness(g, ParitySpec.constant(1, 3, g.n))
     assert serialize_witness(witness) == "S: 156 157\nT:\ndelta: -6\ntau: 12\n"
 
 
 def test_extremal_witness_matches_golden_at_r16():
     # 14 exposed gadget nodes, so 14 failed searches over pruned trees
-    g, _ = extremal_construction(ExtremalParams(16, 2))
+    g, _ = extremal_construction(16, 2)
     witness = factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
     assert serialize_witness(witness) == "S: 272 273\nT:\ndelta: -14\ntau: 16\n"
 
@@ -272,7 +271,7 @@ def test_solve_never_builds_the_gadget_edge_tuple(feasible, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(solver, "build_parity_gadget", spy)
-    g = petersen() if feasible else extremal_construction(ExtremalParams(4, 2))[0]
+    g = petersen() if feasible else extremal_construction(4, 2)[0]
     result = factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
     assert isinstance(result, Factor) == feasible
     assert len(built) == 1 and "h" not in built[0].__dict__
@@ -293,7 +292,7 @@ def test_solver_reads_the_public_matcher(monkeypatch):
     monkeypatch.setattr(solver, "max_matching", spy, raising=True)
     for g, feasible in [
         (petersen(), True),
-        (extremal_construction(ExtremalParams(4, 2))[0], False),
+        (extremal_construction(4, 2)[0], False),
     ]:
         calls.clear()
         result = factor_or_witness(g, ParitySpec.constant(1, 1, g.n))
@@ -462,7 +461,7 @@ def test_min_delta_is_minus_the_gadget_deficiency(data):
 
 def test_nonnegative_projected_delta_is_a_self_check_failure(monkeypatch):
     # the projection is exact, so a pair with delta >= 0 is a fault, not an answer
-    g, _ = extremal_construction(ExtremalParams(4, 2))
+    g, _ = extremal_construction(4, 2)
     monkeypatch.setattr(
         solver, "deficiency", lambda g, spec, s, t: DeficiencyWitness(s, t, 0, 0)
     )
@@ -500,13 +499,14 @@ def test_barrier_witness_matches_the_neighbourhood_projection(data):
 def test_certifier_returns_the_paper_certificate_on_the_extremal_family(r):
     count = 0
     for m in range(2, r - 1, 2):
-        g, hubs = extremal_construction(ExtremalParams(r, m))
+        g, hubs = extremal_construction(r, m)
         for b in range(1, r, 2):
             for a in range(1, b + 1, 2):
                 if b * m < r:
                     spec = ParitySpec.constant(a, b, g.n)
                     result = factor_or_witness(g, spec)
-                    assert is_paper_certificate(result, hubs, r, m, b, "S"), (m, a, b, result)
+                    assert result == sharpness_certificate(r, m, a, b), (m, a, b, result)
+                    assert result.S == hubs
                     assert result == neighbourhood_projection(g, spec)
                     count += 1
     assert count == {4: 1, 6: 2, 8: 5, 10: 6}[r]

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritylab import (
-    ExtremalParams,
     ParitySpec,
     VertexSet,
     build_graph,
@@ -126,7 +125,7 @@ def test_measured_lambda_zero_leaves_only_petersen():
 
 
 def test_component_check_extremal_blocks():
-    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    g, hubs = extremal_construction(6, 2)
     spec = ParitySpec.constant(1, 1, g.n)
     reports = component_inequality_check(g, spec, hubs, VertexSet.empty())
     assert len(reports) == 6
@@ -139,7 +138,7 @@ def test_component_check_extremal_blocks():
 
 
 def test_parity_identity_cross_checks_f_odd_components(monkeypatch):
-    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    g, hubs = extremal_construction(6, 2)
     spec = ParitySpec.constant(1, 1, g.n)
     # the scan that f_odd_components reads, with every f-odd flag cleared
     scan = theorems._component_scan
@@ -189,7 +188,7 @@ def test_regularity_identity_holds_on_regular_graphs(g):
 def test_component_check_checks_bounds_at_most_three_times(bound_checks, monkeypatch):
     # the one component scan checks S, T and S + T: never once per component
     # (here 6), and G - (S + T) is split into components once
-    g, hubs = extremal_construction(ExtremalParams(6, 2))
+    g, hubs = extremal_construction(6, 2)
     spec = ParitySpec.constant(1, 1, g.n)
     scans = []
 
