@@ -3,8 +3,10 @@
 Let D = d1 < d2 < ... be the greedy dominating set (d1 = 0) and delta the
 minimum degree. lambda = min(delta, min over j of flow(D<j, dj)), the flows
 from the set {d1 ... dj-1} to dj, each stopped at the best value so far. No
-flow is below lambda. If lambda < delta, a side of a minimum cut has more than
-delta vertices, more than its cut edges, so one has no neighbour across, and
+flow is below lambda: a cut between a set and a vertex is a global cut. If
+lambda < delta, each side of a minimum cut has more than delta vertices,
+more than its cut edges (a side of k <= delta vertices has at least
+k(delta - k + 1) >= delta cut edges), so one has no neighbour across, and
 the vertex of D dominating it lies there too: both sides hold a vertex of D,
 and the first dj across the cut from d1 has flow(D<j, dj) <= lambda. Each
 such flow searches backwards from dj to the first source vertex it meets;

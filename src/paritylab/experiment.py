@@ -234,11 +234,8 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
 def _fresh_factor(g: Graph, r: int, spec: ParitySpec, seed: int) -> tuple[int, int, Factor] | None:
     """A new (min degree, max degree, factor) entry that serves the constant
     window (a, b) of ``spec`` on the r-regular graph g drawn from ``seed``, or
-    None if g has no (a, b)-parity factor. It solves the cheaper of (a, b)
-    and (r - b, r - a): (r - 1, r - 1) as a perfect matching M of g, kept as
-    (1, 1, M), any other window through ``find_parity_factor``. The solver
-    has verified a factor of the row's own window; M, or a factor of the
-    complement window, must pass ``_serves``, else ``SelfCheckFailed``."""
+    None if g has no (a, b)-parity factor; ``SelfCheckFailed`` if what it
+    solved fails ``_serves``. The window it solves: the module docstring."""
     a, b = spec.g[0], spec.f[0]
     window = (a, b) if a + b >= r else (r - b, r - a)
     if window == (r - 1, r - 1):

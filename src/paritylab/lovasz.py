@@ -5,17 +5,12 @@ delta(S,T) = f(S) + sum_{x in T} d(x) - g(T) - e(S,T) - tau, where tau counts
 the components C of G-(S+T) with e(C,T) + f(C) odd. Feasibility holds iff
 delta(S,T) >= 0 for all disjoint S, T; a negative delta is therefore a
 machine-checkable infeasibility certificate. All arithmetic is exact integers.
-``deficiency`` checks S and T once and costs O(n + m): a 40000-vertex barrier
-witness (|T| = 21397) verifies through the CLI in 0.65 s, against 2.43 s when
-every component of G-(S+T) re-checked all of T (README, *Deficiency certificates*).
-``decide_by_enumeration`` takes the pairs in blocks of one rest mask
-R = V - (S+T) and skips each block for which a lower bound on delta cannot
-beat the best pair found so far. The bounds are tried in order of cost: a
-table-only bound, the one-sided charge and a one-pass bound before the
-component scan; after it, the one-pass bound with the scan's free count and
-the pairwise bound. Its docstring derives each of them. The codes stay in
-vertex ids, so it returns the same canonical least-code witness as a walk of
-all 3^n codes (README, *Exhaustive enumeration*).
+``deficiency`` checks S and T once, on entry, and counts each e(C,T) over C's
+own adjacency, so one evaluation costs O(n + m).
+``decide_by_enumeration`` skips each block of pairs for which a lower bound on
+delta cannot beat the best pair found so far; its docstring derives the bounds
+and their order. It returns the canonical least-code witness of a walk of all
+3^n codes (README, *Exhaustive enumeration*).
 """
 from __future__ import annotations
 
@@ -245,7 +240,9 @@ def decide_by_enumeration(
     in k(x) > 0 pair terms shares a(x) or b(x) evenly over them, one with
     none pays min(a, b), and each pair term with its two shares is at least
     its minimum over the four side choices of its ends; the sum of those
-    minima, rounded up, is the bound. The shares are exact integers in units
+    minima, rounded up, is the bound (the standard cheap bound of a quadratic
+    0-1 function by pair terms; compare roof duality, Hammer, Hansen and
+    Simeone 1984). The shares are exact integers in units
     of 1/lcm(1..max degree), since k(x) <= d(x): each C with x in q_C holds
     a neighbour of x.
 
@@ -371,10 +368,8 @@ def decide_by_enumeration(
     on_s, on_t, k = [0] * n, [0] * n, [0] * n
     # the blocks by ascending O, so R = V - O = full - out_mask descends
     for out_mask, code, first, roots_r in zip(count(), code_of, floor_of, reversed(roots)):
-        # skip the block when a lower bound on its delta exceeds cut: delta =
-        # f(V) = best_delta (mod 2), so a bound above best_delta rounds up
-        # past it, and one above best_delta - 2 reaches it, a tie that beats
-        # the best only if the block's least code is below best_code
+        # skip the block when a lower bound on its delta exceeds cut, the one
+        # cut per block of the docstring
         cut = best_delta - 2 if code > best_code else best_delta
         # bounds (1), (4) and (2), with roots(R) >= free in place of free,
         # before the component scan

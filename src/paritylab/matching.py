@@ -82,10 +82,9 @@ returned: it is the union of the components of H - A that hold an exposed
 vertex or a vertex matched into A, since the other components of H - A,
 those of V - D - A, are perfectly matched within themselves.
 
-Cost per call: O(n + m) to allocate the four arrays and seed, then, for each
-exposed root, the edges its search scans plus, per contraction, its blossom
-and v's path to the root; O(n^3) at worst. A failed tree is scanned once, by
-the search that grew it, not once per later root.
+Cost per call: O(n + m) to allocate the four arrays and seed, then, per
+exposed root, the edges its search scans and its contractions; O(n^3) at
+worst. A failed tree is scanned once, by the search that grew it.
 """
 from __future__ import annotations
 
@@ -110,9 +109,7 @@ class Adjacency(Protocol):
 class Matching:
     # mate[v] = v's partner, or -1 if v is exposed
     mate: tuple[int, ...]
-    # N(D) - D, a Tutte barrier: the odd vertices of the failed searches. D,
-    # the Gallai-Edmonds set, holds the vertices that some maximum matching
-    # leaves exposed
+    # N(D) - D, D the Gallai-Edmonds set: the Tutte barrier of the module docstring
     A: tuple[int, ...] = ()
 
     def __len__(self) -> int:

@@ -129,15 +129,22 @@ def find_parity_factor(g: Graph, spec: ParitySpec) -> Optional[Factor]:
 
 def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
     """One gadget matching: the verified factor, else the deficiency witness
-    read off the gadget's Tutte barrier A = N(D) - D, D the matcher's
-    Gallai-Edmonds set. The matcher returns A as ``Matching.A``: the
-    vertices its failed searches left odd. A lower bound above a vertex's
-    degree is certified with T = those vertices, without a gadget.
+    read off the Tutte barrier A that the matcher returns as ``Matching.A``.
+    A lower bound above a vertex's degree is certified with T = those
+    vertices, without a gadget.
 
     A vertex with f(v) <= d(v) goes to S if it has outer nodes, all in A; any
-    other vertex goes to T if all its core nodes are in A. The pair attains
-    delta = -(exposed gadget nodes), the least delta of any pair (README,
-    *Barrier witness*); a nonnegative delta is a ``SelfCheckFailed``."""
+    other vertex goes to T if all its core nodes are in A. When g <= d the
+    pair attains delta = -def(H), def(H) = |H| - 2|M| the nodes a maximum
+    matching M leaves exposed, the least delta of any pair (Lovász 1972,
+    *The factorization of graphs II*, read through Tutte-Berge on H):
+    - delta charges f(v) on S, H the clamped f'(v) (``normalized_upper``);
+      the two differ exactly when f(v) > d(v);
+    - there f' >= d - 1, so taking v's outer nodes out of a Tutte set X never
+      lowers o(H - X) - |X|: the merged component's parity makes up for any
+      odd component it absorbs;
+    - for the projected pair, -delta(S,T) <= o(H - X) - |X| <= def(H).
+    So a nonnegative delta is a ``SelfCheckFailed``."""
     _check_spec(g, spec)
     short = [v for v in range(g.n) if spec.g[v] > g.degree(v)]
     if short:
@@ -150,7 +157,6 @@ def factor_or_witness(g: Graph, spec: ParitySpec) -> Factor | DeficiencyWitness:
         barrier = set(m.A)
         s, t = [], []
         for v in range(g.n):
-            # S charges f(v), H only the clamped f'(v): they differ iff f(v) > d(v)
             if gm.outer[v] and spec.f[v] <= g.degree(v) and barrier.issuperset(gm.outer[v]):
                 s.append(v)
             elif barrier.issuperset(gm.core[v]):
