@@ -8,8 +8,8 @@ the theorems are proven, so a failure is an implementation bug to preserve.
 
 ``_check_graph`` checks one sampled regular graph at its measured lambda;
 ``run_verification_experiment`` validates the config, samples the graphs and
-certifies the extremal tuples: lambda = m and the witness of
-``generators.sharpness_certificate``, which also defines their domain.
+certifies the extremal tuples: lambda = m, and from ``_solve`` and
+``deficiency`` alike the witness of ``generators.sharpness_certificate``.
 
 Each sampled graph is solved once per factor, not once per (a, b). A factor
 whose degrees lie in [a', b'], all of the parity of b', serves every (a, b)
@@ -18,55 +18,55 @@ complement E(G) - F of an (a, b)-parity factor is an (r - b, r - a)-parity
 factor. So ``_check_graph`` keeps, per graph, every factor it solves for
 with its (min, max) degree, and before it solves a satisfied (a, b)
 takes the first kept factor, or complement, whose range fits and that
-``verify_factor`` accepts; only on a miss does it solve. A complement's range
-is (r - max, r - min): its edges are built only when that range fits, so
-``verify_factor`` runs only on a candidate that fits.
+``verify_factor`` accepts (``_serves``); only on a miss does it solve.
 
-A fresh solve (``_fresh_factor``) takes the smaller of the window and its
-complement: (a, b) if a + b >= r, else (r - b, r - a). The gadget gives each
-vertex d - g core nodes and a d x (d - g) outer-by-core block, so (a, b)
-costs r - a core nodes per vertex and (r - b, r - a) costs b, fewer exactly
-when a + b < r. The window (r - 1, r - 1), from the row (1, 1) or from
-(r - 1, r - 1) itself, skips the gadget: a (1, 1)-parity factor is exactly a
-perfect matching (Tutte 1947), so ``max_matching`` runs on g itself, with n
-nodes and rn/2 edges in place of the gadget's (r + 1)n nodes and about
-3rn/2 edges, and a perfect matching M is kept as the factor (1, 1, M), its
-complement being the (r - 1, r - 1)-factor; a matching that is not perfect
-means no factor. The solver verifies a factor of the row's own window before
-it returns it, so that one serves the row at once; M, or a factor of the
-complement window, serves it only if ``verify_factor`` accepts it, or its
-complement, for the row's own (a, b), and a rejection is ``SelfCheckFailed``.
-Every extremal tuple has a + b < r: the harness solves (r - b, r - a), where
-the certificate's S and T trade places, and recomputes the certificate under
-(a, b) with ``deficiency``. The swap is exact: on an
-r-regular graph delta_(a,b)(S, T) = delta_(r-b,r-a)(T, S), tau included.
+``_solve`` is the one solve, for sampled rows and extremal tuples alike: a
+kept factor that serves the row's (a, b), or a witness read under that
+(a, b). It takes the smaller of the window and its complement: (a, b) if
+a + b >= r, else (r - b, r - a). The gadget gives each vertex d - g core
+nodes and a d x (d - g) outer-by-core block, so (a, b) costs r - a core
+nodes per vertex and (r - b, r - a) costs b, fewer exactly when a + b < r.
+The window (r - 1, r - 1), from the row (1, 1) or (r - 1, r - 1), skips the
+gadget: a (1, 1)-parity factor is exactly a perfect matching (Tutte 1947),
+so ``max_matching`` runs on g itself, with n nodes and rn/2 edges in place
+of the gadget's (r + 1)n nodes and about 3rn/2 edges. A perfect matching M
+is kept as the factor (1, 1, M); else the witness is g's Tutte barrier
+A = ``Matching.A``, as (A, {}) for the row (1, 1), ({}, A) for (r - 1, r - 1):
+  under (1, 1) a component C of G - A is f-odd iff |C| is odd, so
+  delta(A, {}) = |A| - o(G - A) = -def(G) < 0 by Gallai-Edmonds,
+and the swap below carries it to (r - 1, r - 1). Other windows go to
+``factor_or_witness``, and a complement window's witness is swapped back.
+The solver verifies the factor of a row's own window; M, or a factor of the
+complement window, must pass ``_serves`` for (a, b), else it is a
+``SelfCheckFailed``. The swap is exact: on an r-regular graph
+delta_(a,b)(S, T) = delta_(r-b,r-a)(T, S), tau included.
   f(S) + sum_T (d - g) is b|S| + (r - a)|T| under both readings, e(S, T) too;
   a component C of G - S - T has e(C,S) + e(C,T) = r|C| - 2e(C), so
   e(C,S) + (r - a)|C| = e(C,T) + b|C| (mod 2), as a = b (mod 2).
 
 The rows are those of solving every window afresh, and the soundness sweep at
---trials 2 makes 150 fresh solves in place of 340: 60 perfect matchings of
-the sampled graph and 90 gadget solves. What is lost: the harness no longer
-catches a solver that wrongly returns None for a window a kept factor
-already serves; it runs no (a, b) gadget with a + b < r, and no
-(r - 1, r - 1) gadget on a sampled graph; and on the extremal family it
-reads the barrier witness with the hubs on T only, never on S. The solver's
-own differential, golden and extremal-family tests cover all three.
+--trials 2 makes 154 fresh solves in place of 344: 63 perfect matchings and
+91 gadget solves, its four extremal tuples included. What is lost: the
+harness no longer catches a solver that wrongly returns no factor for a
+window a kept factor already serves; it runs no (a, b) gadget with a + b < r
+and no (r - 1, r - 1) gadget, the (1, 1) extremal tuples included; and the
+other extremal tuples read the barrier witness with the hubs on T only. The
+solver's own differential, golden and extremal-family tests cover all three.
 """
 from __future__ import annotations
 
 import csv
 import io
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .connectivity import edge_connectivity
 from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation, SelfCheckFailed
-from .generators import extremal_construction, random_regular, sharpness_certificate
-from .graph import Graph, emit_graph, text_lines
-from .lovasz import ParitySpec, deficiency
+from .generators import SHARPNESS_DOMAIN, extremal_construction, random_regular, sharpness_certificate
+from .graph import Graph, VertexSet, emit_graph, text_lines
+from .lovasz import DeficiencyWitness, ParitySpec, deficiency
 from .matching import max_matching
-from .solver import Factor, factor_or_witness, find_parity_factor, verify_factor
+from .solver import Factor, factor_or_witness, verify_factor
 from .theorems import check_main_conditions
 
 CSV_COLUMNS = ("seed", "n", "r", "lambda", "a", "b", "case", "outcome", "delta")
@@ -166,12 +166,12 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"ab pair (a={a}, b={b}) is admitted by no r: "
                 f"need 1 <= a <= b with a = b (mod 2)"
             )
-    for r, m, a, b in config.extremal:
-        if sharpness_certificate(r, m, a, b) is None:
+    certs = [sharpness_certificate(*quad) for quad in config.extremal]
+    for (r, m, a, b), cert in zip(config.extremal, certs):
+        if cert is None:
             raise HypothesisViolation(
                 f"extremal tuple (r={r}, m={m}, a={a}, b={b}) is outside the "
-                f"sharpness domain: need even r >= 4, even 2 <= m <= r-2 and "
-                f"odd 1 <= a <= b with b*m < r"
+                f"sharpness domain: need {SHARPNESS_DOMAIN}"
             )
     rng = random.Random(config.seed)
     rows: list[Row] = []
@@ -181,23 +181,18 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
                 instance_seed = rng.randrange(2 ** 63)
                 if (n * r) % 2 == 0 and r < n:
                     rows += _check_graph(random_regular(n, r, instance_seed), instance_seed, config.specs)
-    for r, m, a, b in config.extremal:
+    for (r, m, a, b), cert in zip(config.extremal, certs):
         g, _ = extremal_construction(r, m)
-        cert = sharpness_certificate(r, m, a, b)
         lam, _ = edge_connectivity(g)
-        # every extremal tuple has a + b < r: solve the complement window,
-        # where S and T trade places, and recompute the witness under (a, b)
-        result = factor_or_witness(g, ParitySpec.constant(r - b, r - a, g.n))
-        if (lam != m or result != replace(cert, S=cert.T, T=cert.S)
-                or deficiency(g, ParitySpec.constant(a, b, g.n), cert.S, cert.T) != cert):
+        spec = ParitySpec.constant(a, b, g.n)
+        result = _solve(g, r, spec, config.seed)
+        if lam != m or result != cert or deficiency(g, spec, cert.S, cert.T) != cert:
             raise CounterexampleError(
                 f"extremal instance (r={r}, m={m}, a={a}, b={b}) did not certify: "
-                f"lambda={lam}, solver returned {result!r} under ({r - b},{r - a})",
+                f"lambda={lam}, solver returned {result!r}",
                 emit_graph(g),
             )
-        rows.append(
-            Row(config.seed, g.n, r, lam, a, b, "extremal", "infeasible-verified", result.delta)
-        )
+        rows.append(Row(config.seed, g.n, r, lam, a, b, "extremal", "infeasible-verified", result.delta))
     return ExperimentReport(tuple(rows))
 
 
@@ -217,8 +212,8 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
             continue
         spec = ParitySpec.constant(a, b, n)
         if not any(_serves(g, spec, r, *kept) for kept in solved):
-            kept = _fresh_factor(g, r, spec, seed)
-            if kept is None:
+            kept = _solve(g, r, spec, seed)
+            if isinstance(kept, DeficiencyWitness):
                 raise CounterexampleError(
                     f"satisfied cases {sorted(cases)} at "
                     f"lambda={lam} but no verified ({a},{b})-parity factor "
@@ -231,24 +226,25 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
     return rows
 
 
-def _fresh_factor(g: Graph, r: int, spec: ParitySpec, seed: int) -> tuple[int, int, Factor] | None:
+def _solve(g: Graph, r: int, spec: ParitySpec, seed: int) -> tuple[int, int, Factor] | DeficiencyWitness:
     """A new (min degree, max degree, factor) entry that serves the constant
-    window (a, b) of ``spec`` on the r-regular graph g drawn from ``seed``, or
-    None if g has no (a, b)-parity factor; ``SelfCheckFailed`` if what it
-    solved fails ``_serves``. The window it solves: the module docstring."""
+    window (a, b) of ``spec`` on the r-regular graph g drawn from ``seed``, else
+    a witness read under (a, b); ``SelfCheckFailed`` if what it solved fails
+    ``_serves``. The window it solves and the witness: the module docstring."""
     a, b = spec.g[0], spec.f[0]
     window = (a, b) if a + b >= r else (r - b, r - a)
     if window == (r - 1, r - 1):
-        mate = max_matching(g).mate
-        if -1 in mate:
-            return None
-        kept = (1, 1, Factor(g.n, tuple((v, w) for v, w in enumerate(mate) if v < w)))
+        matching = max_matching(g)
+        if -1 in matching.mate:
+            barrier, none = VertexSet.of(matching.A), VertexSet.empty()
+            return deficiency(g, spec, *((barrier, none) if a == 1 else (none, barrier)))
+        kept = (1, 1, Factor(g.n, tuple((v, w) for v, w in enumerate(matching.mate) if v < w)))
     else:
-        factor = find_parity_factor(g, ParitySpec.constant(*window, g.n))
-        if factor is None:
-            return None
-        deg = factor.degrees
-        kept = (min(deg), max(deg), factor)
+        result = factor_or_witness(g, ParitySpec.constant(*window, g.n))
+        if isinstance(result, DeficiencyWitness):
+            return result if window == (a, b) else replace(result, S=result.T, T=result.S)
+        deg = result.degrees
+        kept = (min(deg), max(deg), result)
         if window == (a, b):
             return kept
     if not _serves(g, spec, r, *kept):

@@ -149,10 +149,13 @@ def extremal_construction(r: int, m: int) -> tuple[Graph, VertexSet]:
     return g, VertexSet.of(range(hub_base, hub_base + m))
 
 
+SHARPNESS_DOMAIN = "even r >= 4, even 2 <= m <= r-2 and odd 1 <= a <= b with b*m < r"
+
+
 def sharpness_certificate(r: int, m: int, a: int, b: int) -> DeficiencyWitness | None:
     """The paper's witness that the (r, m) extremal instance has no
     (a,b)-parity factor: S = hubs, T = empty, delta = b*m - r and one odd
-    component per block (tau = r). None outside the sharpness domain: where
+    component per block (tau = r). None outside ``SHARPNESS_DOMAIN``: where
     the construction does not exist, or unless a, b are odd with
     1 <= a <= b and b*m < r."""
     if (_extremal_domain_error(r, m) is not None

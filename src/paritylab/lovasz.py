@@ -129,7 +129,7 @@ def f_odd_components(
 
 def deficiency(g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet) -> DeficiencyWitness:
     """Evaluate delta(S,T) exactly, returning the full witness record."""
-    tau, _ = f_odd_components(g, spec, s, t)
+    tau = sum(is_odd for _, _, is_odd in _component_scan(g, spec, s, t))
     delta = (
         spec.f_sum(s)
         + sum(g.degree(x) for x in t)

@@ -11,9 +11,11 @@ import pytest
 from paritylab import ParitySpec, cli, emit_graph, experiment, generators, lovasz, parse_graph, random_regular
 from paritylab.errors import SelfCheckFailed
 from paritylab.experiment import parse_config
+from paritylab.graph import VertexSet
 from paritylab.lovasz import (
     DEFAULT_ENUMERATION_CAP,
     MAX_ENUMERATION_N,
+    DeficiencyWitness,
     parse_witness,
     serialize_witness,
 )
@@ -615,7 +617,7 @@ def test_library_fault_in_verify_witness_is_an_internal_error(tmp_path, monkeypa
     def broken(g, spec, s, t):
         raise IndexError("planted")
 
-    monkeypatch.setattr(lovasz, "f_odd_components", broken)
+    monkeypatch.setattr(lovasz, "_component_scan", broken)
     graph_file = tmp_path / "k2.g"
     graph_file.write_text("2 1\n0 1\n")
     witness_file = tmp_path / "w.txt"
@@ -639,7 +641,8 @@ def test_experiment_counterexample_exits_1_with_the_replay_instance(tmp_path, mo
     # a satisfied case without a factor fails the theorem's verification: it
     # is exit 1, as in the grid script, not a usage error; stdout stays empty
     # and stderr carries the sampled graph for replay
-    monkeypatch.setattr(experiment, "_fresh_factor", lambda g, r, spec, seed: None)
+    witness = DeficiencyWitness(VertexSet.empty(), VertexSet.empty(), -1, 1)
+    monkeypatch.setattr(experiment, "_solve", lambda g, r, spec, seed: witness)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seed=7\nn=10\nr=3\ntrials=1\nab=1:1\n")
     assert cli.main(["experiment", str(cfg)]) == cli.EXIT_INFEASIBLE == 1

@@ -18,11 +18,11 @@ from paritylab.experiment import (
     parse_config,
     run_verification_experiment,
 )
-from paritylab.generators import extremal_construction, random_regular
-from paritylab.graph import VertexSet
-from paritylab.lovasz import DeficiencyWitness, ParitySpec, deficiency
+from paritylab.generators import extremal_construction, j_block, random_regular, sharpness_certificate
+from paritylab.graph import VertexSet, build_graph
+from paritylab.lovasz import DeficiencyWitness, ParitySpec, deficiency, verify_witness
 from paritylab.matching import Matching
-from paritylab.solver import Factor, find_parity_factor, verify_factor
+from paritylab.solver import Factor, factor_or_witness, find_parity_factor, verify_factor
 
 from conftest import disjoint_sets
 
@@ -41,11 +41,13 @@ sharpness_grid = _load_script("run_sharpness_grid")
 # run_soundness_sweep.py --trials 2 --csv: 662 rows, computed on CPython 3.11
 # before factors were reused; reuse changes no byte of it
 SWEEP_CSV_SHA256 = "8a47db99f3252906e3a1294a5e73f5830489767493d50759a9507dd12e06d581"
-# fresh solves on that config, perfect matchings of the sampled graph and
-# gadget solves together, when every satisfied (a, b) is solved afresh
-SWEEP_FRESH_SOLVES = 340
-# (matchings, gadget solves) on that config when kept factors are reused
-SWEEP_SOLVES = (60, 90)
+# calls of the harness's one solve on that config, perfect matchings of the
+# graph and gadget solves together, when every satisfied (a, b) is solved
+# afresh: 340 for the sampled graphs and 4 for the extremal tuples
+SWEEP_FRESH_SOLVES = 344
+# (matchings, gadget solves) on that config when kept factors are reused:
+# the three (1, 1) extremal tuples are matchings, (8, 2, 1, 3) a gadget solve
+SWEEP_SOLVES = (63, 91)
 SWEEP_SPECS = soundness_sweep.sweep_config(0, 1).specs
 
 
@@ -109,7 +111,8 @@ def test_odd_nr_products_are_skipped():
 
 
 def test_satisfied_case_without_factor_is_a_counterexample(monkeypatch):
-    monkeypatch.setattr(experiment, "_fresh_factor", lambda g, r, spec, seed: None)
+    witness = DeficiencyWitness(VertexSet.empty(), VertexSet.empty(), -1, 1)
+    monkeypatch.setattr(experiment, "_solve", lambda g, r, spec, seed: witness)
     cfg = ExperimentConfig(seed=7, n_values=(10,), r_values=(3,), trials=1, specs=((1, 1),))
     with pytest.raises(CounterexampleError, match="satisfied cases"):
         run_verification_experiment(cfg)
@@ -117,7 +120,7 @@ def test_satisfied_case_without_factor_is_a_counterexample(monkeypatch):
 
 def test_a_matching_that_is_not_perfect_is_a_counterexample(monkeypatch):
     # (1,1) at r = 3 is solved as a matching of the graph: an exposed
-    # vertex means no factor, as a None from the solver does
+    # vertex means no factor, as a witness from the solver does
     monkeypatch.setattr(experiment, "max_matching", lambda g: Matching((-1,) * g.n))
     cfg = ExperimentConfig(seed=7, n_values=(10,), r_values=(3,), trials=1, specs=((1, 1),))
     with pytest.raises(CounterexampleError, match=r"no verified \(1,1\)-parity factor"):
@@ -188,22 +191,22 @@ def test_ab_pair_above_r_is_skipped_for_that_r_only():
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Per call of ``experiment._fresh_factor``, in call order, the one solve
-    it made: "matching" for a maximum matching of the sampled graph, else
-    the window (lo, hi) handed to ``find_parity_factor``."""
+    """Per call of ``experiment._solve``, in call order, the one solve it
+    made: "matching" for a maximum matching of the graph, else the window
+    (lo, hi) handed to ``factor_or_witness``."""
     calls, made = [], []
-    fresh, match, solve = experiment._fresh_factor, experiment.max_matching, experiment.find_parity_factor
+    seam, match, solve = experiment._solve, experiment.max_matching, experiment.factor_or_witness
 
-    def fresh_spy(g, r, spec, seed):
+    def seam_spy(g, r, spec, seed):
         made.clear()
-        kept = fresh(g, r, spec, seed)
+        result = seam(g, r, spec, seed)
         (call,) = made
         calls.append(call)
-        return kept
+        return result
 
-    monkeypatch.setattr(experiment, "_fresh_factor", fresh_spy)
+    monkeypatch.setattr(experiment, "_solve", seam_spy)
     monkeypatch.setattr(experiment, "max_matching", lambda g: made.append("matching") or match(g))
-    monkeypatch.setattr(experiment, "find_parity_factor",
+    monkeypatch.setattr(experiment, "factor_or_witness",
                         lambda g, spec: made.append((spec.g[0], spec.f[0])) or solve(g, spec))
     return calls
 
@@ -211,22 +214,22 @@ def solver_calls(monkeypatch):
 @contextmanager
 def _reject_every_cached_factor():
     """The harness's ``verify_factor`` rejects every factor kept from an
-    earlier window: it checks factors only inside ``_fresh_factor``, which
-    checks only the factor it has just solved for, or that factor's
-    complement, so every satisfied (a, b) is solved afresh."""
-    fresh, solving = experiment._fresh_factor, []
+    earlier window: it checks factors only inside ``_solve``, which checks
+    only the factor it has just solved for, or that factor's complement, so
+    every satisfied (a, b) is solved afresh."""
+    seam, solving = experiment._solve, []
 
-    def fresh_spy(*args):
+    def seam_spy(*args):
         solving.append(True)
         try:
-            return fresh(*args)
+            return seam(*args)
         finally:
             solving.pop()
 
     def verify_fresh(g, spec, f):
         return verify_factor(g, spec, f) if solving else (False, "planted")
 
-    with mock.patch.multiple(experiment, _fresh_factor=fresh_spy, verify_factor=verify_fresh):
+    with mock.patch.multiple(experiment, _solve=seam_spy, verify_factor=verify_fresh):
         yield
 
 
@@ -267,13 +270,13 @@ def test_every_found_row_rests_on_a_verified_factor(monkeypatch):
     # (graph edges, a, b) of every factor the solver returned (it verifies
     # its own) or the harness's verify_factor accepted
     verified = set()
-    solve, verify = experiment.find_parity_factor, experiment.verify_factor
+    solve, verify = experiment.factor_or_witness, experiment.verify_factor
 
     def solve_spy(g, spec):
-        factor = solve(g, spec)
-        if factor is not None and verify_factor(g, spec, factor)[0]:
+        result = solve(g, spec)
+        if isinstance(result, Factor) and verify_factor(g, spec, result)[0]:
             verified.add((g.edges, spec.g[0], spec.f[0]))
-        return factor
+        return result
 
     def verify_spy(g, spec, factor):
         ok, reason = verify(g, spec, factor)
@@ -281,7 +284,7 @@ def test_every_found_row_rests_on_a_verified_factor(monkeypatch):
             verified.add((g.edges, spec.g[0], spec.f[0]))
         return ok, reason
 
-    monkeypatch.setattr(experiment, "find_parity_factor", solve_spy)
+    monkeypatch.setattr(experiment, "factor_or_witness", solve_spy)
     monkeypatch.setattr(experiment, "verify_factor", verify_spy)
     rows = run_verification_experiment(soundness_sweep.sweep_config(0, 2)).rows
     found = {(row.seed, row.n, row.r, row.a, row.b) for row in rows if row.outcome == "found"}
@@ -324,6 +327,8 @@ def test_sharpness_grid_certifies_every_tuple_through_the_harness(monkeypatch, c
 
 
 def test_sharpness_grid_exits_1_on_a_witness_off_by_one(monkeypatch, capsys):
+    # at r = 8 the (1,1) tuples are read off a matching of the graph, and
+    # (8, 2, 1, 3) is the first tuple whose witness the gadget gives
     solve = experiment.factor_or_witness
 
     def off_by_one(g, spec):
@@ -332,14 +337,15 @@ def test_sharpness_grid_exits_1_on_a_witness_off_by_one(monkeypatch, capsys):
 
     monkeypatch.setattr(experiment, "factor_or_witness", off_by_one)
     with pytest.raises(SystemExit) as exc:
-        _run_grid(monkeypatch, 4)
+        _run_grid(monkeypatch, 8)
     assert exc.value.code == 1
-    assert "extremal instance (r=4, m=2, a=1, b=1) did not certify" in capsys.readouterr().err
+    assert "extremal instance (r=8, m=2, a=1, b=3) did not certify" in capsys.readouterr().err
 
 
 def test_an_unswapped_flipped_witness_is_a_counterexample(monkeypatch):
-    # the complement window's certificate has the hubs on T; the same
-    # numbers with the hubs on S prove nothing there
+    # (8, 2, 1, 3) is solved on the complement window (5, 7), whose
+    # certificate has the hubs on T; the same numbers with the hubs on S
+    # prove nothing there, and swapped back they prove nothing under (1, 3)
     solve = experiment.factor_or_witness
 
     def unswapped(g, spec):
@@ -347,14 +353,15 @@ def test_an_unswapped_flipped_witness_is_a_counterexample(monkeypatch):
         return replace(witness, S=witness.T, T=witness.S)
 
     monkeypatch.setattr(experiment, "factor_or_witness", unswapped)
-    cfg = ExperimentConfig(n_values=(), r_values=(), trials=0, extremal=((4, 2, 1, 1),))
-    with pytest.raises(CounterexampleError, match=r"^extremal instance \(r=4, m=2, a=1, b=1\) did not certify"):
+    cfg = ExperimentConfig(n_values=(), r_values=(), trials=0, extremal=((8, 2, 1, 3),))
+    with pytest.raises(CounterexampleError, match=r"^extremal instance \(r=8, m=2, a=1, b=3\) did not certify"):
         run_verification_experiment(cfg)
 
 
 def test_a_recomputed_certificate_off_by_one_is_a_counterexample(monkeypatch):
     # the solver's witness is right, but the certificate recomputed under
-    # (a, b) with deficiency must match sharpness_certificate as well
+    # (a, b) with deficiency must match sharpness_certificate as well; the
+    # gadget tuple (8, 2, 1, 3) reads its witness without this deficiency
     recompute = experiment.deficiency
 
     def off_by_one(g, spec, s, t):
@@ -362,32 +369,90 @@ def test_a_recomputed_certificate_off_by_one_is_a_counterexample(monkeypatch):
         return replace(witness, delta=witness.delta + 1)
 
     monkeypatch.setattr(experiment, "deficiency", off_by_one)
-    cfg = ExperimentConfig(n_values=(), r_values=(), trials=0, extremal=((4, 2, 1, 1),))
-    with pytest.raises(CounterexampleError, match=r"^extremal instance \(r=4, m=2, a=1, b=1\) did not certify"):
+    cfg = ExperimentConfig(n_values=(), r_values=(), trials=0, extremal=((8, 2, 1, 3),))
+    with pytest.raises(CounterexampleError, match=r"^extremal instance \(r=8, m=2, a=1, b=3\) did not certify"):
         run_verification_experiment(cfg)
 
 
 def test_extremal_tuples_are_certified_on_the_complement_window(monkeypatch, capsys):
-    # every sharpness tuple with r <= 12 is solved under (r - b, r - a),
-    # whose barrier witness is T = hubs, S empty, delta = b*m - r, tau = r
-    solved = []
-    solve = experiment.factor_or_witness
+    # every sharpness tuple with r <= 12 is solved under its own (a, b) and
+    # gets the paper's certificate S = hubs, T empty, delta = b*m - r,
+    # tau = r; each tuple other than (1, 1) runs the gadget on the
+    # complement window (r - b, r - a), whose witness has the hubs on T
+    solved, gadget = [], []
+    seam, solve = experiment._solve, experiment.factor_or_witness
 
-    def spy(g, spec):
-        result = solve(g, spec)
+    def seam_spy(g, r, spec, seed):
+        result = seam(g, r, spec, seed)
         solved.append((g, spec, result))
         return result
 
-    monkeypatch.setattr(experiment, "factor_or_witness", spy)
+    def gadget_spy(g, spec):
+        result = solve(g, spec)
+        gadget.append((g.edges, spec, result))
+        return result
+
+    monkeypatch.setattr(experiment, "_solve", seam_spy)
+    monkeypatch.setattr(experiment, "factor_or_witness", gadget_spy)
     _run_grid(monkeypatch, 4, 6, 8, 10, 12)
     rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:-1]]
     assert len(rows) == len(solved) > 20
+    complement_solves = []
     for (_, n, r, lam, a, b, _, _, delta), (g, spec, result) in zip(rows, solved):
         r, m, a, b = int(r), int(lam), int(a), int(b)
         graph, hubs = extremal_construction(r, m)
-        assert (g.edges, spec) == (graph.edges, ParitySpec.constant(r - b, r - a, g.n))
-        assert result == DeficiencyWitness(VertexSet.empty(), hubs, b * m - r, r)
+        assert (g.edges, spec) == (graph.edges, ParitySpec.constant(a, b, g.n))
+        assert result == DeficiencyWitness(hubs, VertexSet.empty(), b * m - r, r)
         assert int(delta) == result.delta
+        if (a, b) != (1, 1):
+            complement_solves.append((graph.edges, ParitySpec.constant(r - b, r - a, g.n),
+                                      DeficiencyWitness(VertexSet.empty(), hubs, b * m - r, r)))
+    assert gadget == complement_solves and gadget
+
+
+def _extremal_graphs(max_r: int):
+    """(r, m, graph) for every extremal construction with r <= max_r."""
+    return [(r, m, extremal_construction(r, m)[0])
+            for r in range(4, max_r + 1, 2) for m in range(2, r - 1, 2)]
+
+
+def test_every_window_on_the_extremal_family_is_answered_under_its_own_window():
+    # over every window 1 <= a <= b < r with a = b (mod 2): a factor serves the
+    # window, its complement the mirror (r - b, r - a); a witness holds under
+    # the window, swapped under the mirror, and the mirror has one too
+    counts = {"factor": 0, "witness, a + b < r": 0, "witness, a + b >= r": 0}
+    for r, _, g in _extremal_graphs(12):
+        windows = [(a, b) for a in range(1, r) for b in range(a, r, 2)]
+        results = {w: experiment._solve(g, r, ParitySpec.constant(*w, g.n), 0) for w in windows}
+        for (a, b), result in results.items():
+            spec, mirror = ParitySpec.constant(a, b, g.n), ParitySpec.constant(r - b, r - a, g.n)
+            other = results[r - b, r - a]
+            if isinstance(result, DeficiencyWitness):
+                counts["witness, a + b >= r" if a + b >= r else "witness, a + b < r"] += 1
+                assert verify_witness(g, spec, result) == (True, "ok")
+                swapped = replace(result, S=result.T, T=result.S)
+                assert verify_witness(g, mirror, swapped) == (True, "ok")
+                assert isinstance(other, DeficiencyWitness)
+                assert (other.delta, other.tau) == (result.delta, result.tau)
+            else:
+                counts["factor"] += 1
+                factor = result[2]
+                complement = Factor(g.n, tuple(sorted(set(g.edges) - set(factor.edges))))
+                assert any(verify_factor(g, spec, f)[0] and verify_factor(g, mirror, c)[0]
+                           for f, c in ((factor, complement), (complement, factor)))
+                assert not isinstance(other, DeficiencyWitness)
+    assert counts == {"factor": 302, "witness, a + b < r": 24, "witness, a + b >= r": 24}
+
+
+def test_one_one_sharpness_tuples_take_their_certificate_from_a_matching(monkeypatch):
+    # the window (1, 1) runs no gadget: the graph's own Tutte barrier is the
+    # hubs, so (A, {}) is the paper's certificate for every m at r <= 20
+    monkeypatch.setattr(experiment, "factor_or_witness", None)
+    tuples = _extremal_graphs(20)
+    assert len(tuples) == 45
+    for r, m, g in tuples:
+        cert = sharpness_certificate(r, m, 1, 1)
+        assert experiment._solve(g, r, ParitySpec.constant(1, 1, g.n), 0) == cert
 
 
 @st.composite
@@ -436,15 +501,54 @@ def test_the_matching_path_agrees_with_the_gadget(g):
     # the harness solves the window (r - 1, r - 1), from the row (1,1) or
     # (r - 1, r - 1), as a perfect matching M of g: M exists iff the gadget
     # finds an (r - 1, r - 1)-parity factor, and then M is a (1,1)-parity
-    # factor and E - M an (r - 1, r - 1)-parity factor
+    # factor and E - M an (r - 1, r - 1)-parity factor; else the two rows
+    # read one barrier witness, S and T trading places
     r = g.degree(0)
     one, top = ParitySpec.constant(1, 1, g.n), ParitySpec.constant(r - 1, r - 1, g.n)
-    kept = experiment._fresh_factor(g, r, one, 0)
-    assert experiment._fresh_factor(g, r, top, 0) == kept
-    assert (kept is None) == (find_parity_factor(g, top) is None)
-    if kept is not None:
+    kept = experiment._solve(g, r, one, 0)
+    assert isinstance(kept, DeficiencyWitness) == isinstance(factor_or_witness(g, top), DeficiencyWitness)
+    if isinstance(kept, DeficiencyWitness):
+        assert experiment._solve(g, r, top, 0) == replace(kept, S=kept.T, T=kept.S)
+    else:
+        assert experiment._solve(g, r, top, 0) == kept
         lo, hi, matching = kept
         assert (lo, hi) == (1, 1)
         complement = Factor(g.n, tuple(sorted(set(g.edges) - set(matching.edges))))
         assert verify_factor(g, one, matching) == (True, "ok")
         assert verify_factor(g, top, complement) == (True, "ok")
+
+
+@st.composite
+def odd_order_regular_graphs(draw):
+    """A random r-regular graph with even r <= 8 and odd n <= 15, so with
+    no perfect matching."""
+    r = draw(st.sampled_from((2, 4, 6, 8)))
+    n = 2 * draw(st.integers(r // 2, 7)) + 1
+    return random_regular(n, r, draw(st.integers(0, 2 ** 32)))
+
+
+def _hubs_over_three_blocks():
+    """A 4-regular graph on 17 vertices with a nonempty Tutte barrier: two
+    adjacent hubs, each joined to one deficient vertex of each of three
+    copies of K_5 minus an edge. Random graphs of odd order rarely have one."""
+    block = j_block(4, 2).edges
+    edges = [(15, 16)]
+    for off in (0, 5, 10):
+        edges += [(off + u, off + v) for u, v in block] + [(off, 15), (off + 1, 16)]
+    return build_graph(17, edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(odd_order_regular_graphs())
+@example(_hubs_over_three_blocks())
+def test_the_barrier_witness_is_as_deep_as_the_gadgets(g):
+    # both rows of the window (r - 1, r - 1) read g's Tutte barrier, with
+    # delta = -def(G): the least delta of any pair, which the (r - 1, r - 1)
+    # gadget's barrier witness attains too
+    r = g.degree(0)
+    gadget = factor_or_witness(g, ParitySpec.constant(r - 1, r - 1, g.n))
+    for a in (1, r - 1):
+        spec = ParitySpec.constant(a, a, g.n)
+        witness = experiment._solve(g, r, spec, 0)
+        assert verify_witness(g, spec, witness) == (True, "ok")
+        assert witness.delta == gadget.delta

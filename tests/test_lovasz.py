@@ -204,7 +204,7 @@ def test_verify_witness_does_not_hide_a_library_fault(monkeypatch):
     def broken(g, spec, s, t):
         raise IndexError("planted")
 
-    monkeypatch.setattr(lovasz, "f_odd_components", broken)
+    monkeypatch.setattr(lovasz, "_component_scan", broken)
     k2 = complete_graph(2)
     w = DeficiencyWitness(VertexSet.empty(), VertexSet.empty(), -1, 1)
     with pytest.raises(IndexError, match="planted"):
