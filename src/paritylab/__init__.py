@@ -8,7 +8,6 @@ from .generators import (
     complete_graph,
     cycle,
     extremal_construction,
-    j_block,
     petersen,
     random_regular,
     sharpness_certificate,
@@ -28,7 +27,6 @@ from .lovasz import (
     ParitySpec,
     decide_by_enumeration,
     deficiency,
-    f_odd_components,
     verify_witness,
 )
 from .matching import Matching, max_matching
@@ -41,11 +39,7 @@ from .solver import (
     find_parity_factor,
     verify_factor,
 )
-from .theorems import (
-    check_main_conditions,
-    component_inequality_check,
-    m_star,
-)
+from .theorems import check_main_conditions, m_star, small_cut
 
 __all__ = [
     "CutCertificate",
@@ -63,7 +57,6 @@ __all__ = [
     "build_parity_gadget",
     "check_main_conditions",
     "complete_graph",
-    "component_inequality_check",
     "components_after_removal",
     "cycle",
     "decide_by_enumeration",
@@ -72,10 +65,8 @@ __all__ = [
     "edges_between",
     "emit_graph",
     "extremal_construction",
-    "f_odd_components",
     "factor_or_witness",
     "find_parity_factor",
-    "j_block",
     "m_star",
     "max_matching",
     "parse_graph",
@@ -83,6 +74,7 @@ __all__ = [
     "random_regular",
     "run_verification_experiment",
     "sharpness_certificate",
+    "small_cut",
     "verify_factor",
     "verify_witness",
 ]

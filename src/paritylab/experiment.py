@@ -9,7 +9,11 @@ the theorems are proven, so a failure is an implementation bug to preserve.
 ``_check_graph`` checks one sampled regular graph at its measured lambda;
 ``run_verification_experiment`` validates the config, samples the graphs and
 certifies the extremal tuples: lambda = m, and from ``_solve`` and
-``deficiency`` alike the witness of ``generators.sharpness_certificate``.
+``deficiency`` alike the witness of ``generators.sharpness_certificate``, in
+which ``theorems.small_cut`` must find an odd component C with |dC| = lambda.
+There C is block 0 and dC its m hub edges, so the paper's witness and the
+measured lambda certify each other. The extremal loop is the one place the
+harness expects a witness.
 
 Each sampled graph is solved once per factor, not once per (a, b). A factor
 whose degrees lie in [a', b'], all of the parity of b', serves every (a, b)
@@ -67,7 +71,7 @@ from .graph import Graph, VertexSet, emit_graph, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec, deficiency
 from .matching import max_matching
 from .solver import Factor, factor_or_witness, verify_factor
-from .theorems import check_main_conditions
+from .theorems import check_main_conditions, small_cut
 
 CSV_COLUMNS = ("seed", "n", "r", "lambda", "a", "b", "case", "outcome", "delta")
 # key -> (field, width): an int at width 0, else a comma-separated list of
@@ -186,10 +190,12 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
         lam, _ = edge_connectivity(g)
         spec = ParitySpec.constant(a, b, g.n)
         result = _solve(g, r, spec, config.seed)
-        if lam != m or result != cert or deficiency(g, spec, cert.S, cert.T) != cert:
+        cut = small_cut(g, spec, cert.S, cert.T)
+        if (lam != m or result != cert or deficiency(g, spec, cert.S, cert.T) != cert
+                or cut is None or cut[1] != lam):
             raise CounterexampleError(
                 f"extremal instance (r={r}, m={m}, a={a}, b={b}) did not certify: "
-                f"lambda={lam}, solver returned {result!r}",
+                f"lambda={lam}, solver returned {result!r}, small cut {cut!r}",
                 emit_graph(g),
             )
         rows.append(Row(config.seed, g.n, r, lam, a, b, "extremal", "infeasible-verified", result.delta))

@@ -99,25 +99,6 @@ def _can_place(edges, leftover) -> bool:
     return False
 
 
-def j_block(r: int, m: int) -> Graph:
-    """K_{r+1} minus the canonical matching {0,1},...,{m-2,m-1}; vertices
-    0..m-1 end up with degree r-1, the rest keep degree r."""
-    if r % 2 != 0 or r < 4:
-        raise ParamDomain(f"r must be even and >= 4, got {r}")
-    # a matching of size m/2 must fit in K_{r+1}, so m up to r is fine here;
-    # the stricter m <= r-2 bound belongs to the full construction
-    if m % 2 != 0 or not 2 <= m <= r:
-        raise ParamDomain(f"m must be even with 2 <= m <= r, got m={m}, r={r}")
-    deleted = {(2 * i, 2 * i + 1) for i in range(m // 2)}
-    edges = [
-        (u, v)
-        for u in range(r + 1)
-        for v in range(u + 1, r + 1)
-        if (u, v) not in deleted
-    ]
-    return build_graph(r + 1, edges)
-
-
 def _extremal_domain_error(r: int, m: int) -> str | None:
     """Why the (r, m) extremal construction does not exist, or None if it does."""
     if r % 2 != 0 or r < 4:
@@ -125,6 +106,16 @@ def _extremal_domain_error(r: int, m: int) -> str | None:
     if m % 2 != 0 or not 2 <= m <= r - 2:
         return f"m must be even with 2 <= m <= r-2, got m={m}, r={r}"
     return None
+
+
+def _block(r: int, m: int) -> Graph:
+    """J(r,m): K_{r+1} minus the matching {0,1},...,{m-2,m-1}, so vertices
+    0..m-1 have degree r-1 and the rest degree r. It checks nothing:
+    ``_extremal_domain_error`` is the one domain check."""
+    deleted = {(2 * i, 2 * i + 1) for i in range(m // 2)}
+    return build_graph(r + 1, [
+        (u, v) for u in range(r + 1) for v in range(u + 1, r + 1) if (u, v) not in deleted
+    ])
 
 
 def extremal_construction(r: int, m: int) -> tuple[Graph, VertexSet]:
@@ -135,7 +126,7 @@ def extremal_construction(r: int, m: int) -> tuple[Graph, VertexSet]:
     """
     if error := _extremal_domain_error(r, m):
         raise ParamDomain(error)
-    block = j_block(r, m)
+    block = _block(r, m)
     size = r + 1
     edges: list[tuple[int, int]] = []
     for i in range(r):

@@ -119,14 +119,6 @@ def _component_scan(
     return scan
 
 
-def f_odd_components(
-    g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet
-) -> tuple[int, list[VertexSet]]:
-    """Components C of G-(S+T) with e_G(C,T) + f(C) odd, and their count."""
-    odd = [cvs for cvs, _, is_odd in _component_scan(g, spec, s, t) if is_odd]
-    return len(odd), odd
-
-
 def deficiency(g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet) -> DeficiencyWitness:
     """Evaluate delta(S,T) exactly, returning the full witness record."""
     tau = sum(is_odd for _, _, is_odd in _component_scan(g, spec, s, t))

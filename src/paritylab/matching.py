@@ -139,10 +139,9 @@ def max_matching(g: Adjacency) -> Matching:
     return Matching(tuple(match), tuple(sorted(barrier)))
 
 
-def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root) -> list[int] | None:
+def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root) -> None:
     """Search for an augmenting path from an exposed root; apply it if found.
-    Returns None after augmenting, or the even vertices of the failed search;
-    a failed search also appends to ``barrier`` the vertices that stayed odd.
+    A failed search appends to ``barrier`` the vertices that stayed odd.
 
     On entry, every live vertex (one in no earlier failed search's tree)
     holds the initial values of ``parent``, ``base`` and ``in_queue`` (-1,
@@ -222,7 +221,7 @@ def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root
                     for u in odd:
                         parent[u] = -1
                     clock[0] = tick
-                    return None
+                    return
                 nxt = match[to]
                 in_queue[nxt] = True
                 queue.append(nxt)
@@ -231,4 +230,3 @@ def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root
         parent[u] = root
         in_queue[u] = False
     clock[0] = tick
-    return queue

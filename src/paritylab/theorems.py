@@ -1,9 +1,8 @@
 """Arithmetic condition checkers for the factor-existence theorems, and the
-per-component proof-inequality checks on concrete instances.
+main proof's crossing-edge lemma on concrete instances (``small_cut``).
 
 All threshold comparisons are decided by cross-multiplied integers, e.g.
-"r/m <= b" as "r <= b*m" and "a <= r(1-1/m)" as "a*m <= r*(m-1)"; the
-crossing values theta2 * e(S,C) + (1 - theta1) * e(T,C) are exact Fractions.
+"r/m <= b" as "r <= b*m" and "a <= r(1-1/m)" as "a*m <= r*(m-1)".
 Gallai's and Bollobas-Saito-Wormald's k-factor conditions are the main
 theorem's at a = b = k: Gallai's three read its inequalities with m for m*,
 and BSW's two are its (ii) and (iii). ``check_main_conditions`` names them
@@ -11,8 +10,6 @@ all, with the Petersen case, in one set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 
 from .errors import HypothesisViolation, NotRegular
@@ -71,48 +68,38 @@ def _named(names: tuple[str, ...], holds) -> frozenset[str]:
     return frozenset(compress(names, holds))
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    component: VertexSet
-    e_s: int
-    e_t: int
-    is_a_odd: bool
-    value: Fraction           # theta2 * e(S,C) + (1 - theta1) * e(T,C)
-    crossing_bound_holds: bool  # value >= 1, meaningful for a-odd components
-    parity_identity_holds: bool  # a-odd iff e(C,T) + f(C) is odd
-    regularity_identity_holds: bool  # r|C| = e(S+T, C) (mod 2)
-
-
-def component_inequality_check(
+def small_cut(
     g: Graph, spec: ParitySpec, s: VertexSet, t: VertexSet
-) -> list[ComponentReport]:
-    """Per-component evaluation of the proof's crossing-edge inequality and the
-    two congruences, on an r-regular graph with a constant (a,b) spec."""
+) -> tuple[VertexSet, int] | None:
+    """The first tau-counted component C of G - (S+T), in ``_component_scan``
+    order, with b*e(C,S) + (r-a)*e(C,T) < r, and |dC|, the number of edges
+    leaving C; None if no odd component is that small. G must be r-regular
+    and the spec a constant (a,b) with a <= r.
+
+    The proof's crossing-edge lemma: None means delta(S,T) >= 0. Each edge at
+    S ends in S, in T or in a component C of G - (S+T), and likewise at T, so
+      r|S| >= e(S,T) + sum_C e(C,S)  and  r|T| >= e(S,T) + sum_C e(C,T).
+    With delta = b|S| + (r-a)|T| - e(S,T) - tau, and b >= a and r - a >= 0,
+      r*delta >= (b-a)*e(S,T) + sum_C (b*e(C,S) + (r-a)*e(C,T)) - r*tau
+              >= sum_{odd C} (b*e(C,S) + (r-a)*e(C,T) - r),
+    dropping the nonnegative terms of e(S,T) and of the even components. So
+    delta >= 0 unless some odd C has b*e(C,S) + (r-a)*e(C,T) < r; at r = 0,
+    a = 0 makes b even, tau = 0 and delta = b|S| >= 0. Each edge leaving C
+    ends in S or T, so |dC| = e(C,S) + e(C,T), and dC is a cut of G, of at
+    least lambda(G) edges, unless C is a whole component of G.
+    """
     degs = set(g.degrees)
     if len(degs) != 1:
         raise NotRegular(f"graph has degrees {sorted(degs)}; need a regular graph")
-    if not spec.is_constant() or spec.n != g.n or g.n == 0:
+    if not spec.is_constant() or spec.n != g.n:
         raise NotRegular("need a constant (a,b) spec matching the graph")
     r = degs.pop()
-    if r == 0:
-        raise NotRegular("edgeless graph: the crossing ratios are undefined")
     a, b = spec.g[0], spec.f[0]
-    theta1, theta2 = Fraction(a, r), Fraction(b, r)
-    reports = []
-    for cvs, e_t, f_odd in _component_scan(g, spec, s, t):
-        e_s = _edges_into(g, cvs, s)
-        a_odd = (a * len(cvs) + e_t) % 2 == 1
-        value = theta2 * e_s + (1 - theta1) * e_t
-        reports.append(
-            ComponentReport(
-                component=cvs,
-                e_s=e_s,
-                e_t=e_t,
-                is_a_odd=a_odd,
-                value=value,
-                crossing_bound_holds=value >= 1,
-                parity_identity_holds=a_odd == f_odd,
-                regularity_identity_holds=(r * len(cvs) - (e_s + e_t)) % 2 == 0,
-            )
-        )
-    return reports
+    if a > r:
+        raise HypothesisViolation(f"need a <= r, got a={a}, r={r}")
+    for cvs, e_t, is_odd in _component_scan(g, spec, s, t):
+        if is_odd:
+            e_s = _edges_into(g, cvs, s)
+            if b * e_s + (r - a) * e_t < r:
+                return cvs, e_s + e_t
+    return None

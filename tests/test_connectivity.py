@@ -18,11 +18,10 @@ from paritylab import (
     edge_connectivity,
     edges_between,
     extremal_construction,
-    j_block,
     petersen,
     random_regular,
 )
-from paritylab import connectivity
+from paritylab import connectivity, generators
 from paritylab.connectivity import _set_flow
 from paritylab.errors import SelfCheckFailed, TooSmall
 
@@ -176,9 +175,9 @@ def pendant_block(N, r, k, seed, block_last=False):
     big_ids = [0, 1] + rest[:N - 2]
     rng.shuffle(big_ids)
     block_ids = rest[N - 2:]
-    # j_block leaves vertices 0..k-1 of the block at degree r - 1
+    # the block leaves its vertices 0..k-1 at degree r - 1
     edges = [(big_ids[u], big_ids[v]) for u, v in big.edges if (u, v) not in removed]
-    edges += [(block_ids[u], block_ids[v]) for u, v in j_block(r, k).edges]
+    edges += [(block_ids[u], block_ids[v]) for u, v in generators._block(r, k).edges]
     edges += [(big_ids[short[i]], block_ids[i]) for i in range(k)]
     return build_graph(N + r + 1, edges)
 

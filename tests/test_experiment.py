@@ -18,7 +18,7 @@ from paritylab.experiment import (
     parse_config,
     run_verification_experiment,
 )
-from paritylab.generators import extremal_construction, j_block, random_regular, sharpness_certificate
+from paritylab.generators import _block, extremal_construction, random_regular, sharpness_certificate
 from paritylab.graph import VertexSet, build_graph
 from paritylab.lovasz import DeficiencyWitness, ParitySpec, deficiency, verify_witness
 from paritylab.matching import Matching
@@ -374,6 +374,19 @@ def test_a_recomputed_certificate_off_by_one_is_a_counterexample(monkeypatch):
         run_verification_experiment(cfg)
 
 
+@pytest.mark.parametrize("cut", [
+    lambda g, spec, s, t: None,
+    lambda g, spec, s, t: (VertexSet.of(range(9)), 3),
+], ids=["no-small-cut", "cut-off-lambda"])
+def test_an_extremal_witness_without_a_small_cut_of_lambda_edges_is_a_counterexample(monkeypatch, cut):
+    # the witness must leave an odd component C whose |dC| is the measured
+    # lambda; on the true family that is block 0 with its m = 2 hub edges
+    monkeypatch.setattr(experiment, "small_cut", cut)
+    cfg = ExperimentConfig(n_values=(), r_values=(), trials=0, extremal=((4, 2, 1, 1),))
+    with pytest.raises(CounterexampleError, match=r"^extremal instance \(r=4, m=2, a=1, b=1\) did not certify"):
+        run_verification_experiment(cfg)
+
+
 def test_extremal_tuples_are_certified_on_the_complement_window(monkeypatch, capsys):
     # every sharpness tuple with r <= 12 is solved under its own (a, b) and
     # gets the paper's certificate S = hubs, T empty, delta = b*m - r,
@@ -531,7 +544,7 @@ def _hubs_over_three_blocks():
     """A 4-regular graph on 17 vertices with a nonempty Tutte barrier: two
     adjacent hubs, each joined to one deficient vertex of each of three
     copies of K_5 minus an edge. Random graphs of odd order rarely have one."""
-    block = j_block(4, 2).edges
+    block = _block(4, 2).edges
     edges = [(15, 16)]
     for off in (0, 5, 10):
         edges += [(off + u, off + v) for u, v in block] + [(off, 15), (off + 1, 16)]

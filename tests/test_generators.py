@@ -15,7 +15,6 @@ from paritylab import (
     components_after_removal,
     extremal_construction,
     generators,
-    j_block,
     petersen,
     random_regular,
     sharpness_certificate,
@@ -83,18 +82,14 @@ def test_random_regular_forced_k4():
     assert random_regular(4, 3, seed=7) == complete_graph(4)
 
 
-def test_j_block_6_2():
-    g = j_block(6, 2)
+def test_block_6_2():
+    g = generators._block(6, 2)
     assert sorted(g.degrees) == [5, 5, 6, 6, 6, 6, 6]
     assert not g.has_edge(0, 1)
 
 
-def test_j_block_4_2():
-    assert j_block(4, 2).edge_count == 9
-
-
-def test_j_block_4_4():
-    assert sorted(j_block(4, 4).degrees) == [3, 3, 3, 3, 4]
+def test_block_4_2():
+    assert generators._block(4, 2).edge_count == 9
 
 
 def test_params_domain():
@@ -161,10 +156,10 @@ def test_extremal_infeasibility_certificate():
     assert w.delta == 1 * 2 - 4 and w.tau == 4
 
 
-def test_j_block_feasibility_contrast():
+def test_block_feasibility_contrast():
     # a lone block with its deficient vertices is fine for a (1,1) factor
     # precisely when the order works out; sanity-check the small case
-    g = j_block(4, 2)
+    g = generators._block(4, 2)
     assert not decide_by_enumeration(g, ParitySpec.constant(1, 1, 5)).feasible  # odd order
 
 
@@ -172,8 +167,6 @@ def test_j_block_feasibility_contrast():
 
 @pytest.mark.parametrize("call,expected", [
     (lambda: random_regular(0, 3, 1), BadOrder("need n >= 1 and r >= 0, got n=0, r=3")),
-    (lambda: j_block(5, 2), ParamDomain("r must be even and >= 4, got 5")),
-    (lambda: j_block(4, 6), ParamDomain("m must be even with 2 <= m <= r, got m=6, r=4")),
-], ids=["random-regular-empty", "j-block-odd-r", "j-block-m-above-r"])
+], ids=["random-regular-empty"])
 def test_generators_rejections(call, expected):
     assert_rejects(call, expected)

@@ -22,7 +22,6 @@ from paritylab import (
     deficiency,
     edges_between,
     extremal_construction,
-    f_odd_components,
     factor_or_witness,
     random_regular,
     verify_witness,
@@ -64,26 +63,26 @@ def test_constant_spec():
     assert spec.is_constant()
 
 
-def test_f_odd_components_extremal():
+def test_odd_components_extremal():
     g, hubs = extremal_construction(6, 2)
     spec = ParitySpec.constant(1, 1, g.n)
-    tau, comps = f_odd_components(g, spec, hubs, VertexSet.empty())
-    assert tau == 6
-    assert all(len(c) == 7 for c in comps)
+    scan = lovasz._component_scan(g, spec, hubs, VertexSet.empty())
+    assert deficiency(g, spec, hubs, VertexSet.empty()).tau == 6
+    assert [(len(cvs), is_odd) for cvs, _, is_odd in scan] == [(7, True)] * 6
 
 
-def test_f_odd_components_small():
+def test_odd_components_small():
     k2, k3 = complete_graph(2), complete_graph(3)
-    assert f_odd_components(k2, ParitySpec.constant(1, 1, 2),
-                            VertexSet.empty(), VertexSet.empty())[0] == 0
-    assert f_odd_components(k3, ParitySpec.constant(1, 1, 3),
-                            VertexSet.empty(), VertexSet.empty())[0] == 1
+    assert deficiency(k2, ParitySpec.constant(1, 1, 2),
+                      VertexSet.empty(), VertexSet.empty()).tau == 0
+    assert deficiency(k3, ParitySpec.constant(1, 1, 3),
+                      VertexSet.empty(), VertexSet.empty()).tau == 1
 
 
 def test_f_odd_requires_disjoint():
     with pytest.raises(SetsNotDisjoint):
-        f_odd_components(complete_graph(3), ParitySpec.constant(1, 1, 3),
-                         VertexSet.of([0]), VertexSet.of([0]))
+        deficiency(complete_graph(3), ParitySpec.constant(1, 1, 3),
+                   VertexSet.of([0]), VertexSet.of([0]))
 
 
 def test_deficiency_extremal_hub_witness():
@@ -426,7 +425,7 @@ def test_deficiency_matches_an_independent_evaluation(data):
         if (edges_between(g, cvs, t) + spec.f_sum(cvs)) % 2 == 1
     ]
     assert (w.S, w.T, w.tau) == (s, t, len(odd))
-    assert f_odd_components(g, spec, s, t) == (len(odd), odd)
+    assert [cvs for cvs, _, is_odd in lovasz._component_scan(g, spec, s, t) if is_odd] == odd
 
 
 # (blocks walked, codes walked) on each of SWEEP_CASES, of 2^n blocks and 3^n

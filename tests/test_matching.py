@@ -228,11 +228,15 @@ def test_failed_search_trees_are_disjoint_and_make_up_d(h, monkeypatch):
     try_augment = matching._try_augment
     failed = []
 
-    def spy(*args):
-        even = try_augment(*args)
-        if even is not None:
-            failed.append(list(even))
-        return even
+    def spy(adj, match, parent, base, in_queue, stamp, clock, barrier, root):
+        # a failed search prunes its tree, leaving parent >= 0 on each vertex
+        # it reached, and appends to barrier the ones that stayed odd; the
+        # rest are its even vertices. A successful one resets what it set.
+        live, stayed_odd = [p < 0 for p in parent], len(barrier)
+        try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root)
+        tree = {v for v, p in enumerate(parent) if live[v] and p >= 0}
+        if tree:
+            failed.append(sorted(tree - set(barrier[stayed_odd:])))
 
     monkeypatch.setattr(matching, "_try_augment", spy)
     m = max_matching(h)
