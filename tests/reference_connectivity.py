@@ -6,6 +6,12 @@ graph's own adjacency: the reference that ``test_connectivity.py`` compares
 ``maxflow`` resets all capacities, every sink's flow runs to completion, and
 the witness reruns the best sink's flow and then searches the residual network
 a second time for the cut side. Kept verbatim; do not optimise.
+
+``_set_flow`` is the growing-source flow as it stood before its search state
+became per-call lists and its short paths were seeded: every unit is found
+by a breadth-first search, with the state in per-search and per-flow dicts.
+``test_connectivity.py`` compares ``paritylab.connectivity._set_flow`` with
+it. Kept verbatim; do not optimise.
 """
 from __future__ import annotations
 
@@ -14,6 +20,46 @@ from collections import deque
 from paritylab.connectivity import CutCertificate
 from paritylab.errors import SelfCheckFailed, TooSmall
 from paritylab.graph import Graph, VertexSet, edges_between
+
+
+def _set_flow(
+    adj: tuple[tuple[int, ...], ...], source: set[int], t: int, cap: int
+) -> tuple[int, VertexSet | None]:
+    """Unit-capacity flow from the set ``source`` to ``t``, stopped at ``cap``.
+
+    Each search runs backwards from t (the arc w -> v is usable iff v is not in
+    carried[w]) and stops at the first source vertex. The state is in dicts,
+    so a flow costs what its searches touch, not the size of the graph. Returns
+    ``(flow, None)`` at ``cap``, else the flow and what its failed search reached.
+    """
+    carried: dict[int, set[int]] = {}
+    flow = 0
+    while flow < cap:
+        parent = {t: t}
+        queue = [t]
+        start = -1
+        for v in queue:  # the list grows as it is read: a breadth-first search
+            for w in adj[v]:
+                if w not in parent and v not in carried.get(w, ()):
+                    parent[w] = v
+                    if w in source:
+                        start = w
+                        break
+                    queue.append(w)
+            if start >= 0:
+                break
+        else:
+            return flow, VertexSet.of(queue)
+        w = start
+        while w != t:
+            v = parent[w]
+            if w in carried.get(v, ()):
+                carried[v].remove(w)
+            else:
+                carried.setdefault(w, set()).add(v)
+            w = v
+        flow += 1
+    return flow, None
 
 
 class _FlowNet:

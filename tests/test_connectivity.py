@@ -81,23 +81,22 @@ def test_matches_exhaustive_oracle(g):
 
 
 def test_cut_certificate_check_raises(monkeypatch):
-    import paritylab.connectivity as connectivity
-
+    # lambda = 2 < deg(0) = 4: the side comes from the flows, and is checked
     monkeypatch.setattr(connectivity, "edges_between", lambda g, s, t: -1)
     with pytest.raises(SelfCheckFailed, match="boundary edges"):
-        edge_connectivity(petersen())
+        edge_connectivity(extremal_construction(4, 2)[0])
 
 
 def test_cut_certificate_check_survives_optimize_flag():
     # `python -O` strips assert statements; the check must not be one
     script = (
         "import paritylab.connectivity as c\n"
-        "from paritylab import petersen\n"
+        "from paritylab import extremal_construction\n"
         "from paritylab.errors import SelfCheckFailed\n"
         "assert False, 'asserts are live'\n"
         "c.edges_between = lambda g, s, t: -1\n"
         "try:\n"
-        "    c.edge_connectivity(petersen())\n"
+        "    c.edge_connectivity(extremal_construction(4, 2)[0])\n"
         "except SelfCheckFailed:\n"
         "    print('raised')\n"
     )
@@ -241,16 +240,76 @@ def test_set_flow_matches_contracted_reference(case):
     assert (reached is None) == (expected >= cap)
 
 
+# a source next to t = 0 that also starts another neighbour's seed: source
+# 2 carries 0 <- 1 <- 2 and then 0 <- 2, source 1 carries 0 <- 1 and then
+# 0 <- 2 <- 1. A seed that set the source's carried set, not added to it,
+# would drop the first unit and let the next search find a third path,
+# where the flow is 2
+SOURCE_ENDS_TWO_SEEDS = [
+    (build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), {2}, 0, 4),
+    (build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]), {1}, 0, 4),
+]
+
+
+def _same_flows_as_dict_flow(adj, flows, cap_top, scratch=None):
+    for source, t in flows:
+        for cap in range(cap_top + 1):
+            assert _set_flow(adj, set(source), t, cap, scratch) == (
+                reference_connectivity._set_flow(adj, set(source), t, cap)
+            )
+
+
+@given(set_flow_cases())
+@example(SOURCE_ENDS_TWO_SEEDS[0])
+@example(SOURCE_ENDS_TWO_SEEDS[1])
+@settings(max_examples=300)
+def test_set_flow_matches_the_dict_flow_it_replaced(case):
+    g, source, t, _ = case
+    _same_flows_as_dict_flow(g.adjacency, [(source, t)], g.n)
+
+
+def _flows_run(monkeypatch, g):
+    """The (source, sink) pairs of the flows edge_connectivity runs on g."""
+    flows = []
+    set_flow = connectivity._set_flow
+
+    def spy(adj, source, t, cap, scratch=None):
+        flows.append((set(source), t))
+        return set_flow(adj, source, t, cap, scratch)
+
+    monkeypatch.setattr(connectivity, "_set_flow", spy)
+    edge_connectivity(g)
+    monkeypatch.undo()
+    return flows
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+def test_set_flow_matches_the_dict_flow_on_pendant_blocks(monkeypatch, r):
+    for N, k, seed in product((20, 30), range(2, r - 1, 2), range(4)):
+        g = pendant_block(N, r, k, seed)
+        # one scratch for every flow and cap, as edge_connectivity shares it
+        scratch = connectivity._Scratch(g.n)
+        _same_flows_as_dict_flow(g.adjacency, _flows_run(monkeypatch, g), g.n, scratch)
+
+
+@pytest.mark.parametrize("r", [4, 6, 8, 10, 12])
+def test_set_flow_matches_the_dict_flow_on_extremal(monkeypatch, r):
+    for m in range(2, r - 1, 2):
+        g, _ = extremal_construction(r, m)
+        scratch = connectivity._Scratch(g.n)
+        _same_flows_as_dict_flow(g.adjacency, _flows_run(monkeypatch, g), g.n, scratch)
+
+
 def _sinks_swept(monkeypatch, g):
     # only the cut-side sweep runs flows into vertex 0, each from its sink t
     # as the source; the Matula sweep's sinks are later dominators, never 0
     sinks = []
     set_flow = connectivity._set_flow
 
-    def spy(adj, source, t, cap):
+    def spy(adj, source, t, cap, scratch=None):
         if t == 0:
             sinks.extend(source)
-        return set_flow(adj, source, t, cap)
+        return set_flow(adj, source, t, cap, scratch)
 
     monkeypatch.setattr(connectivity, "_set_flow", spy)
     edge_connectivity(g)
