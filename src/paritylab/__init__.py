@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .connectivity import CutCertificate, edge_connectivity
+from .connectivity import edge_connectivity
 from .experiment import ExperimentConfig, run_verification_experiment
 from .generators import (
     complete_graph,
@@ -42,7 +42,6 @@ from .solver import (
 from .theorems import check_main_conditions, m_star, small_cut
 
 __all__ = [
-    "CutCertificate",
     "Decision",
     "DeficiencyWitness",
     "ExperimentConfig",

@@ -174,10 +174,10 @@ def cmd_verify_witness(args) -> int:
 
 def cmd_connectivity(args) -> int:
     g = parse_graph(_read_text(args.graph))
-    lam, cert = edge_connectivity(g)
+    lam, side = edge_connectivity(g)
     sys.stdout.write(f"lambda: {lam}\n")
-    sys.stdout.write("cut_side:" + "".join(f" {v}" for v in cert.cut_side) + "\n")
-    sys.stdout.write(f"cut_size: {cert.cut_size}\n")
+    sys.stdout.write("cut_side:" + "".join(f" {v}" for v in side) + "\n")
+    sys.stdout.write(f"cut_size: {lam}\n")
     return EXIT_OK
 
 

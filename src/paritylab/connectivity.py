@@ -9,8 +9,12 @@ more than its cut edges (a side of k <= delta vertices has at least
 k(delta - k + 1) >= delta cut edges), so one has no neighbour across, and
 the vertex of D dominating it lies there too: both sides hold a vertex of D,
 and the first dj across the cut from d1 has flow(D<j, dj) <= lambda. Each
-such flow searches backwards from dj to the first source vertex it meets;
-every vertex is next to D, so the searches stay local.
+such flow searches backwards from dj to the first source vertex it meets.
+The seeded short paths (below) and a grown source set keep the later flows'
+searches local. The early flows, with few sources, can search far before
+they meet one: on random_regular(20000, 3, 1) the first 750 flows' searches
+queue 259 vertices each, 79 % of all the vertices the flows' searches
+queue; flows 750-3753 queue about 19 a search and the last half about 7.
 
 The cut side comes from the smallest sink t with flow(0, t) = lambda: the
 vertices the last, failed search of that flow reaches from vertex 0, the
@@ -45,20 +49,10 @@ the same for every maximum flow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SelfCheckFailed, TooSmall
 from .graph import Graph, VertexSet, edges_between
 
-__all__ = ["CutCertificate", "edge_connectivity"]
-
-
-@dataclass(frozen=True)
-class CutCertificate:
-    """A proper nonempty vertex set whose boundary attains the reported cut size."""
-
-    cut_side: VertexSet
-    cut_size: int
+__all__ = ["edge_connectivity"]
 
 
 _NO_UNITS: frozenset[int] = frozenset()  # carried[v] while v carries no unit
@@ -80,20 +74,16 @@ class _Scratch:
 
 
 def _set_flow(
-    adj: tuple[tuple[int, ...], ...], source: set[int], t: int, cap: int,
-    scratch: _Scratch | None = None,
+    adj: tuple[tuple[int, ...], ...], source: set[int], t: int, cap: int, scratch: _Scratch
 ) -> tuple[int, VertexSet | None]:
     """Unit-capacity flow from the set ``source`` to ``t``, stopped at ``cap``.
 
     First each neighbour of t takes a seeded short path, then each search runs
     backwards from t (the arc w -> v is usable iff v is not in carried[w]) and
-    stops at the first source vertex. ``scratch`` is allocated when absent,
-    and the flow leaves every carried set as it found it. Returns
-    ``(flow, None)`` at ``cap``, else the flow and what its failed search
-    reached.
+    stops at the first source vertex. The flow leaves every carried set in
+    ``scratch`` as it found it. Returns ``(flow, None)`` at ``cap``, else the
+    flow and what its failed search reached.
     """
-    if scratch is None:
-        scratch = _Scratch(len(adj))
     mark, parent, carried = scratch.mark, scratch.parent, scratch.carried
     touched = []  # the vertices whose carried set this flow made
     flow = 0
@@ -170,9 +160,10 @@ def _dominating_set(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     return taken
 
 
-def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
-    """Exact edge-connectivity with a witnessing cut: the side of the
-    smallest sink t attaining it that flow(0, t)'s failed search reaches."""
+def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
+    """Exact edge-connectivity lambda and a side of a minimum cut: the side
+    of the smallest sink t attaining lambda that flow(0, t)'s failed search
+    reaches."""
     if g.n < 2:
         raise TooSmall(f"edge connectivity needs at least 2 vertices, got {g.n}")
     adj = g.adjacency
@@ -184,14 +175,14 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
         source.add(t)
     if best == len(adj[0]):
         # {0} is a minimum 0-1 cut, and the smallest; its deg(0) edges are best
-        return best, CutCertificate(VertexSet((0,)), best)
+        return best, VertexSet((0,))
     # no flow from vertex 0 is below best, and the first sink's to end at it
     # gives the side: run as the t-0 flow, its failed search from 0 reaches
     # the smallest 0-side of a minimum 0-t cut, the same for every maximum flow
     sides = (_set_flow(adj, {t}, 0, best + 1, scratch)[1] for t in range(1, g.n))
     side = next(reached for reached in sides if reached is not None)
-    # certificate self-consistency is cheap; keep it as a hard guarantee
+    # the side's self-consistency is cheap; keep it as a hard guarantee
     crossing = edges_between(g, side, VertexSet.of(set(range(g.n)) - side._as_set))
     if crossing != best:
         raise SelfCheckFailed(f"cut side has {crossing} boundary edges, max-flow found {best}")
-    return best, CutCertificate(side, best)
+    return best, side

@@ -94,8 +94,13 @@ class DeficiencyWitness:
 
 @dataclass(frozen=True)
 class Decision:
-    feasible: bool
-    witness: Optional[DeficiencyWitness] = None
+    """An enumeration verdict: ``witness`` is None iff the instance is feasible."""
+
+    witness: Optional[DeficiencyWitness]
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is None
 
 
 def _check_spec(g: Graph, spec: ParitySpec) -> None:
@@ -460,7 +465,7 @@ def decide_by_enumeration(
             if d_val <= best_delta and (d_val < best_delta or code < best_code):
                 best_delta, best_code = d_val, code
     if best_delta >= 0:
-        return Decision(True, None)
+        return Decision(None)
     s, t = [], []
     for v in range(n):
         best_code, digit = divmod(best_code, 3)
@@ -473,7 +478,7 @@ def decide_by_enumeration(
         raise SelfCheckFailed(
             f"mask sweep found delta {best_delta}, deficiency recomputes {witness.delta}"
         )
-    return Decision(False, witness)
+    return Decision(witness)
 
 
 def verify_witness(

@@ -5,7 +5,8 @@ graph's own adjacency: the reference that ``test_connectivity.py`` compares
 ``_FlowNet`` copies the graph into an arc-array residual network, every
 ``maxflow`` resets all capacities, every sink's flow runs to completion, and
 the witness reruns the best sink's flow and then searches the residual network
-a second time for the cut side. Kept verbatim; do not optimise.
+a second time for the cut side. Kept verbatim, but for its return value, now
+``(lambda, side)`` as ``paritylab.edge_connectivity`` returns; do not optimise.
 
 ``_set_flow`` is the growing-source flow as it stood before its search state
 became per-call lists and its short paths were seeded: every unit is found
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from paritylab.connectivity import CutCertificate
 from paritylab.errors import SelfCheckFailed, TooSmall
 from paritylab.graph import Graph, VertexSet, edges_between
 
@@ -121,7 +121,7 @@ class _FlowNet:
         return [v for v in range(self.n) if seen[v]]
 
 
-def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
+def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
     """Exact edge-connectivity with a witnessing cut.
 
     Deterministic: among sinks attaining the minimum, the smallest vertex id is
@@ -142,9 +142,8 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
     assert best is not None and best_t is not None
     net.maxflow(0, best_t)
     side = VertexSet.of(net.reachable(0))
-    cert = CutCertificate(side, best)
     # certificate self-consistency is cheap; keep it as a hard guarantee
     crossing = edges_between(g, side, VertexSet.of(set(range(g.n)) - side._as_set))
     if crossing != best:
         raise SelfCheckFailed(f"cut side has {crossing} boundary edges, max-flow found {best}")
-    return best, cert
+    return best, side

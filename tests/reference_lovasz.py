@@ -6,7 +6,8 @@ rest mask and Gray code: every ternary code is decoded digit by digit, and
 ``_delta_masks`` finds the components of G-(S+T) afresh for each one.
 ``decide_by_gray_sweep`` is the rest-mask, Gray-code sweep over all 3^n codes,
 before blocks were skipped by a lower bound; it is fast enough for n = 9-12,
-where the per-code form is not. Both are kept verbatim; do not optimise.
+where the per-code form is not. Both are kept verbatim, but for the
+``Decision`` they build, now its witness alone; do not optimise.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ def decide_by_enumeration(
         if best_delta is None or d_val < best_delta:
             best_delta, best_s, best_t = d_val, s_mask, t_mask
     if best_delta >= 0:
-        return Decision(True, None)
+        return Decision(None)
     witness = deficiency(
         g,
         spec,
@@ -69,7 +70,7 @@ def decide_by_enumeration(
         raise SelfCheckFailed(
             f"mask sweep found delta {best_delta}, deficiency recomputes {witness.delta}"
         )
-    return Decision(False, witness)
+    return Decision(witness)
 
 
 def _delta_masks(n, adj_mask, deg, spec, s_mask, t_mask, full) -> int:
@@ -201,7 +202,7 @@ def decide_by_gray_sweep(
             if d_val <= best_delta and (d_val < best_delta or code < best_code):
                 best_delta, best_code = d_val, code
     if best_delta >= 0:
-        return Decision(True, None)
+        return Decision(None)
     s, t = [], []
     for v in range(n):
         best_code, digit = divmod(best_code, 3)
@@ -214,4 +215,4 @@ def decide_by_gray_sweep(
         raise SelfCheckFailed(
             f"mask sweep found delta {best_delta}, deficiency recomputes {witness.delta}"
         )
-    return Decision(False, witness)
+    return Decision(witness)

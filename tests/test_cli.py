@@ -240,11 +240,37 @@ def test_check_conditions():
         assert (result.returncode, result.stdout, result.stderr) == (0, expected, ""), args
 
 
-def test_gen_random_env_seed():
+def test_gen_random_same_seed_same_graph():
     a = run_cli(["gen-random", "--n", "10", "--r", "3", "--seed", "5"])
     b = run_cli(["gen-random", "--n", "10", "--r", "3", "--seed", "5"])
     assert a.returncode == 0 and a.stdout == b.stdout
     assert a.stdout.splitlines()[0] == "10 15"
+
+
+def _gen_random(monkeypatch, capsys, env_seed, args):
+    """gen-random's exit code and text, PARITYLAB_SEED set to env_seed or unset."""
+    if env_seed is None:
+        monkeypatch.delenv("PARITYLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PARITYLAB_SEED", env_seed)
+    code = cli.main(["gen-random", "--n", "10", "--r", "3", *args])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out
+
+
+def test_gen_random_env_seed_is_the_default_seed(monkeypatch, capsys):
+    by_env = _gen_random(monkeypatch, capsys, "5", [])
+    assert by_env == _gen_random(monkeypatch, capsys, None, ["--seed", "5"])
+    assert by_env[0] == cli.EXIT_OK
+    # the environment is read: seed 5 is not the default 0
+    assert by_env != _gen_random(monkeypatch, capsys, None, [])
+
+
+def test_gen_random_seed_flag_wins_over_env_seed(monkeypatch, capsys):
+    by_flag = _gen_random(monkeypatch, capsys, "5", ["--seed", "7"])
+    assert by_flag == _gen_random(monkeypatch, capsys, None, ["--seed", "7"])
+    assert by_flag != _gen_random(monkeypatch, capsys, "5", [])
 
 
 def test_gen_random_retries_exhausted_is_a_usage_error(monkeypatch, capsys):

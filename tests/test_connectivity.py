@@ -22,7 +22,7 @@ from paritylab import (
     random_regular,
 )
 from paritylab import connectivity, generators
-from paritylab.connectivity import _set_flow
+from paritylab.connectivity import _Scratch, _set_flow
 from paritylab.errors import SelfCheckFailed, TooSmall
 
 import reference_connectivity
@@ -45,15 +45,17 @@ def test_petersen_three_connected():
 
 def test_disconnected_is_zero():
     g = build_graph(4, [(0, 1), (2, 3)])
-    lam, cert = edge_connectivity(g)
+    lam, side = edge_connectivity(g)
     assert lam == 0
-    assert cert.cut_side.members == (0, 1)
+    assert side.members == (0, 1)
 
 
 def test_zero_always_connected():
     # every graph is 0-edge-connected; an edgeless one has lambda exactly 0
-    lam, cert = edge_connectivity(build_graph(3, []))
-    assert (lam, cert.cut_size) == (0, 0)
+    g = build_graph(3, [])
+    lam, side = edge_connectivity(g)
+    other = VertexSet.of(set(range(g.n)) - set(side))
+    assert (lam, edges_between(g, side, other)) == (0, 0)
 
 
 def test_too_small():
@@ -70,14 +72,14 @@ def test_extremal_connectivity_is_m(r, m):
 @given(graphs(min_n=2, max_n=7))
 @settings(max_examples=60)
 def test_matches_exhaustive_oracle(g):
-    lam, cert = edge_connectivity(g)
+    lam, side = edge_connectivity(g)
     oracle_lam, _ = brute_edge_connectivity(g)
     assert lam == oracle_lam
     assert lam <= min(g.degrees)
-    # certificate self-consistency
-    other = VertexSet.of(set(range(g.n)) - set(cert.cut_side))
-    assert 0 < len(cert.cut_side) < g.n
-    assert edges_between(g, cert.cut_side, other) == cert.cut_size == lam
+    # the side is a proper cut with lambda boundary edges
+    other = VertexSet.of(set(range(g.n)) - set(side))
+    assert 0 < len(side) < g.n
+    assert edges_between(g, side, other) == lam
 
 
 def test_cut_certificate_check_raises(monkeypatch):
@@ -108,11 +110,9 @@ def test_cut_certificate_check_survives_optimize_flag():
 
 
 def _same_as_reference(g):
-    lam, cert = edge_connectivity(g)
-    ref_lam, ref_cert = reference_connectivity.edge_connectivity(g)
-    assert (lam, cert.cut_side.members, cert.cut_size) == (
-        ref_lam, ref_cert.cut_side.members, ref_cert.cut_size
-    )
+    lam, side = edge_connectivity(g)
+    ref_lam, ref_side = reference_connectivity.edge_connectivity(g)
+    assert (lam, side.members) == (ref_lam, ref_side.members)
 
 
 @given(graphs(min_n=2, max_n=12))
@@ -148,8 +148,8 @@ MUST_CANCEL = build_graph(8, [
 
 def test_flow_that_must_cancel_a_unit():
     g = MUST_CANCEL
-    lam, cert = edge_connectivity(g)
-    assert (lam, cert.cut_side.members) == (2, (0, 2, 4, 5, 6, 7))
+    lam, side = edge_connectivity(g)
+    assert (lam, side.members) == (2, (0, 2, 4, 5, 6, 7))
     _same_as_reference(g)
 
 
@@ -187,7 +187,7 @@ def test_matches_reference_on_pendant_block(r):
         g = pendant_block(N, r, k, seed)
         assert g.degrees == [r] * g.n
         # the flow to sink 1 reaches the minimum degree: it cannot show the cut
-        assert _set_flow(g.adjacency, {1}, 0, g.n)[0] == r
+        assert _set_flow(g.adjacency, {1}, 0, g.n, _Scratch(g.n))[0] == r
         assert edge_connectivity(g)[0] == k
         _same_as_reference(g)
 
@@ -230,12 +230,12 @@ def _contracted_flow(g, source, t):
 def test_set_flow_matches_contracted_reference(case):
     g, source, t, cap = case
     expected = _contracted_flow(g, source, t)
-    flow, reached = _set_flow(g.adjacency, set(source), t, g.n)
+    flow, reached = _set_flow(g.adjacency, set(source), t, g.n, _Scratch(g.n))
     assert flow == expected
     # the failed search reaches t's side of a minimum cut
     assert t in reached and not source & set(reached)
     assert edges_between(g, reached, VertexSet.of(set(range(g.n)) - set(reached))) == expected
-    flow, reached = _set_flow(g.adjacency, set(source), t, cap)
+    flow, reached = _set_flow(g.adjacency, set(source), t, cap, _Scratch(g.n))
     assert flow == min(expected, cap)
     assert (reached is None) == (expected >= cap)
 
@@ -251,7 +251,7 @@ SOURCE_ENDS_TWO_SEEDS = [
 ]
 
 
-def _same_flows_as_dict_flow(adj, flows, cap_top, scratch=None):
+def _same_flows_as_dict_flow(adj, flows, cap_top, scratch):
     for source, t in flows:
         for cap in range(cap_top + 1):
             assert _set_flow(adj, set(source), t, cap, scratch) == (
@@ -265,7 +265,7 @@ def _same_flows_as_dict_flow(adj, flows, cap_top, scratch=None):
 @settings(max_examples=300)
 def test_set_flow_matches_the_dict_flow_it_replaced(case):
     g, source, t, _ = case
-    _same_flows_as_dict_flow(g.adjacency, [(source, t)], g.n)
+    _same_flows_as_dict_flow(g.adjacency, [(source, t)], g.n, _Scratch(g.n))
 
 
 def _flows_run(monkeypatch, g):
@@ -273,7 +273,7 @@ def _flows_run(monkeypatch, g):
     flows = []
     set_flow = connectivity._set_flow
 
-    def spy(adj, source, t, cap, scratch=None):
+    def spy(adj, source, t, cap, scratch):
         flows.append((set(source), t))
         return set_flow(adj, source, t, cap, scratch)
 
@@ -288,7 +288,7 @@ def test_set_flow_matches_the_dict_flow_on_pendant_blocks(monkeypatch, r):
     for N, k, seed in product((20, 30), range(2, r - 1, 2), range(4)):
         g = pendant_block(N, r, k, seed)
         # one scratch for every flow and cap, as edge_connectivity shares it
-        scratch = connectivity._Scratch(g.n)
+        scratch = _Scratch(g.n)
         _same_flows_as_dict_flow(g.adjacency, _flows_run(monkeypatch, g), g.n, scratch)
 
 
@@ -296,7 +296,7 @@ def test_set_flow_matches_the_dict_flow_on_pendant_blocks(monkeypatch, r):
 def test_set_flow_matches_the_dict_flow_on_extremal(monkeypatch, r):
     for m in range(2, r - 1, 2):
         g, _ = extremal_construction(r, m)
-        scratch = connectivity._Scratch(g.n)
+        scratch = _Scratch(g.n)
         _same_flows_as_dict_flow(g.adjacency, _flows_run(monkeypatch, g), g.n, scratch)
 
 
@@ -306,7 +306,7 @@ def _sinks_swept(monkeypatch, g):
     sinks = []
     set_flow = connectivity._set_flow
 
-    def spy(adj, source, t, cap, scratch=None):
+    def spy(adj, source, t, cap, scratch):
         if t == 0:
             sinks.extend(source)
         return set_flow(adj, source, t, cap, scratch)
@@ -320,7 +320,7 @@ def test_random_regular_cut_side_takes_no_flow(monkeypatch):
     # lambda = deg(0): the side is {0}, read without a flow
     g = random_regular(2000, 4, 1)
     assert _sinks_swept(monkeypatch, g) == []
-    assert edge_connectivity(g)[1].cut_side.members == (0,)
+    assert edge_connectivity(g)[1].members == (0,)
 
 
 @pytest.mark.parametrize("r,m", [(8, 2), (12, 4), (16, 2)])

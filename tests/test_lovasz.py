@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from collections import deque
@@ -120,6 +121,17 @@ def test_decide_c4_two_factor():
 
 def test_decide_k2_perfect_matching():
     assert decide_by_enumeration(complete_graph(2), ParitySpec.constant(1, 1, 2)).feasible
+
+
+def test_decision_holds_only_its_witness():
+    # the verdict is read off the witness, so a feasible verdict with a
+    # witness cannot be built
+    assert [field.name for field in dataclasses.fields(Decision)] == ["witness"]
+    assert Decision(None).feasible
+    d = decide_by_enumeration(complete_graph(3), ParitySpec.constant(1, 1, 3))
+    assert Decision(d.witness) == d and not d.feasible
+    with pytest.raises(AttributeError):
+        d.feasible = True
 
 
 def test_decide_k3_witness_canonical():
@@ -252,8 +264,8 @@ def test_deficiency_matches_decision_minimum(data):
 # ---- the rest-mask Gray-code sweep against the per-code decode it replaced
 
 def assert_matches_reference(g, spec):
-    # Decision equality covers the verdict and the witness's S, T, delta,
-    # tau and odd components
+    # Decision equality covers the witness, so the verdict, and its S, T,
+    # delta, tau and odd components
     assert decide_by_enumeration(g, spec) == reference_lovasz.decide_by_enumeration(g, spec)
 
 
@@ -494,7 +506,7 @@ def test_slack_windows_are_decided_by_one_scan(data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lovasz, "_free_components", scan_spy)
-        assert decide_by_enumeration(g, spec) == Decision(True, None)
+        assert decide_by_enumeration(g, spec) == Decision(None)
     assert len(scanned) == 1
 
 
