@@ -19,22 +19,24 @@ Each sampled graph is solved once per factor, not once per (a, b). A factor
 whose degrees lie in [a', b'], all of the parity of b', serves every (a, b)
 with a <= a', b' <= b and b = b' (mod 2); on an r-regular graph the
 complement E(G) - F of an (a, b)-parity factor is an (r - b, r - a)-parity
-factor. So ``_check_graph`` keeps, per graph, every factor it solves for
-with its (min, max) degree, and before it solves a satisfied (a, b)
-takes the first kept factor, or complement, whose range fits and that
-``verify_factor`` accepts (``_serves``); only on a miss does it solve.
+factor. So ``_check_graph`` keeps, per graph, every factor it solves for,
+whose least and greatest degree ``Factor.degree_range`` computes once, and
+before it solves a satisfied (a, b) takes the first kept factor, or
+complement, whose range fits and that ``verify_factor`` accepts
+(``_serves``); only on a miss does it solve.
 
-``_solve`` is the one solve, for sampled rows and extremal tuples alike: a
-kept factor that serves the row's (a, b), or a witness read under that
-(a, b). It takes the smaller of the window and its complement: (a, b) if
-a + b >= r, else (r - b, r - a). The gadget gives each vertex d - g core
-nodes and a d x (d - g) outer-by-core block, so (a, b) costs r - a core
-nodes per vertex and (r - b, r - a) costs b, fewer exactly when a + b < r.
+``_solve`` is the one solve, for sampled rows and extremal tuples alike: it
+returns the solver's own answer, a ``Factor`` that serves the row's (a, b)
+or a ``DeficiencyWitness`` read under that (a, b). It takes the smaller of
+the window and its complement: (a, b) if a + b >= r, else (r - b, r - a).
+The gadget gives each vertex d - g core nodes and a d x (d - g)
+outer-by-core block, so (a, b) costs r - a core nodes per vertex and
+(r - b, r - a) costs b, fewer exactly when a + b < r.
 The window (r - 1, r - 1), from the row (1, 1) or (r - 1, r - 1), skips the
 gadget: a (1, 1)-parity factor is exactly a perfect matching (Tutte 1947),
 so ``max_matching`` runs on g itself, with n nodes and rn/2 edges in place
 of the gadget's (r + 1)n nodes and about 3rn/2 edges. A perfect matching M
-is kept as the factor (1, 1, M); else the witness is g's Tutte barrier
+is returned as the factor; else the witness is g's Tutte barrier
 A = ``Matching.A``, as (A, {}) for the row (1, 1), ({}, A) for (r - 1, r - 1):
   under (1, 1) a component C of G - A is f-odd iff |C| is odd, so
   delta(A, {}) = |A| - o(G - A) = -def(G) < 0 by Gallai-Edmonds,
@@ -62,7 +64,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from .connectivity import edge_connectivity
 from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation, SelfCheckFailed
@@ -73,7 +75,9 @@ from .matching import max_matching
 from .solver import Factor, factor_or_witness, verify_factor
 from .theorems import check_main_conditions, small_cut
 
-CSV_COLUMNS = ("seed", "n", "r", "lambda", "a", "b", "case", "outcome", "delta")
+# per field of Row, in order: (column name, table format)
+_COLUMNS = (("seed", ">20"), ("n", ">4"), ("r", ">3"), ("lambda", ">6"), ("a", ">3"),
+            ("b", ">3"), ("case", "<10"), ("outcome", "<22"), ("delta", ">6"))
 # key -> (field, width): an int at width 0, else a comma-separated list of
 # colon-separated tuples of that width, a width-1 list holding plain ints
 _CONFIG_KEYS = {"seed": ("seed", 0), "n": ("n_values", 1), "r": ("r_values", 1),
@@ -107,26 +111,21 @@ class Row:
 class ExperimentReport:
     rows: tuple[Row, ...]
 
-    def to_table(self) -> str:
-        header = f"{'seed':>20} {'n':>4} {'r':>3} {'lambda':>6} {'a':>3} {'b':>3} {'case':<10} {'outcome':<22} {'delta':>6}"
-        lines = [header, "-" * len(header)]
+    def _cells(self):
+        """The header, then each row's values; a None delta is blank."""
+        yield [name for name, _ in _COLUMNS]
         for row in self.rows:
-            delta = "" if row.delta is None else str(row.delta)
-            lines.append(
-                f"{row.seed:>20} {row.n:>4} {row.r:>3} {row.lam:>6} {row.a:>3} "
-                f"{row.b:>3} {row.case:<10} {row.outcome:<22} {delta:>6}"
-            )
+            yield ["" if value is None else value for value in astuple(row)]
+
+    def to_table(self) -> str:
+        lines = [" ".join(format(cell, spec) for cell, (_, spec) in zip(cells, _COLUMNS))
+                 for cells in self._cells()]
+        lines.insert(1, "-" * len(lines[0]))
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                [row.seed, row.n, row.r, row.lam, row.a, row.b, row.case,
-                 row.outcome, "" if row.delta is None else row.delta]
-            )
+        csv.writer(buf, lineterminator="\n").writerows(self._cells())
         return buf.getvalue()
 
 
@@ -208,7 +207,7 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
     n, r = g.n, g.degree(0)
     lam, _ = edge_connectivity(g)
     rows: list[Row] = []
-    solved: list[tuple[int, int, Factor]] = []  # (min degree, max degree, factor)
+    solved: list[Factor] = []
     for a, b in specs:
         if b >= r:
             continue
@@ -217,26 +216,27 @@ def _check_graph(g: Graph, seed: int, specs: tuple[tuple[int, int], ...]) -> lis
             rows.append(Row(seed, n, r, lam, a, b, "-", "no-case"))
             continue
         spec = ParitySpec.constant(a, b, n)
-        if not any(_serves(g, spec, r, *kept) for kept in solved):
-            kept = _solve(g, r, spec, seed)
-            if isinstance(kept, DeficiencyWitness):
+        if not any(_serves(g, spec, r, f) for f in solved):
+            result = _solve(g, r, spec, seed)
+            if isinstance(result, DeficiencyWitness):
                 raise CounterexampleError(
                     f"satisfied cases {sorted(cases)} at "
                     f"lambda={lam} but no verified ({a},{b})-parity factor "
                     f"(seed {seed})",
                     emit_graph(g),
                 )
-            solved.append(kept)
+            solved.append(result)
         for case in sorted(cases):
             rows.append(Row(seed, n, r, lam, a, b, case, "found"))
     return rows
 
 
-def _solve(g: Graph, r: int, spec: ParitySpec, seed: int) -> tuple[int, int, Factor] | DeficiencyWitness:
-    """A new (min degree, max degree, factor) entry that serves the constant
-    window (a, b) of ``spec`` on the r-regular graph g drawn from ``seed``, else
-    a witness read under (a, b); ``SelfCheckFailed`` if what it solved fails
-    ``_serves``. The window it solves and the witness: the module docstring."""
+def _solve(g: Graph, r: int, spec: ParitySpec, seed: int) -> Factor | DeficiencyWitness:
+    """A factor that serves the constant window (a, b) of ``spec`` on the
+    r-regular graph g drawn from ``seed``, else a witness read under (a, b);
+    ``SelfCheckFailed`` if a perfect matching, or a factor of the complement
+    window, fails ``_serves``. The window it solves and the witness: the
+    module docstring."""
     a, b = spec.g[0], spec.f[0]
     window = (a, b) if a + b >= r else (r - b, r - a)
     if window == (r - 1, r - 1):
@@ -244,28 +244,28 @@ def _solve(g: Graph, r: int, spec: ParitySpec, seed: int) -> tuple[int, int, Fac
         if -1 in matching.mate:
             barrier, none = VertexSet.of(matching.A), VertexSet.empty()
             return deficiency(g, spec, *((barrier, none) if a == 1 else (none, barrier)))
-        kept = (1, 1, Factor(g.n, tuple((v, w) for v, w in enumerate(matching.mate) if v < w)))
+        result = Factor(g.n, tuple((v, w) for v, w in enumerate(matching.mate) if v < w))
     else:
         result = factor_or_witness(g, ParitySpec.constant(*window, g.n))
-        if isinstance(result, DeficiencyWitness):
-            return result if window == (a, b) else replace(result, S=result.T, T=result.S)
-        deg = result.degrees
-        kept = (min(deg), max(deg), result)
         if window == (a, b):
-            return kept
-    if not _serves(g, spec, r, *kept):
+            return result
+        if isinstance(result, DeficiencyWitness):
+            return replace(result, S=result.T, T=result.S)
+    if not _serves(g, spec, r, result):
         raise SelfCheckFailed(
             f"the {window} factor of seed {seed} and its complement "
             f"fail verification for ({a},{b})"
         )
-    return kept
+    return result
 
 
-def _serves(g: Graph, spec: ParitySpec, r: int, lo: int, hi: int, f: Factor) -> bool:
-    """Whether ``verify_factor`` accepts f, whose degrees span [lo, hi], or
-    its complement for the constant window of ``spec``; the complement is
-    built only if its range (r - hi, r - lo) fits."""
+def _serves(g: Graph, spec: ParitySpec, r: int, f: Factor) -> bool:
+    """Whether ``verify_factor`` accepts f, whose degrees span
+    ``f.degree_range`` = [lo, hi], or its complement for the constant window
+    of ``spec``; the complement is built only if its range (r - hi, r - lo)
+    fits."""
     a, b = spec.g[0], spec.f[0]
+    lo, hi = f.degree_range
     return (_fits(a, b, lo, hi) and verify_factor(g, spec, f)[0]
             or _fits(a, b, r - hi, r - lo)
             and verify_factor(g, spec, Factor(g.n, tuple(set(g.edges) - set(f.edges))))[0])

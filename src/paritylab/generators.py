@@ -136,8 +136,8 @@ def extremal_construction(r: int, m: int) -> tuple[Graph, VertexSet]:
     for j in range(m):
         for i in range(r):
             edges.append((i * size + j, hub_base + j))
-    g = build_graph(hub_base + m, edges)
-    return g, VertexSet.of(range(hub_base, hub_base + m))
+    # the pairs are in range, loop-free and ordered u < v already
+    return _from_canonical(hub_base + m, edges), VertexSet.of(range(hub_base, hub_base + m))
 
 
 SHARPNESS_DOMAIN = "even r >= 4, even 2 <= m <= r-2 and odd 1 <= a <= b with b*m < r"

@@ -43,6 +43,12 @@ class Factor:
             deg[v] += 1
         return deg
 
+    @cached_property
+    def degree_range(self) -> tuple[int, int]:
+        """The least and greatest degree, computed once per factor."""
+        deg = self.degrees
+        return min(deg), max(deg)
+
 
 @dataclass(frozen=True)
 class GadgetMap:

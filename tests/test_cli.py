@@ -371,18 +371,23 @@ def test_solve_brute_edge_cap_exceeded():
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,message",
     [
-        ["decide", "-", "--a", "1", "--b", "1", "--enum-cap", "-5"],
-        ["solve", "-", "--a", "1", "--b", "1", "--enum-cap", "-1"],
-        ["solve", "-", "--a", "1", "--b", "1", "--method", "brute", "--edge-cap", "-1"],
+        (["decide", "-", "--a", "1", "--b", "1", "--enum-cap", "-5"], "a cap cannot be negative, got -5"),
+        (["solve", "-", "--a", "1", "--b", "1", "--enum-cap", "-1"], "a cap cannot be negative, got -1"),
+        (["solve", "-", "--a", "1", "--b", "1", "--method", "brute", "--edge-cap", "-1"],
+         "a cap cannot be negative, got -1"),
+        (["decide", "-", "--a", "1", "--b", "1", "--enum-cap", "abc"], "invalid int value: 'abc'"),
+        (["solve", "-", "--a", "1", "--b", "1", "--method", "brute", "--edge-cap", "1.5"],
+         "invalid int value: '1.5'"),
     ],
-    ids=["decide-enum-cap", "solve-enum-cap", "solve-edge-cap"],
+    ids=["decide-enum-cap", "solve-enum-cap", "solve-edge-cap", "decide-enum-cap-abc", "solve-edge-cap-1.5"],
 )
-def test_negative_cap_is_a_usage_error(args):
+def test_negative_cap_is_a_usage_error(args, message):
+    # argparse rejects a negative cap, and one that is no int, through cli._cap
     result = run_cli(args, stdin_text="2 1\n0 1\n")
     assert (result.returncode, result.stdout) == (2, "")
-    assert f"argument {args[-2]}: a cap cannot be negative, got {args[-1]}" in result.stderr
+    assert f"argument {args[-2]}: {message}" in result.stderr
 
 
 @pytest.mark.parametrize("command", ["decide", "solve"])

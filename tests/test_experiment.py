@@ -104,6 +104,68 @@ def test_report_is_deterministic_and_serializable():
     assert len(csv_text.splitlines()) == len(r1.rows) + 1
 
 
+# CI's "Verification experiment through the CLI" config: found rows, whose
+# delta is blank, and the extremal tuples (4, 2, 1, 1) and (8, 2, 1, 3)
+GOLDEN_CONFIG = "seed=1\nn=10,12\nr=3,4\ntrials=1\nab=1:1,1:3,2:2\nextremal=4:2:1:1,8:2:1:3\n"
+GOLDEN_TABLE = (
+    "                seed    n   r lambda   a   b case       outcome                 delta\n"
+    "-------------------------------------------------------------------------------------\n"
+    " 1164115433906158532   10   3      3   1   1 BSW-ii     found                        \n"
+    " 1164115433906158532   10   3      3   1   1 Gallai-iii found                        \n"
+    " 1164115433906158532   10   3      3   1   1 Main-iii   found                        \n"
+    " 1164115433906158532   10   3      3   2   2 BSW-i      found                        \n"
+    " 1164115433906158532   10   3      3   2   2 Gallai-ii  found                        \n"
+    " 1164115433906158532   10   3      3   2   2 Main-ii    found                        \n"
+    " 2175216119781798972   12   3      3   1   1 BSW-ii     found                        \n"
+    " 2175216119781798972   12   3      3   1   1 Gallai-iii found                        \n"
+    " 2175216119781798972   12   3      3   1   1 Main-iii   found                        \n"
+    " 2175216119781798972   12   3      3   2   2 BSW-i      found                        \n"
+    " 2175216119781798972   12   3      3   2   2 Gallai-ii  found                        \n"
+    " 2175216119781798972   12   3      3   2   2 Main-ii    found                        \n"
+    " 8711387064946514083   10   4      4   1   1 Gallai-i   found                        \n"
+    " 8711387064946514083   10   4      4   1   1 Main-i     found                        \n"
+    " 8711387064946514083   10   4      4   1   3 Main-i     found                        \n"
+    " 8711387064946514083   10   4      4   2   2 Petersen   found                        \n"
+    " 7002664860023442459   12   4      4   1   1 Gallai-i   found                        \n"
+    " 7002664860023442459   12   4      4   1   1 Main-i     found                        \n"
+    " 7002664860023442459   12   4      4   1   3 Main-i     found                        \n"
+    " 7002664860023442459   12   4      4   2   2 Petersen   found                        \n"
+    "                   1   22   4      2   1   1 extremal   infeasible-verified        -2\n"
+    "                   1   74   8      2   1   3 extremal   infeasible-verified        -2\n"
+)
+GOLDEN_CSV = (
+    "seed,n,r,lambda,a,b,case,outcome,delta\n"
+    "1164115433906158532,10,3,3,1,1,BSW-ii,found,\n"
+    "1164115433906158532,10,3,3,1,1,Gallai-iii,found,\n"
+    "1164115433906158532,10,3,3,1,1,Main-iii,found,\n"
+    "1164115433906158532,10,3,3,2,2,BSW-i,found,\n"
+    "1164115433906158532,10,3,3,2,2,Gallai-ii,found,\n"
+    "1164115433906158532,10,3,3,2,2,Main-ii,found,\n"
+    "2175216119781798972,12,3,3,1,1,BSW-ii,found,\n"
+    "2175216119781798972,12,3,3,1,1,Gallai-iii,found,\n"
+    "2175216119781798972,12,3,3,1,1,Main-iii,found,\n"
+    "2175216119781798972,12,3,3,2,2,BSW-i,found,\n"
+    "2175216119781798972,12,3,3,2,2,Gallai-ii,found,\n"
+    "2175216119781798972,12,3,3,2,2,Main-ii,found,\n"
+    "8711387064946514083,10,4,4,1,1,Gallai-i,found,\n"
+    "8711387064946514083,10,4,4,1,1,Main-i,found,\n"
+    "8711387064946514083,10,4,4,1,3,Main-i,found,\n"
+    "8711387064946514083,10,4,4,2,2,Petersen,found,\n"
+    "7002664860023442459,12,4,4,1,1,Gallai-i,found,\n"
+    "7002664860023442459,12,4,4,1,1,Main-i,found,\n"
+    "7002664860023442459,12,4,4,1,3,Main-i,found,\n"
+    "7002664860023442459,12,4,4,2,2,Petersen,found,\n"
+    "1,22,4,2,1,1,extremal,infeasible-verified,-2\n"
+    "1,74,8,2,1,3,extremal,infeasible-verified,-2\n"
+)
+
+
+def test_report_text_is_pinned():
+    report = run_verification_experiment(parse_config(GOLDEN_CONFIG))
+    assert report.to_table() == GOLDEN_TABLE
+    assert report.to_csv() == GOLDEN_CSV
+
+
 def test_odd_nr_products_are_skipped():
     cfg = ExperimentConfig(seed=1, n_values=(9,), r_values=(3,), trials=2, specs=((1, 1),))
     report = run_verification_experiment(cfg)
@@ -449,10 +511,10 @@ def test_every_window_on_the_extremal_family_is_answered_under_its_own_window():
                 assert (other.delta, other.tau) == (result.delta, result.tau)
             else:
                 counts["factor"] += 1
-                factor = result[2]
-                complement = Factor(g.n, tuple(sorted(set(g.edges) - set(factor.edges))))
+                assert isinstance(result, Factor)
+                complement = Factor(g.n, tuple(sorted(set(g.edges) - set(result.edges))))
                 assert any(verify_factor(g, spec, f)[0] and verify_factor(g, mirror, c)[0]
-                           for f, c in ((factor, complement), (complement, factor)))
+                           for f, c in ((result, complement), (complement, result)))
                 assert not isinstance(other, DeficiencyWitness)
     assert counts == {"factor": 302, "witness, a + b < r": 24, "witness, a + b >= r": 24}
 
@@ -524,10 +586,9 @@ def test_the_matching_path_agrees_with_the_gadget(g):
         assert experiment._solve(g, r, top, 0) == replace(kept, S=kept.T, T=kept.S)
     else:
         assert experiment._solve(g, r, top, 0) == kept
-        lo, hi, matching = kept
-        assert (lo, hi) == (1, 1)
-        complement = Factor(g.n, tuple(sorted(set(g.edges) - set(matching.edges))))
-        assert verify_factor(g, one, matching) == (True, "ok")
+        assert isinstance(kept, Factor) and kept.degree_range == (1, 1)
+        complement = Factor(g.n, tuple(sorted(set(g.edges) - set(kept.edges))))
+        assert verify_factor(g, one, kept) == (True, "ok")
         assert verify_factor(g, top, complement) == (True, "ok")
 
 
