@@ -16,14 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .connectivity import edge_connectivity
-from .errors import (
-    CounterexampleError,
-    GraphSyntaxError,
-    GraphTooLargeForEnumeration,
-    ParityLabError,
-    SelfCheckFailed,
-    TooManyEdges,
-)
+from .errors import CapExceeded, CounterexampleError, ParityLabError, SelfCheckFailed
 from .experiment import parse_config, run_verification_experiment
 from .generators import extremal_construction, random_regular
 from .graph import Graph, VertexSet, emit_graph, int_pair, parse_graph, text_lines
@@ -141,7 +134,7 @@ def _vertex_ids(flag: str, text: str) -> VertexSet:
         try:
             ids.append(int(field))
         except ValueError:
-            raise GraphSyntaxError(f"{flag}: bad vertex id {field!r}") from None
+            raise ParityLabError(f"{flag}: bad vertex id {field!r}") from None
     return VertexSet.of(ids)
 
 
@@ -320,7 +313,7 @@ def main(argv=None) -> int:
         status = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return status
-    except (GraphTooLargeForEnumeration, TooManyEdges) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except SelfCheckFailed as exc:

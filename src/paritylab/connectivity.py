@@ -49,8 +49,8 @@ the same for every maximum flow.
 """
 from __future__ import annotations
 
-from .errors import SelfCheckFailed, TooSmall
-from .graph import Graph, VertexSet, edges_between
+from .errors import ParityLabError, SelfCheckFailed
+from .graph import Graph, VertexSet
 
 __all__ = ["edge_connectivity"]
 
@@ -165,7 +165,7 @@ def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
     of the smallest sink t attaining lambda that flow(0, t)'s failed search
     reaches."""
     if g.n < 2:
-        raise TooSmall(f"edge connectivity needs at least 2 vertices, got {g.n}")
+        raise ParityLabError(f"edge connectivity needs at least 2 vertices, got {g.n}")
     adj = g.adjacency
     scratch = _Scratch(g.n)
     best = min(g.degrees)
@@ -182,7 +182,7 @@ def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
     sides = (_set_flow(adj, {t}, 0, best + 1, scratch)[1] for t in range(1, g.n))
     side = next(reached for reached in sides if reached is not None)
     # the side's self-consistency is cheap; keep it as a hard guarantee
-    crossing = edges_between(g, side, VertexSet.of(set(range(g.n)) - side._as_set))
+    crossing = sum(w not in side for v in side for w in adj[v])
     if crossing != best:
         raise SelfCheckFailed(f"cut side has {crossing} boundary edges, max-flow found {best}")
     return best, side

@@ -67,7 +67,7 @@ import random
 from dataclasses import astuple, dataclass, replace
 
 from .connectivity import edge_connectivity
-from .errors import CounterexampleError, GraphSyntaxError, HypothesisViolation, SelfCheckFailed
+from .errors import CounterexampleError, ParityLabError, SelfCheckFailed
 from .generators import SHARPNESS_DOMAIN, extremal_construction, random_regular, sharpness_certificate
 from .graph import Graph, VertexSet, emit_graph, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec, deficiency
@@ -136,13 +136,13 @@ def parse_config(text: str) -> ExperimentConfig:
     for lineno, line in text_lines(text):
         key, sep, value = line.partition("=")
         if not sep:
-            raise GraphSyntaxError(f"config line {lineno}: expected key=value")
+            raise ParityLabError(f"config line {lineno}: expected key=value")
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
-            raise GraphSyntaxError(f"config line {lineno}: unknown key {key!r}")
+            raise ParityLabError(f"config line {lineno}: unknown key {key!r}")
         field_name, width = _CONFIG_KEYS[key]
         if field_name in kwargs:
-            raise GraphSyntaxError(f"config line {lineno}: repeated key {key!r}")
+            raise ParityLabError(f"config line {lineno}: repeated key {key!r}")
         try:
             if width == 0:
                 kwargs[field_name] = int(value)
@@ -152,7 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ValueError(value)
             kwargs[field_name] = tuple(item[0] for item in items) if width == 1 else items
         except ValueError:
-            raise GraphSyntaxError(f"config line {lineno}: bad value {value!r}")
+            raise ParityLabError(f"config line {lineno}: bad value {value!r}")
     return ExperimentConfig(**kwargs)
 
 
@@ -161,18 +161,18 @@ def run_verification_experiment(config: ExperimentConfig) -> ExperimentReport:
                                 ("trials", (config.trials,), 0)):
         for value in values:
             if value < least:
-                raise HypothesisViolation(f"{name}={value} can yield no row: need {name} >= {least}")
+                raise ParityLabError(f"{name}={value} can yield no row: need {name} >= {least}")
     for a, b in config.specs:
         # no r admits these; a pair with b >= r is skipped for that r only
         if not (1 <= a <= b and (b - a) % 2 == 0):
-            raise HypothesisViolation(
+            raise ParityLabError(
                 f"ab pair (a={a}, b={b}) is admitted by no r: "
                 f"need 1 <= a <= b with a = b (mod 2)"
             )
     certs = [sharpness_certificate(*quad) for quad in config.extremal]
     for (r, m, a, b), cert in zip(config.extremal, certs):
         if cert is None:
-            raise HypothesisViolation(
+            raise ParityLabError(
                 f"extremal tuple (r={r}, m={m}, a={a}, b={b}) is outside the "
                 f"sharpness domain: need {SHARPNESS_DOMAIN}"
             )

@@ -11,13 +11,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-from .errors import (
-    BadOrder,
-    DegreeTooLarge,
-    ParamDomain,
-    ParityViolation,
-    RetriesExhausted,
-)
+from .errors import ParityLabError
 from .graph import Graph, VertexSet, _from_canonical, build_graph
 from .lovasz import DeficiencyWitness
 
@@ -26,13 +20,13 @@ DEFAULT_SAMPLING_RETRIES = 10000
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
-        raise BadOrder(f"complete graph needs n >= 1, got {n}")
+        raise ParityLabError(f"complete graph needs n >= 1, got {n}")
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise BadOrder(f"cycle needs n >= 3, got {n}")
+        raise ParityLabError(f"cycle needs n >= 3, got {n}")
     return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
@@ -53,18 +47,18 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
     uniform; any valid instance serves for theorem verification.
     """
     if r < 0 or n < 1:
-        raise BadOrder(f"need n >= 1 and r >= 0, got n={n}, r={r}")
+        raise ParityLabError(f"need n >= 1 and r >= 0, got n={n}, r={r}")
     if (n * r) % 2 != 0:
-        raise ParityViolation(f"n*r = {n * r} is odd; no {r}-regular graph on {n} vertices")
+        raise ParityLabError(f"n*r = {n * r} is odd; no {r}-regular graph on {n} vertices")
     if r >= n:
-        raise DegreeTooLarge(f"r = {r} must be smaller than n = {n}")
+        raise ParityLabError(f"r = {r} must be smaller than n = {n}")
     rng = random.Random(seed)
     for _ in range(DEFAULT_SAMPLING_RETRIES):
         edges = _pairing_attempt(n, r, rng)
         if edges is not None:
             # the pairs are in range, loop-free and ordered u < v already
             return _from_canonical(n, list(edges))
-    raise RetriesExhausted(f"no simple {r}-regular graph found in {DEFAULT_SAMPLING_RETRIES} attempts")
+    raise ParityLabError(f"no simple {r}-regular graph found in {DEFAULT_SAMPLING_RETRIES} attempts")
 
 
 def _pairing_attempt(n: int, r: int, rng: random.Random):
@@ -125,7 +119,7 @@ def extremal_construction(r: int, m: int) -> tuple[Graph, VertexSet]:
     out to exactly r. Returns the graph and the hub set (the certificate's S).
     """
     if error := _extremal_domain_error(r, m):
-        raise ParamDomain(error)
+        raise ParityLabError(error)
     block = _block(r, m)
     size = r + 1
     edges: list[tuple[int, int]] = []

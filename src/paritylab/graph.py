@@ -9,13 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import (
-    DuplicateEdge,
-    GraphSyntaxError,
-    LoopEdge,
-    SetsNotDisjoint,
-    VertexOutOfRange,
-)
+from .errors import ParityLabError
 
 Edge = tuple[int, int]
 
@@ -82,7 +76,7 @@ class VertexSet:
     def check_bounds(self, n: int) -> None:
         for v in self.members:
             if not 0 <= v < n:
-                raise VertexOutOfRange(f"vertex {v} not in 0..{n - 1}")
+                raise ParityLabError(f"vertex {v} not in 0..{n - 1}")
 
 
 def build_graph(n: int, edge_pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -95,13 +89,13 @@ def build_graph(n: int, edge_pairs: Iterable[tuple[int, int]]) -> Graph:
     ascending u before its larger ones from the pairs (v, w) in ascending w.
     """
     if n < 0:
-        raise VertexOutOfRange(f"vertex count must be nonnegative, got {n}")
+        raise ParityLabError(f"vertex count must be nonnegative, got {n}")
     canonical: list[Edge] = []
     for u, v in edge_pairs:
         if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
+            raise ParityLabError(f"loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
+            raise ParityLabError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
         canonical.append((u, v) if u < v else (v, u))
     return _from_canonical(n, canonical)
 
@@ -113,7 +107,7 @@ def _from_canonical(n: int, canonical: list[Edge]) -> Graph:
     for u, v in canonical:
         nbrs = adj[u]
         if nbrs and nbrs[-1] == v:
-            raise DuplicateEdge(f"edge ({u},{v}) given twice")
+            raise ParityLabError(f"edge ({u},{v}) given twice")
         nbrs.append(v)
         adj[v].append(u)
     return Graph(n, tuple(canonical), tuple(map(tuple, adj)))
@@ -122,7 +116,7 @@ def _from_canonical(n: int, canonical: list[Edge]) -> Graph:
 def require_disjoint(s: VertexSet, t: VertexSet) -> None:
     overlap = s._as_set & t._as_set
     if overlap:
-        raise SetsNotDisjoint(f"sets share vertices {sorted(overlap)}")
+        raise ParityLabError(f"sets share vertices {sorted(overlap)}")
 
 
 def edges_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
@@ -179,7 +173,7 @@ def int_pair(lineno: int, line: str) -> tuple[int, int]:
     try:
         a, b = map(int, line.split())
     except ValueError:
-        raise GraphSyntaxError(f"line {lineno}: expected two integers, got {line!r}") from None
+        raise ParityLabError(f"line {lineno}: expected two integers, got {line!r}") from None
     return a, b
 
 
@@ -190,26 +184,26 @@ def parse_graph(text: str) -> Graph:
     lines = text_lines(text)
     header = next(lines, None)
     if header is None:
-        raise GraphSyntaxError("empty input: missing 'n m' header line")
+        raise ParityLabError("empty input: missing 'n m' header line")
     n, m = int_pair(*header)
     if n < 0 or m < 0:
-        raise GraphSyntaxError(f"line {header[0]}: negative header values")
+        raise ParityLabError(f"line {header[0]}: negative header values")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, line in lines:
         a, b = int_pair(lineno, line)
         if not a < b:
-            raise GraphSyntaxError(f"line {lineno}: edge endpoints must satisfy u < v")
+            raise ParityLabError(f"line {lineno}: edge endpoints must satisfy u < v")
         if not (0 <= a < n) or not (0 <= b < n):
-            raise VertexOutOfRange(
+            raise ParityLabError(
                 f"line {lineno}: edge ({a},{b}) has endpoint outside 0..{n - 1}"
             )
         if (a, b) in seen:
-            raise DuplicateEdge(f"line {lineno}: edge ({a},{b}) given twice")
+            raise ParityLabError(f"line {lineno}: edge ({a},{b}) given twice")
         seen.add((a, b))
         edges.append((a, b))
     if len(edges) != m:
-        raise GraphSyntaxError(f"header promised {m} edges, found {len(edges)}")
+        raise ParityLabError(f"header promised {m} edges, found {len(edges)}")
     return _from_canonical(n, edges)
 
 

@@ -19,13 +19,7 @@ from itertools import count, islice
 from math import lcm
 from typing import Iterable, Optional
 
-from .errors import (
-    GraphSyntaxError,
-    GraphTooLargeForEnumeration,
-    InvalidParitySpec,
-    ParityLabError,
-    SelfCheckFailed,
-)
+from .errors import CapExceeded, ParityLabError, SelfCheckFailed
 from .graph import (
     Graph,
     VertexSet,
@@ -52,14 +46,14 @@ class ParitySpec:
 
     def __post_init__(self):
         if len(self.g) != len(self.f):
-            raise InvalidParitySpec("g and f must have the same length")
+            raise ParityLabError("g and f must have the same length")
         for v, (gv, fv) in enumerate(zip(self.g, self.f)):
             if gv < 0:
-                raise InvalidParitySpec(f"g({v}) = {gv} is negative")
+                raise ParityLabError(f"g({v}) = {gv} is negative")
             if gv > fv:
-                raise InvalidParitySpec(f"g({v}) = {gv} exceeds f({v}) = {fv}")
+                raise ParityLabError(f"g({v}) = {gv} exceeds f({v}) = {fv}")
             if (gv - fv) % 2 != 0:
-                raise InvalidParitySpec(f"g({v}) = {gv} and f({v}) = {fv} differ in parity")
+                raise ParityLabError(f"g({v}) = {gv} and f({v}) = {fv} differ in parity")
 
     @classmethod
     def constant(cls, a: int, b: int, n: int) -> "ParitySpec":
@@ -105,7 +99,7 @@ class Decision:
 
 def _check_spec(g: Graph, spec: ParitySpec) -> None:
     if spec.n != g.n:
-        raise InvalidParitySpec(f"spec covers {spec.n} vertices, graph has {g.n}")
+        raise ParityLabError(f"spec covers {spec.n} vertices, graph has {g.n}")
 
 
 def _component_scan(
@@ -309,7 +303,7 @@ def decide_by_enumeration(
     n = g.n
     cap = min(enumeration_cap, MAX_ENUMERATION_N)
     if n > cap:
-        raise GraphTooLargeForEnumeration(f"n = {n} exceeds enumeration cap {cap}")
+        raise CapExceeded(f"n = {n} exceeds enumeration cap {cap}")
     # number the vertices in breadth-first order, each component from its
     # least vertex: position i holds vertex order[i]; codes stay in vertex ids
     order: list[int] = []
@@ -513,17 +507,17 @@ def parse_witness(text: str) -> DeficiencyWitness:
         key, _, rest = line.partition(":")
         key = key.strip()
         if key not in _WITNESS_FIELDS:
-            raise GraphSyntaxError(f"line {lineno}: unknown witness field {key!r}")
+            raise ParityLabError(f"line {lineno}: unknown witness field {key!r}")
         if key in fields:
-            raise GraphSyntaxError(f"line {lineno}: repeated witness field {key!r}")
+            raise ParityLabError(f"line {lineno}: repeated witness field {key!r}")
         fields[key] = (lineno, rest.strip())
     values = []
     for key in _WITNESS_FIELDS:
         if key not in fields:
-            raise GraphSyntaxError(f"witness block missing field {key!r}")
+            raise ParityLabError(f"witness block missing field {key!r}")
         lineno, rest = fields[key]
         try:
             values.append(VertexSet.of(map(int, rest.split())) if key in ("S", "T") else int(rest))
         except ValueError:
-            raise GraphSyntaxError(f"line {lineno}: bad {key} field {rest!r}") from None
+            raise ParityLabError(f"line {lineno}: bad {key} field {rest!r}") from None
     return DeficiencyWitness(*values)

@@ -131,15 +131,15 @@ def max_matching(g: Adjacency) -> Matching:
     base = list(range(n))
     in_queue = [False] * n
     stamp = [0] * n  # per base, the last contraction tick that marked it
-    clock = [0]  # the last tick used in this call
+    tick = 0  # the last tick used in this call
     barrier: list[int] = []
     for v in range(n):
         if match[v] < 0:
-            _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, v)
+            tick = _try_augment(adj, match, parent, base, in_queue, stamp, tick, barrier, v)
     return Matching(tuple(match), tuple(sorted(barrier)))
 
 
-def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root) -> None:
+def _try_augment(adj, match, parent, base, in_queue, stamp, tick, barrier, root) -> int:
     """Search for an augmenting path from an exposed root; apply it if found.
     A failed search appends to ``barrier`` the vertices that stayed odd.
 
@@ -149,13 +149,13 @@ def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root
     ``in_queue`` False, so the scan skips it. A successful search leaves
     the entries it set at their initial values; a failed one prunes its
     tree: its queued and odd vertices are left with ``parent >= 0``.
-    ``clock[0]`` holds the last tick taken in this call; ``stamp`` entries
-    are never reset, since every contraction takes a fresh tick."""
+    ``tick`` is the last tick taken in this call, and the search returns the
+    last one it took; ``stamp`` entries are never reset, since every
+    contraction takes a fresh tick."""
     queue = [root]  # every vertex ever queued, in order
     odd = []  # vertices given a parent when first reached
     members: dict[int, list[int]] = {}  # base -> its vertices, once it heads a blossom
     in_queue[root] = True
-    tick = clock[0]
     for v in queue:  # the loop also reaches the vertices queued while it runs
         for to in adj[v]:
             if in_queue[to]:
@@ -220,8 +220,7 @@ def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root
                         in_queue[u] = False
                     for u in odd:
                         parent[u] = -1
-                    clock[0] = tick
-                    return
+                    return tick
                 nxt = match[to]
                 in_queue[nxt] = True
                 queue.append(nxt)
@@ -229,4 +228,4 @@ def _try_augment(adj, match, parent, base, in_queue, stamp, clock, barrier, root
     for u in queue:  # odd vertices already have a parent
         parent[u] = root
         in_queue[u] = False
-    clock[0] = tick
+    return tick

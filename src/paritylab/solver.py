@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import (
-    GraphSyntaxError,
-    LowerBoundExceedsDegree,
-    SelfCheckFailed,
-    TooManyEdges,
-)
+from .errors import CapExceeded, ParityLabError, SelfCheckFailed
 from .graph import Graph, VertexSet, int_pair, text_lines
 from .lovasz import DeficiencyWitness, ParitySpec, _check_spec, deficiency
 from .matching import max_matching
@@ -95,7 +90,7 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
     for v, (nbrs, gv) in enumerate(zip(g.adjacency, spec.g)):
         d = len(nbrs)
         if gv > d:
-            raise LowerBoundExceedsDegree(f"g({v}) = {gv} exceeds degree {d}")
+            raise ParityLabError(f"g({v}) = {gv} exceeds degree {d}")
         nxt.append(next_id)
         outer.append(tuple(range(next_id, next_id + d)))
         next_id += d
@@ -190,7 +185,7 @@ def brute_force_factor(
     bitmask order (bit i = i-th canonical edge) and return the first factor."""
     m = g.edge_count
     if m > edge_cap:
-        raise TooManyEdges(f"|E| = {m} exceeds brute-force cap {edge_cap}")
+        raise CapExceeded(f"|E| = {m} exceeds brute-force cap {edge_cap}")
     _check_spec(g, spec)
     # parity shortcut: sum of factor degrees is even, so f(V) odd kills all subsets
     if spec.f_total % 2 == 1:
@@ -260,9 +255,9 @@ def parse_factor(text: str, n: int) -> Factor:
         if word != "factor":
             raise ValueError(word)
     except (IndexError, ValueError):
-        raise GraphSyntaxError("factor block must start with 'factor <k>'") from None
+        raise ParityLabError("factor block must start with 'factor <k>'") from None
     if len(lines) - 1 != k:
-        raise GraphSyntaxError(f"factor header promised {k} edges, found {len(lines) - 1}")
+        raise ParityLabError(f"factor header promised {k} edges, found {len(lines) - 1}")
     edges = []
     for lineno, line in lines[1:]:
         u, v = int_pair(lineno, line)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .errors import HypothesisViolation, NotRegular
+from .errors import ParityLabError
 from .graph import Graph, VertexSet, _edges_into
 from .lovasz import ParitySpec, _component_scan
 
@@ -25,7 +25,7 @@ ALL_CASES = MAIN_CASES + GALLAI_CASES + BSW_CASES + ("Petersen",)
 def m_star(m: int) -> int:
     """The odd member of {m, m+1}."""
     if m < 0:
-        raise HypothesisViolation(f"m must be nonnegative, got {m}")
+        raise ParityLabError(f"m must be nonnegative, got {m}")
     return m if m % 2 == 1 else m + 1
 
 
@@ -38,11 +38,11 @@ def check_main_conditions(r: int, m: int, a: int, b: int, n_even: bool) -> froze
     play.
     """
     if not 1 <= a <= b:
-        raise HypothesisViolation(f"need 1 <= a <= b, got a={a}, b={b}")
+        raise ParityLabError(f"need 1 <= a <= b, got a={a}, b={b}")
     if b >= r:
-        raise HypothesisViolation(f"need b < r, got b={b}, r={r}")
+        raise ParityLabError(f"need b < r, got b={b}, r={r}")
     if (a - b) % 2 != 0:
-        raise HypothesisViolation(f"a={a} and b={b} must agree in parity")
+        raise ParityLabError(f"a={a} and b={b} must agree in parity")
     main = _inequalities(r, m, m_star(m), a, b, n_even)
     cases = _named(MAIN_CASES, main)
     if a == b:
@@ -90,13 +90,13 @@ def small_cut(
     """
     degs = set(g.degrees)
     if len(degs) != 1:
-        raise NotRegular(f"graph has degrees {sorted(degs)}; need a regular graph")
+        raise ParityLabError(f"graph has degrees {sorted(degs)}; need a regular graph")
     if not spec.is_constant() or spec.n != g.n:
-        raise NotRegular("need a constant (a,b) spec matching the graph")
+        raise ParityLabError("need a constant (a,b) spec matching the graph")
     r = degs.pop()
     a, b = spec.g[0], spec.f[0]
     if a > r:
-        raise HypothesisViolation(f"need a <= r, got a={a}, r={r}")
+        raise ParityLabError(f"need a <= r, got a={a}, r={r}")
     for cvs, e_t, is_odd in _component_scan(g, spec, s, t):
         if is_odd:
             e_s = _edges_into(g, cvs, s)

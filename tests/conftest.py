@@ -100,11 +100,12 @@ def bound_checks(monkeypatch):
 
 
 def outcome(build, *args):
-    """What build returns on args, or the class of the ParityLabError it raises."""
+    """What build returns on args, or the exact class and the message of the
+    ParityLabError it raises."""
     try:
         return build(*args)
     except ParityLabError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def assert_rejects(call, expected):

@@ -6,7 +6,8 @@ graph's own adjacency: the reference that ``test_connectivity.py`` compares
 ``maxflow`` resets all capacities, every sink's flow runs to completion, and
 the witness reruns the best sink's flow and then searches the residual network
 a second time for the cut side. Kept verbatim, but for its return value, now
-``(lambda, side)`` as ``paritylab.edge_connectivity`` returns; do not optimise.
+``(lambda, side)`` as ``paritylab.edge_connectivity`` returns, and for the
+class of its order error, now ``ParityLabError``; do not optimise.
 
 ``_set_flow`` is the growing-source flow as it stood before its search state
 became per-call lists and its short paths were seeded: every unit is found
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from paritylab.errors import SelfCheckFailed, TooSmall
+from paritylab.errors import ParityLabError, SelfCheckFailed
 from paritylab.graph import Graph, VertexSet, edges_between
 
 
@@ -129,7 +130,7 @@ def edge_connectivity(g: Graph) -> tuple[int, VertexSet]:
     vertex 0.
     """
     if g.n < 2:
-        raise TooSmall(f"edge connectivity needs at least 2 vertices, got {g.n}")
+        raise ParityLabError(f"edge connectivity needs at least 2 vertices, got {g.n}")
     net = _FlowNet(g)
     best = None
     best_t = None

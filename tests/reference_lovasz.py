@@ -7,13 +7,14 @@ rest mask and Gray code: every ternary code is decoded digit by digit, and
 ``decide_by_gray_sweep`` is the rest-mask, Gray-code sweep over all 3^n codes,
 before blocks were skipped by a lower bound; it is fast enough for n = 9-12,
 where the per-code form is not. Both are kept verbatim, but for the
-``Decision`` they build, now its witness alone; do not optimise.
+``Decision`` they build, now its witness alone, and for the class of their
+cap error, now ``CapExceeded``; do not optimise.
 """
 from __future__ import annotations
 
 from itertools import islice
 
-from paritylab.errors import GraphTooLargeForEnumeration, SelfCheckFailed
+from paritylab.errors import CapExceeded, SelfCheckFailed
 from paritylab.graph import Graph, VertexSet
 from paritylab.lovasz import (
     DEFAULT_ENUMERATION_CAP,
@@ -37,7 +38,7 @@ def decide_by_enumeration(
     _check_spec(g, spec)
     n = g.n
     if n > enumeration_cap:
-        raise GraphTooLargeForEnumeration(
+        raise CapExceeded(
             f"n = {n} exceeds enumeration cap {enumeration_cap}"
         )
     adj_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
@@ -140,7 +141,7 @@ def decide_by_gray_sweep(
     _check_spec(g, spec)
     n = g.n
     if n > enumeration_cap:
-        raise GraphTooLargeForEnumeration(
+        raise CapExceeded(
             f"n = {n} exceeds enumeration cap {enumeration_cap}"
         )
     adj_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]

@@ -8,8 +8,18 @@ import sys
 
 import pytest
 
-from paritylab import ParitySpec, cli, emit_graph, experiment, generators, lovasz, parse_graph, random_regular
-from paritylab.errors import SelfCheckFailed
+from paritylab import (
+    ParitySpec,
+    cli,
+    emit_graph,
+    errors,
+    experiment,
+    generators,
+    lovasz,
+    parse_graph,
+    random_regular,
+)
+from paritylab.errors import CapExceeded, CounterexampleError, ParityLabError, SelfCheckFailed
 from paritylab.experiment import parse_config
 from paritylab.graph import VertexSet
 from paritylab.lovasz import (
@@ -147,6 +157,8 @@ def test_decide_cap_exceeded():
         stdin_text="3 3\n0 1\n0 2\n1 2\n",
     )
     assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: n = 3 exceeds enumeration cap 2\n"
 
 
 def test_deficiency_subcommand():
@@ -570,6 +582,28 @@ def test_a_patched_handler_is_the_one_main_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_connectivity", fake)
     assert cli.main(["connectivity", str(graph_file)]) == cli.EXIT_INFEASIBLE
     assert seen == [str(graph_file)] and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("error,status,stderr", [
+    (ParityLabError("planted"), 2, "error: planted\n"),
+    (CapExceeded("planted"), 3, "error: planted\n"),
+    (CounterexampleError("planted", "2 1\n0 1"), 1,
+     "error: planted\n--- instance for replay ---\n2 1\n0 1\n"),
+    (SelfCheckFailed("planted"), 4, "internal error: planted\n"),
+], ids=["input", "cap", "counterexample", "self-check"])
+def test_each_error_class_has_its_exit_code(monkeypatch, capsys, error, status, stderr):
+    # the exit code is all a caller tells errors apart by, so errors defines
+    # one class per code, and main maps each to its code and stderr line
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    assert defined == {"ParityLabError", "CapExceeded", "CounterexampleError", "SelfCheckFailed"}
+
+    def fake(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_connectivity", fake)
+    assert cli.main(["connectivity", "unread.g"]) == status
+    assert capsys.readouterr() == ("", stderr)
 
 
 def test_solve_with_enum_cap_zero_prints_the_barrier_witness(tmp_path, capsys):

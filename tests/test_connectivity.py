@@ -23,10 +23,10 @@ from paritylab import (
 )
 from paritylab import connectivity, generators
 from paritylab.connectivity import _Scratch, _set_flow
-from paritylab.errors import SelfCheckFailed, TooSmall
+from paritylab.errors import ParityLabError, SelfCheckFailed
 
 import reference_connectivity
-from conftest import brute_edge_connectivity, graphs
+from conftest import assert_rejects, brute_edge_connectivity, graphs
 
 
 def test_cycle_is_two_connected():
@@ -59,8 +59,8 @@ def test_zero_always_connected():
 
 
 def test_too_small():
-    with pytest.raises(TooSmall):
-        edge_connectivity(build_graph(1, []))
+    assert_rejects(lambda: edge_connectivity(build_graph(1, [])),
+                   ParityLabError("edge connectivity needs at least 2 vertices, got 1"))
 
 
 @pytest.mark.parametrize("r,m", [(4, 2), (6, 2), (6, 4)])
@@ -83,30 +83,41 @@ def test_matches_exhaustive_oracle(g):
 
 
 def test_cut_certificate_check_raises(monkeypatch):
-    # lambda = 2 < deg(0) = 4: the side comes from the flows, and is checked
-    monkeypatch.setattr(connectivity, "edges_between", lambda g, s, t: -1)
-    with pytest.raises(SelfCheckFailed, match="boundary edges"):
-        edge_connectivity(extremal_construction(4, 2)[0])
+    # lambda = 2 < deg(0) = 4: the side comes from the flows, and is checked;
+    # every side a flow reaches is replaced by {0}, with deg(0) = 4 edges out
+    set_flow = connectivity._set_flow
+
+    def planted(*args):
+        flow, reached = set_flow(*args)
+        return flow, None if reached is None else VertexSet((0,))
+
+    monkeypatch.setattr(connectivity, "_set_flow", planted)
+    assert_rejects(lambda: edge_connectivity(extremal_construction(4, 2)[0]),
+                   SelfCheckFailed("cut side has 4 boundary edges, max-flow found 2"))
 
 
 def test_cut_certificate_check_survives_optimize_flag():
     # `python -O` strips assert statements; the check must not be one
     script = (
         "import paritylab.connectivity as c\n"
-        "from paritylab import extremal_construction\n"
+        "from paritylab import VertexSet, extremal_construction\n"
         "from paritylab.errors import SelfCheckFailed\n"
         "assert False, 'asserts are live'\n"
-        "c.edges_between = lambda g, s, t: -1\n"
+        "set_flow = c._set_flow\n"
+        "def planted(*args):\n"
+        "    flow, reached = set_flow(*args)\n"
+        "    return flow, None if reached is None else VertexSet((0,))\n"
+        "c._set_flow = planted\n"
         "try:\n"
         "    c.edge_connectivity(extremal_construction(4, 2)[0])\n"
-        "except SelfCheckFailed:\n"
-        "    print('raised')\n"
+        "except SelfCheckFailed as exc:\n"
+        "    print(exc)\n"
     )
     result = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "raised\n"
+    assert result.stdout == "cut side has 4 boundary edges, max-flow found 2\n"
 
 
 def _same_as_reference(g):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritylab import experiment
-from paritylab.errors import CounterexampleError, GraphSyntaxError, HypothesisViolation, SelfCheckFailed
+from paritylab.errors import CounterexampleError, ParityLabError, SelfCheckFailed
 from paritylab.experiment import (
     ExperimentConfig,
     parse_config,
@@ -24,7 +24,7 @@ from paritylab.lovasz import DeficiencyWitness, ParitySpec, deficiency, verify_w
 from paritylab.matching import Matching
 from paritylab.solver import Factor, factor_or_witness, find_parity_factor, verify_factor
 
-from conftest import disjoint_sets
+from conftest import assert_rejects, disjoint_sets
 
 
 def _load_script(name: str):
@@ -66,17 +66,16 @@ def test_parse_config():
 
 
 def test_parse_config_rejects_garbage():
-    with pytest.raises(GraphSyntaxError):
-        parse_config("bogus\n")
-    with pytest.raises(GraphSyntaxError):
-        parse_config("wibble=3\n")
-    with pytest.raises(GraphSyntaxError):
-        parse_config("seed=abc\n")
-    for text in ("ab=1\n", "ab=1:1:1\n", "extremal=6:2\n"):
-        with pytest.raises(GraphSyntaxError, match="config line 1: bad value"):
-            parse_config(text)
-    with pytest.raises(GraphSyntaxError, match="^config line 2: repeated key 'n'$"):
-        parse_config("n=10\nn=12\n")
+    for text, message in [
+        ("bogus\n", "config line 1: expected key=value"),
+        ("wibble=3\n", "config line 1: unknown key 'wibble'"),
+        ("seed=abc\n", "config line 1: bad value 'abc'"),
+        ("ab=1\n", "config line 1: bad value '1'"),
+        ("ab=1:1:1\n", "config line 1: bad value '1:1:1'"),
+        ("extremal=6:2\n", "config line 1: bad value '6:2'"),
+        ("n=10\nn=12\n", "config line 2: repeated key 'n'"),
+    ]:
+        assert_rejects(lambda: parse_config(text), ParityLabError(message))
 
 
 def test_run_small_grid():
@@ -215,8 +214,10 @@ def test_extremal_tuple_outside_the_sharpness_domain_is_rejected(monkeypatch, r,
     monkeypatch.setattr(experiment, "extremal_construction", None)
     monkeypatch.setattr(experiment, "random_regular", None)
     cfg = ExperimentConfig(seed=1, trials=1, extremal=((r, m, a, b),))
-    with pytest.raises(HypothesisViolation, match=rf"\(r={r}, m={m}, a={a}, b={b}\)"):
-        run_verification_experiment(cfg)
+    assert_rejects(lambda: run_verification_experiment(cfg), ParityLabError(
+        f"extremal tuple (r={r}, m={m}, a={a}, b={b}) is outside the sharpness domain: "
+        "need even r >= 4, even 2 <= m <= r-2 and odd 1 <= a <= b with b*m < r"
+    ))
 
 
 @pytest.mark.parametrize("pair", [(3, 1), (1, 2), (0, 0)])
@@ -225,8 +226,9 @@ def test_ab_pair_that_no_r_admits_is_rejected(monkeypatch, pair):
     monkeypatch.setattr(experiment, "random_regular", None)
     a, b = pair
     cfg = ExperimentConfig(seed=1, trials=1, specs=((1, 1), pair))
-    with pytest.raises(HypothesisViolation, match=rf"^ab pair \(a={a}, b={b}\) is admitted by no r"):
-        run_verification_experiment(cfg)
+    assert_rejects(lambda: run_verification_experiment(cfg), ParityLabError(
+        f"ab pair (a={a}, b={b}) is admitted by no r: need 1 <= a <= b with a = b (mod 2)"
+    ))
 
 
 @pytest.mark.parametrize("field,value,name", [
@@ -240,8 +242,10 @@ def test_config_value_that_can_yield_no_row_is_rejected(monkeypatch, field, valu
     # left to an empty table or to an error from the generator or the flow
     monkeypatch.setattr(experiment, "random_regular", None)
     cfg = replace(ExperimentConfig(seed=1, n_values=(11,), r_values=(0,), trials=1), **{field: value})
-    with pytest.raises(HypothesisViolation, match=rf"^{name} can yield no row"):
-        run_verification_experiment(cfg)
+    key = name.partition("=")[0]
+    least = {"n": 2, "r": 0, "trials": 0}[key]
+    assert_rejects(lambda: run_verification_experiment(cfg),
+                   ParityLabError(f"{name} can yield no row: need {key} >= {least}"))
 
 
 def test_ab_pair_above_r_is_skipped_for_that_r_only():

@@ -19,13 +19,7 @@ from paritylab import (
     random_regular,
     sharpness_certificate,
 )
-from paritylab.errors import (
-    BadOrder,
-    DegreeTooLarge,
-    ParamDomain,
-    ParityViolation,
-    RetriesExhausted,
-)
+from paritylab.errors import ParityLabError
 
 from conftest import assert_rejects
 
@@ -41,10 +35,8 @@ def test_fixture_shapes():
 
 
 def test_fixture_bad_order():
-    with pytest.raises(BadOrder):
-        complete_graph(0)
-    with pytest.raises(BadOrder):
-        cycle(2)
+    assert_rejects(lambda: complete_graph(0), ParityLabError("complete graph needs n >= 1, got 0"))
+    assert_rejects(lambda: cycle(2), ParityLabError("cycle needs n >= 3, got 2"))
 
 
 def test_random_regular_degrees():
@@ -63,19 +55,19 @@ def test_random_regular_dense_degrees():
 
 
 def test_random_regular_parity_violation():
-    with pytest.raises(ParityViolation):
-        random_regular(5, 3, seed=0)
+    assert_rejects(lambda: random_regular(5, 3, seed=0),
+                   ParityLabError("n*r = 15 is odd; no 3-regular graph on 5 vertices"))
 
 
 def test_random_regular_degree_too_large():
-    with pytest.raises(DegreeTooLarge):
-        random_regular(4, 4, seed=0)
+    assert_rejects(lambda: random_regular(4, 4, seed=0),
+                   ParityLabError("r = 4 must be smaller than n = 4"))
 
 
 def test_random_regular_retries_exhausted(monkeypatch):
     monkeypatch.setattr(generators, "_pairing_attempt", lambda n, r, rng: None)
-    with pytest.raises(RetriesExhausted):
-        random_regular(10, 3, 0)
+    assert_rejects(lambda: random_regular(10, 3, 0),
+                   ParityLabError("no simple 3-regular graph found in 10000 attempts"))
 
 
 def test_random_regular_forced_k4():
@@ -94,11 +86,11 @@ def test_block_4_2():
 
 def test_params_domain():
     assert_rejects(lambda: extremal_construction(5, 2),  # odd r
-                   ParamDomain("r must be even and >= 4, got 5"))
+                   ParityLabError("r must be even and >= 4, got 5"))
     assert_rejects(lambda: extremal_construction(6, 3),  # odd m
-                   ParamDomain("m must be even with 2 <= m <= r-2, got m=3, r=6"))
+                   ParityLabError("m must be even with 2 <= m <= r-2, got m=3, r=6"))
     assert_rejects(lambda: extremal_construction(6, 6),  # m > r - 2
-                   ParamDomain("m must be even with 2 <= m <= r-2, got m=6, r=6"))
+                   ParityLabError("m must be even with 2 <= m <= r-2, got m=6, r=6"))
 
 
 def _reference_sharpness_domain(r, m, a, b):
@@ -166,7 +158,7 @@ def test_block_feasibility_contrast():
 # ---- rejections with their full messages
 
 @pytest.mark.parametrize("call,expected", [
-    (lambda: random_regular(0, 3, 1), BadOrder("need n >= 1 and r >= 0, got n=0, r=3")),
+    (lambda: random_regular(0, 3, 1), ParityLabError("need n >= 1 and r >= 0, got n=0, r=3")),
 ], ids=["random-regular-empty"])
 def test_generators_rejections(call, expected):
     assert_rejects(call, expected)

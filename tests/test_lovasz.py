@@ -28,13 +28,7 @@ from paritylab import (
     verify_witness,
 )
 from paritylab import lovasz
-from paritylab.errors import (
-    GraphSyntaxError,
-    GraphTooLargeForEnumeration,
-    InvalidParitySpec,
-    SelfCheckFailed,
-    SetsNotDisjoint,
-)
+from paritylab.errors import CapExceeded, ParityLabError, SelfCheckFailed
 from paritylab.lovasz import parse_witness, serialize_witness
 
 import reference_lovasz
@@ -50,12 +44,10 @@ from conftest import (
 
 def test_spec_validation():
     ParitySpec((1, 1), (3, 3))
-    with pytest.raises(InvalidParitySpec):
-        ParitySpec((1,), (2,))  # parity mismatch
-    with pytest.raises(InvalidParitySpec):
-        ParitySpec((3,), (1,))  # g > f
-    with pytest.raises(InvalidParitySpec):
-        ParitySpec((-1,), (1,))
+    assert_rejects(lambda: ParitySpec((1,), (2,)),
+                   ParityLabError("g(0) = 1 and f(0) = 2 differ in parity"))
+    assert_rejects(lambda: ParitySpec((3,), (1,)), ParityLabError("g(0) = 3 exceeds f(0) = 1"))
+    assert_rejects(lambda: ParitySpec((-1,), (1,)), ParityLabError("g(0) = -1 is negative"))
 
 
 def test_constant_spec():
@@ -81,9 +73,11 @@ def test_odd_components_small():
 
 
 def test_f_odd_requires_disjoint():
-    with pytest.raises(SetsNotDisjoint):
-        deficiency(complete_graph(3), ParitySpec.constant(1, 1, 3),
-                   VertexSet.of([0]), VertexSet.of([0]))
+    assert_rejects(
+        lambda: deficiency(complete_graph(3), ParitySpec.constant(1, 1, 3),
+                           VertexSet.of([0]), VertexSet.of([0])),
+        ParityLabError("sets share vertices [0]"),
+    )
 
 
 def test_deficiency_extremal_hub_witness():
@@ -163,8 +157,10 @@ def test_decide_empty_sets_counts_odd_components():
 
 def test_decide_enumeration_cap():
     g = complete_graph(5)
-    with pytest.raises(GraphTooLargeForEnumeration):
-        decide_by_enumeration(g, ParitySpec.constant(1, 1, 5), enumeration_cap=4)
+    assert_rejects(
+        lambda: decide_by_enumeration(g, ParitySpec.constant(1, 1, 5), enumeration_cap=4),
+        CapExceeded("n = 5 exceeds enumeration cap 4"),
+    )
 
 
 def test_enumeration_cap_is_bounded_whatever_the_caller_asks(monkeypatch):
@@ -181,9 +177,11 @@ def test_enumeration_cap_is_bounded_whatever_the_caller_asks(monkeypatch):
     top = lovasz.MAX_ENUMERATION_N
     with pytest.raises(ReachedTables):
         decide_by_enumeration(build_graph(top, []), ParitySpec.constant(0, 0, top), top + 20)
-    with pytest.raises(GraphTooLargeForEnumeration) as info:
-        decide_by_enumeration(build_graph(top + 1, []), ParitySpec.constant(0, 0, top + 1), top + 20)
-    assert str(info.value) == f"n = {top + 1} exceeds enumeration cap {top}"
+    assert_rejects(
+        lambda: decide_by_enumeration(
+            build_graph(top + 1, []), ParitySpec.constant(0, 0, top + 1), top + 20),
+        CapExceeded(f"n = {top + 1} exceeds enumeration cap {top}"),
+    )
 
 
 def test_verify_witness_rejects_nonnegative_delta():
@@ -242,9 +240,7 @@ def test_witness_serialization_round_trip():
     ("S:\nT:\ndelta: 5\ndelta: -2\ntau: 1\n", "line 4: repeated witness field 'delta'"),
 ])
 def test_parse_witness_names_the_bad_line(text, line):
-    with pytest.raises(GraphSyntaxError) as info:
-        parse_witness(text)
-    assert str(info.value) == line
+    assert_rejects(lambda: parse_witness(text), ParityLabError(line))
 
 
 @given(graph_with_disjoint_sets(max_n=6))
@@ -680,9 +676,9 @@ def test_mask_tables_match_their_definitions(data):
 
 @pytest.mark.parametrize("call,expected", [
     (lambda: ParitySpec((1, 1), (1,)),
-     InvalidParitySpec("g and f must have the same length")),
+     ParityLabError("g and f must have the same length")),
     (lambda: parse_witness("S: 1\nT:\ndelta: -1\n"),
-     GraphSyntaxError("witness block missing field 'tau'")),
+     ParityLabError("witness block missing field 'tau'")),
     (lambda: verify_witness(
         complete_graph(3), ParitySpec.constant(1, 1, 3),
         DeficiencyWitness(VertexSet.empty(), VertexSet.empty(), -1, 2)),
@@ -691,7 +687,7 @@ def test_mask_tables_match_their_definitions(data):
     (lambda: verify_witness(
         complete_graph(2), ParitySpec.constant(1, 1, 3),
         DeficiencyWitness(VertexSet.empty(), VertexSet.empty(), -1, 1)),
-     InvalidParitySpec("spec covers 3 vertices, graph has 2")),
+     ParityLabError("spec covers 3 vertices, graph has 2")),
 ], ids=["spec-lengths", "missing-tau", "tau-mismatch", "witness-spec-length"])
 def test_lovasz_rejections(call, expected):
     assert_rejects(call, expected)

@@ -29,13 +29,7 @@ from paritylab import (
 )
 from paritylab import solver
 from paritylab.lovasz import deficiency, serialize_witness
-from paritylab.errors import (
-    GraphSyntaxError,
-    InvalidParitySpec,
-    LowerBoundExceedsDegree,
-    SelfCheckFailed,
-    TooManyEdges,
-)
+from paritylab.errors import CapExceeded, ParityLabError, SelfCheckFailed
 from paritylab.matching import max_matching
 from paritylab.solver import normalized_upper, parse_factor, serialize_factor
 
@@ -71,8 +65,8 @@ def test_gadget_counts_k4_vertex():
 
 
 def test_gadget_rejects_lower_bound_above_degree():
-    with pytest.raises(LowerBoundExceedsDegree):
-        build_parity_gadget(cycle(4), ParitySpec.constant(3, 3, 4))
+    assert_rejects(lambda: build_parity_gadget(cycle(4), ParitySpec.constant(3, 3, 4)),
+                   ParityLabError("g(0) = 3 exceeds degree 2"))
 
 
 def test_normalized_upper_clamps_to_degree():
@@ -120,8 +114,8 @@ def test_brute_force_basics():
 
 
 def test_brute_force_cap():
-    with pytest.raises(TooManyEdges):
-        brute_force_factor(complete_graph(8), ParitySpec.constant(1, 1, 8))
+    assert_rejects(lambda: brute_force_factor(complete_graph(8), ParitySpec.constant(1, 1, 8)),
+                   CapExceeded("|E| = 28 exceeds brute-force cap 22"))
 
 
 def test_verify_factor_catches_parity():
@@ -210,17 +204,16 @@ def test_verify_factor_matches_the_three_pass_reference(case):
 @pytest.mark.parametrize("n", [2, 12])
 def test_spec_length_must_match_graph(n):
     spec = ParitySpec.constant(1, 1, n)
-    with pytest.raises(InvalidParitySpec, match="spec covers"):
-        find_parity_factor(petersen(), spec)
+    expected = ParityLabError(f"spec covers {n} vertices, graph has 10")
+    assert_rejects(lambda: find_parity_factor(petersen(), spec), expected)
     factor = find_parity_factor(petersen(), ParitySpec.constant(1, 1, 10))
-    with pytest.raises(InvalidParitySpec, match="spec covers"):
-        verify_factor(petersen(), spec, factor)
+    assert_rejects(lambda: verify_factor(petersen(), spec, factor), expected)
 
 
 @pytest.mark.parametrize("n", [2, 12])
 def test_gadget_spec_length_must_match_graph(n):
-    with pytest.raises(InvalidParitySpec, match="spec covers"):
-        build_parity_gadget(petersen(), ParitySpec.constant(1, 1, n))
+    assert_rejects(lambda: build_parity_gadget(petersen(), ParitySpec.constant(1, 1, n)),
+                   ParityLabError(f"spec covers {n} vertices, graph has 10"))
 
 
 def test_find_verifies_the_recovered_factor(monkeypatch):
@@ -320,9 +313,7 @@ def test_factor_serialization_round_trip():
     ("factor 0 0\n", "factor block must start with 'factor <k>'"),
 ])
 def test_parse_factor_names_the_bad_line(text, line):
-    with pytest.raises(GraphSyntaxError) as info:
-        parse_factor(text, 10)
-    assert str(info.value) == line
+    assert_rejects(lambda: parse_factor(text, 10), ParityLabError(line))
 
 
 @given(graph_with_spec(max_n=6))
@@ -521,7 +512,7 @@ def test_certifier_returns_the_paper_certificate_on_the_extremal_family(r):
                            Factor(3, complete_graph(3).edges)),
      (False, "vertex 0: degree 2 above upper bound 0")),
     (lambda: parse_factor("factor 2\n0 1\n", 2),
-     GraphSyntaxError("factor header promised 2 edges, found 1")),
+     ParityLabError("factor header promised 2 edges, found 1")),
 ], ids=["below-lower-bound", "above-upper-bound", "short-factor-block"])
 def test_solver_rejections(call, expected):
     assert_rejects(call, expected)

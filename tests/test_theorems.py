@@ -24,7 +24,7 @@ from paritylab import (
     small_cut,
 )
 from paritylab import lovasz, theorems
-from paritylab.errors import HypothesisViolation, NotRegular
+from paritylab.errors import ParityLabError
 
 from conftest import assert_rejects, disjoint_sets, graphs
 
@@ -48,12 +48,12 @@ def test_main_case_iii_petersen_parameters():
 
 
 def test_main_hypothesis_violations():
-    with pytest.raises(HypothesisViolation):
-        check_main_conditions(4, 2, 3, 1, True)  # a > b
-    with pytest.raises(HypothesisViolation):
-        check_main_conditions(4, 2, 1, 2, True)  # parity mismatch
-    with pytest.raises(HypothesisViolation):
-        check_main_conditions(4, 2, 1, 5, True)  # b >= r
+    assert_rejects(lambda: check_main_conditions(4, 2, 3, 1, True),  # a > b
+                   ParityLabError("need 1 <= a <= b, got a=3, b=1"))
+    assert_rejects(lambda: check_main_conditions(4, 2, 1, 2, True),  # parity mismatch
+                   ParityLabError("a=1 and b=2 must agree in parity"))
+    assert_rejects(lambda: check_main_conditions(4, 2, 1, 5, True),  # b >= r
+                   ParityLabError("need b < r, got b=5, r=4"))
 
 
 def test_gallai_cases():
@@ -176,8 +176,10 @@ def test_component_check_petersen():
 
 def test_component_check_requires_regular():
     g = build_graph(3, [(0, 1)])
-    with pytest.raises(NotRegular):
-        small_cut(g, ParitySpec.constant(1, 1, 3), VertexSet.empty(), VertexSet.empty())
+    assert_rejects(
+        lambda: small_cut(g, ParitySpec.constant(1, 1, 3), VertexSet.empty(), VertexSet.empty()),
+        ParityLabError("graph has degrees [0, 1]; need a regular graph"),
+    )
 
 
 @given(graphs(min_n=2, max_n=8))
@@ -297,11 +299,11 @@ def _small_cut(g, spec):
 
 
 @pytest.mark.parametrize("call,expected", [
-    (lambda: m_star(-1), HypothesisViolation("m must be nonnegative, got -1")),
+    (lambda: m_star(-1), ParityLabError("m must be nonnegative, got -1")),
     (_small_cut(complete_graph(4), ParitySpec((1, 1, 1, 1), (1, 1, 1, 3))),
-     NotRegular("need a constant (a,b) spec matching the graph")),
+     ParityLabError("need a constant (a,b) spec matching the graph")),
     (_small_cut(build_graph(3, []), ParitySpec.constant(1, 1, 3)),
-     HypothesisViolation("need a <= r, got a=1, r=0")),
+     ParityLabError("need a <= r, got a=1, r=0")),
 ], ids=["m-star", "non-constant-spec", "edgeless"])
 def test_theorems_rejections(call, expected):
     assert_rejects(call, expected)
